@@ -186,12 +186,10 @@ void BM_EvaluateBatchFrozen(benchmark::State& state) {
   DkIndex dk = DkIndex::Build(&copy, reqs);
   FrozenView view(dk.index());
   ThreadPool pool(static_cast<int>(state.range(0)));
-  // Persistent lane scratches, as a server holds them: steady-state batches
-  // reuse the compiled dense tables instead of recompiling every query.
-  std::vector<std::unique_ptr<FrozenScratch>> lanes;
+  // Each lane thread keeps its own scratch, so steady-state batches reuse
+  // the compiled dense tables instead of recompiling every query.
   for (auto _ : state) {
-    auto results = view.EvaluateBatch(workload, &pool, nullptr,
-                                      /*validate=*/true, &lanes);
+    auto results = view.EvaluateBatch(workload, &pool);
     benchmark::DoNotOptimize(results.size());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -518,7 +516,7 @@ BENCHMARK(BM_BackendForcedEvaluate)->DenseRange(0, 5);
 // cold variant re-parses AND uses a fresh scratch per evaluation — a fresh
 // DfaMemo and compiled cache, so dense tables and subset transitions are
 // re-derived from the NFA move spans every time (the cost a server without
-// the ParseCache and persistent lane scratches would pay). "_*.personref"
+// the ParseCache and per-thread scratches would pay). "_*.personref"
 // keeps several NFA states live per frontier node, the shape the memo
 // exists for.
 void BM_DfaEvaluateWarmMemo(benchmark::State& state) {

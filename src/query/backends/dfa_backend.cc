@@ -75,10 +75,9 @@ void FrozenView::RunDfaIndexBfs(FrozenScratch* s, const PathExpression& query,
 
   const int64_t m = num_index_nodes();
   s->BeginIndexTraversal(m);
-  if (s->mslot_gen_.size() != static_cast<size_t>(m)) {
-    s->mslot_gen_.assign(static_cast<size_t>(m), 0);
+  if (s->mslot_gen_.size() < static_cast<size_t>(m)) {  // grow-only
+    s->mslot_gen_.resize(static_cast<size_t>(m));
     s->mslot_.resize(static_cast<size_t>(m));
-    s->mslot_stamp_ = 0;
   }
   s->mcur_.clear();
   s->mnext_.clear();

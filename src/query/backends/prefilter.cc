@@ -26,9 +26,9 @@ namespace dki {
 void FrozenView::ComputePrefilterSeeds(FrozenScratch* s, LabelId anchor,
                                        int max_word_length) const {
   const int64_t m = num_index_nodes();
-  if (s->pf_mark_gen_.size() != static_cast<size_t>(m)) {
-    s->pf_mark_gen_.assign(static_cast<size_t>(m), 0);
-    s->pf_gen_ = 0;  // generation 0 marks every slot stale
+  // Grow-only: new slots read 0, older than any live generation.
+  if (s->pf_mark_gen_.size() < static_cast<size_t>(m)) {
+    s->pf_mark_gen_.resize(static_cast<size_t>(m));
   }
   ++s->pf_gen_;
   s->pf_cur_.clear();

@@ -52,6 +52,20 @@ struct FrozenCounters {
 
 int MaskWords(int num_states) { return (num_states + 63) / 64; }
 
+// The scratch of evaluations given none: one per thread, for the thread's
+// life, so a call pays no O(|V| + |M|) set-up or repeat table compilation.
+FrozenScratch& ThreadScratch() {
+  thread_local FrozenScratch scratch;
+  return scratch;
+}
+
+// Grows a generation-stamped array to `n` slots. New slots read 0, older
+// than any live generation (generations start at 1 and never reset).
+template <typename T>
+void GrowTo(std::vector<T>* v, size_t n) {
+  if (v->size() < n) v->resize(n);
+}
+
 // FNV-1a over an automaton's full structure (states, transitions in order,
 // accepts, starts). Used by the scratch's compiled-query cache to detect the
 // rare case of one query text compiled against two different label tables.
@@ -427,15 +441,13 @@ void FrozenScratch::PrepareForQuery(const FrozenView& view,
 
 void FrozenScratch::BeginIndexTraversal(int64_t num_index_nodes) {
   const size_t m = static_cast<size_t>(num_index_nodes);
-  const int words = MaskWords(fwd_->num_states);
-  if (index_words_ != words || index_mask_gen_.size() != m) {
-    index_words_ = words;
-    index_masks_.assign(m * static_cast<size_t>(words), 0);
-    index_mask_gen_.assign(m, 0);
-    accept_depth_.assign(m, 0);
-    accept_gen_.assign(m, 0);
-    index_gen_ = 0;  // generation 0 marks every slot stale
-  }
+  // Mask words are zeroed on a node's first visit per generation, so a new
+  // mask width needs room, never a wipe.
+  index_words_ = MaskWords(fwd_->num_states);
+  GrowTo(&index_masks_, m * static_cast<size_t>(index_words_));
+  GrowTo(&index_mask_gen_, m);
+  GrowTo(&accept_depth_, m);
+  GrowTo(&accept_gen_, m);
   ++index_gen_;
   cur_.clear();
   next_.clear();
@@ -445,14 +457,9 @@ void FrozenScratch::BeginIndexTraversal(int64_t num_index_nodes) {
 void FrozenScratch::BeginDataTraversal(int64_t num_data_nodes,
                                        int num_states) {
   const size_t n = static_cast<size_t>(num_data_nodes);
-  const int words = MaskWords(num_states);
-  if (data_words_ != words || data_mask_gen_.size() != n) {
-    data_words_ = words;
-    data_masks_.assign(n * static_cast<size_t>(words), 0);
-    data_mask_gen_.assign(n, 0);
-    result_gen_.assign(n, 0);
-    data_gen_ = 0;
-  }
+  data_words_ = MaskWords(num_states);
+  GrowTo(&data_masks_, n * static_cast<size_t>(data_words_));
+  GrowTo(&data_mask_gen_, n);
   ++data_gen_;
   cur_.clear();
   next_.clear();
@@ -548,8 +555,7 @@ std::vector<NodeId> FrozenView::Evaluate(const PathExpression& query,
                                          EvalStats* stats, bool validate,
                                          FrozenScratch* scratch,
                                          ThreadPool* validation_pool) const {
-  FrozenScratch local_scratch;
-  FrozenScratch* s = scratch != nullptr ? scratch : &local_scratch;
+  FrozenScratch* s = scratch != nullptr ? scratch : &ThreadScratch();
   s->PrepareForQuery(*this, query);
   EvalStats local;
 
@@ -616,6 +622,8 @@ std::vector<NodeId> FrozenView::Evaluate(const PathExpression& query,
     validation_pool->ParallelFor(
         num_candidates, num_chunks,
         [&](int chunk, int64_t begin, int64_t end) {
+          // Not ThreadScratch(): the calling thread runs a chunk too, while
+          // its own scratch still holds candidates_.
           FrozenScratch chunk_scratch;
           chunk_scratch.PrepareForQuery(*this, query);
           for (int64_t c = begin; c < end; ++c) {
@@ -671,13 +679,13 @@ std::vector<NodeId> FrozenView::Evaluate(const PathExpression& query,
 std::vector<NodeId> FrozenView::EvaluateOnData(const PathExpression& query,
                                                EvalStats* stats,
                                                FrozenScratch* scratch) const {
-  FrozenScratch local_scratch;
-  FrozenScratch* s = scratch != nullptr ? scratch : &local_scratch;
+  FrozenScratch* s = scratch != nullptr ? scratch : &ThreadScratch();
   s->PrepareForQuery(*this, query);
   EvalStats local;
 
   const FrozenScratch::DenseAutomaton& fwd = *s->fwd_;
   s->BeginDataTraversal(num_data_nodes(), fwd.num_states);
+  GrowTo(&s->result_gen_, static_cast<size_t>(num_data_nodes()));
   s->matched_data_.clear();
   for (LabelId lab : fwd.seed_labels) {
     const int32_t nb = data_bylabel_off_[static_cast<size_t>(lab)];
@@ -728,47 +736,39 @@ std::vector<NodeId> FrozenView::EvaluateOnData(const PathExpression& query,
   return result;
 }
 
-std::vector<std::vector<NodeId>> FrozenView::EvaluateBatch(
-    const std::vector<const PathExpression*>& queries, ThreadPool* pool,
-    std::vector<EvalStats>* stats, bool validate,
-    std::vector<std::unique_ptr<FrozenScratch>>* lane_scratches) const {
-  const int64_t total = static_cast<int64_t>(queries.size());
-  std::vector<std::vector<NodeId>> results(queries.size());
-  if (stats != nullptr) stats->assign(queries.size(), EvalStats());
+int FrozenView::BatchLanes(int64_t total, int pool_threads) {
   // Floor division keeps the lane-count promise honest: with ceil division
   // a batch just past a lane multiple (say 9 queries, kMinQueriesPerLane 8)
   // opened an extra lane whose queries all fell below the minimum. Floor
   // caps lanes so EVERY lane gets >= kMinQueriesPerLane, and ChunkBounds
   // spreads the remainder so lane loads differ by at most one query.
-  const int max_useful_lanes =
-      static_cast<int>(std::max<int64_t>(1, total / kMinQueriesPerLane));
+  if (pool_threads <= 1 || total <= 1) return 1;
+  const int64_t max_useful_lanes =
+      std::max<int64_t>(1, total / kMinQueriesPerLane);
+  return static_cast<int>(std::min<int64_t>(pool_threads, max_useful_lanes));
+}
+
+std::vector<std::vector<NodeId>> FrozenView::EvaluateBatch(
+    const std::vector<const PathExpression*>& queries, ThreadPool* pool,
+    std::vector<EvalStats>* stats, bool validate) const {
+  const int64_t total = static_cast<int64_t>(queries.size());
+  std::vector<std::vector<NodeId>> results(queries.size());
+  if (stats != nullptr) stats->assign(queries.size(), EvalStats());
   const int num_lanes =
-      (pool == nullptr || pool->num_threads() <= 1 || total <= 1)
-          ? 1
-          : std::max(1, std::min(pool->num_threads(), max_useful_lanes));
-  if (lane_scratches != nullptr) {
-    while (static_cast<int>(lane_scratches->size()) < num_lanes) {
-      lane_scratches->push_back(std::make_unique<FrozenScratch>());
-    }
-  }
-  auto run_range = [&](int chunk, int64_t begin, int64_t end) {
-    FrozenScratch local_scratch;
-    FrozenScratch* scratch = lane_scratches != nullptr
-                                 ? (*lane_scratches)[static_cast<size_t>(chunk)]
-                                       .get()
-                                 : &local_scratch;
+      BatchLanes(total, pool == nullptr ? 1 : pool->num_threads());
+  auto run_range = [&](int /*chunk*/, int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
       EvalStats st;
       results[static_cast<size_t>(i)] =
-          Evaluate(*queries[static_cast<size_t>(i)], &st, validate, scratch,
-                   /*validation_pool=*/nullptr);
+          Evaluate(*queries[static_cast<size_t>(i)], &st, validate,
+                   /*scratch=*/nullptr, /*validation_pool=*/nullptr);
       if (stats != nullptr) (*stats)[static_cast<size_t>(i)] = st;
     }
   };
   if (num_lanes == 1) {
     run_range(0, 0, total);
   } else {
-    // One chunk per lane so each lane amortizes one scratch. Chunks are
+    // One chunk per lane, each on its thread's own scratch. Chunks are
     // deterministic in boundaries and each query's evaluation is
     // self-contained, so the output is thread-count-invariant.
     pool->ParallelFor(total, num_lanes, run_range);
@@ -778,12 +778,11 @@ std::vector<std::vector<NodeId>> FrozenView::EvaluateBatch(
 
 std::vector<std::vector<NodeId>> FrozenView::EvaluateBatch(
     const std::vector<PathExpression>& queries, ThreadPool* pool,
-    std::vector<EvalStats>* stats, bool validate,
-    std::vector<std::unique_ptr<FrozenScratch>>* lane_scratches) const {
+    std::vector<EvalStats>* stats, bool validate) const {
   std::vector<const PathExpression*> ptrs;
   ptrs.reserve(queries.size());
   for (const PathExpression& q : queries) ptrs.push_back(&q);
-  return EvaluateBatch(ptrs, pool, stats, validate, lane_scratches);
+  return EvaluateBatch(ptrs, pool, stats, validate);
 }
 
 }  // namespace dki

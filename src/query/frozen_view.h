@@ -154,12 +154,13 @@ class FrozenView {
   // the backend PlanQuery picks (query/backend.h) — results are
   // bit-identical across backends; EvalStats counters match the reference
   // exactly when the view's policy forces kNfa, and count each backend's
-  // own work otherwise. Passing a `scratch` reuses traversal state across
-  // calls (one scratch serves one thread); without one a fresh scratch is
-  // allocated per call. With `validation_pool` set and at least
-  // kParallelValidationThreshold uncertain candidates, their validation
-  // fans out over the pool (results stay deterministic; the pool must not
-  // be running another job).
+  // own work otherwise. Without a `scratch` the calling thread's own
+  // thread-local scratch is used, so traversal state and compiled tables
+  // are reused across calls and views; pass one only to isolate a caller's
+  // state (one scratch serves one thread). With `validation_pool` set and
+  // at least kParallelValidationThreshold uncertain candidates, their
+  // validation fans out over the pool (results stay deterministic; the pool
+  // must not be running another job).
   std::vector<NodeId> Evaluate(const PathExpression& query,
                                EvalStats* stats = nullptr,
                                bool validate = true,
@@ -168,33 +169,29 @@ class FrozenView {
 
   // Ground-truth evaluation on the frozen data graph, equivalent to
   // EvaluateOnDataGraph. Always the NFA product-BFS — the backend planner
-  // only covers the index path, where the wins are.
+  // only covers the index path, where the wins are. Scratch as in Evaluate.
   std::vector<NodeId> EvaluateOnData(const PathExpression& query,
                                      EvalStats* stats = nullptr,
                                      FrozenScratch* scratch = nullptr) const;
 
-  // Evaluates a batch of queries in parallel over the pool (one scratch per
-  // lane, queries split into contiguous chunks). results[i] and stats[i]
-  // (when requested) are bit-identical to a sequential Evaluate(queries[i])
-  // regardless of thread count. A null pool (or a single-lane one) runs
-  // inline. The pool must not be running another job (ThreadPool is not
-  // reentrant), so concurrent EvaluateBatch calls need distinct pools.
-  //
-  // `lane_scratches`, when given, supplies persistent per-lane scratches
-  // (grown to the lane count on demand): a server calling EvaluateBatch
-  // repeatedly with the same pool amortizes dense-table compilation across
-  // batches instead of recompiling every query every call. The vector must
-  // not be shared with a concurrent batch.
+  // Evaluates a batch of queries in parallel over the pool (queries split
+  // into BatchLanes contiguous chunks, each lane evaluating on its thread's
+  // own scratch). results[i] and stats[i] (when requested) are
+  // bit-identical to a sequential Evaluate(queries[i]) regardless of thread
+  // count. A null pool (or a single-lane one) runs inline. The pool must not
+  // be running another job (ThreadPool is not reentrant), so concurrent
+  // EvaluateBatch calls need distinct pools.
   std::vector<std::vector<NodeId>> EvaluateBatch(
       const std::vector<const PathExpression*>& queries, ThreadPool* pool,
-      std::vector<EvalStats>* stats = nullptr, bool validate = true,
-      std::vector<std::unique_ptr<FrozenScratch>>* lane_scratches =
-          nullptr) const;
+      std::vector<EvalStats>* stats = nullptr, bool validate = true) const;
   std::vector<std::vector<NodeId>> EvaluateBatch(
       const std::vector<PathExpression>& queries, ThreadPool* pool,
-      std::vector<EvalStats>* stats = nullptr, bool validate = true,
-      std::vector<std::unique_ptr<FrozenScratch>>* lane_scratches =
-          nullptr) const;
+      std::vector<EvalStats>* stats = nullptr, bool validate = true) const;
+
+  // How many lanes EvaluateBatch splits `total` queries into on a pool of
+  // `pool_threads` lanes: every lane gets at least kMinQueriesPerLane
+  // queries, never more lanes than the pool has, at least one.
+  static int BatchLanes(int64_t total, int pool_threads);
 
  private:
   friend class FrozenScratch;
@@ -283,14 +280,21 @@ class FrozenView {
 // Reusable per-thread traversal state for FrozenView evaluation: the dense
 // per-query transition tables, the two-vector BFS frontiers, and the
 // generation-stamped visited / accept-depth arrays (invalidated in O(1) per
-// query, re-zeroed only on first touch). One instance serves one thread; it
-// re-sizes itself across views and queries.
+// query; generations never reset, so the arrays only grow and switching
+// views never re-zeroes them). One instance serves one thread; evaluation
+// without an explicit scratch uses a thread-local one.
 class FrozenScratch {
  public:
   FrozenScratch() = default;
 
   FrozenScratch(const FrozenScratch&) = delete;
   FrozenScratch& operator=(const FrozenScratch&) = delete;
+
+  // Serving workloads cycle a bounded query set; past this many distinct
+  // texts the whole cache is dropped (simple and O(1) amortized — an LRU
+  // would buy little for a scratch-local cache). Small: a thread keeps its
+  // scratch for life.
+  static constexpr size_t kMaxCompiledQueries = 16;
 
  private:
   friend class FrozenView;
@@ -365,20 +369,16 @@ class FrozenScratch {
     size_t dfa_merged_size = 0;   // dfa_trans size last merged back
   };
 
-  // Serving workloads cycle a bounded query set; past this many distinct
-  // texts the whole cache is dropped (simple and O(1) amortized — an LRU
-  // would buy little for a scratch-local cache).
-  static constexpr size_t kMaxCompiledQueries = 256;
-
   // Looks up (or compiles) the query's dense tables and points fwd_/rev_ at
   // them. Repeat evaluations of a cycling workload hit the text-keyed cache
   // and pay one string hash + fingerprint check, no recompilation.
   void PrepareForQuery(const FrozenView& view, const PathExpression& query);
-  // Sizes/invalidates the index-side traversal arrays (visited masks,
-  // accept depth) and clears the frontiers. O(1) amortized via generations.
+  // Grows the index-side traversal arrays (visited masks, accept depth) if
+  // needed and clears the frontiers. O(1) amortized via generations.
   void BeginIndexTraversal(int64_t num_index_nodes);
   // Same for the data-side arrays (validation and EvaluateOnData), for an
-  // automaton with `num_states` states.
+  // automaton with `num_states` states (result_gen_ is grown by
+  // EvaluateOnData, its only reader).
   void BeginDataTraversal(int64_t num_data_nodes, int num_states);
 
   bool InsertIndexVisit(int32_t node, int32_t state);

@@ -161,18 +161,15 @@ std::vector<std::optional<std::vector<NodeId>>> QueryServer::EvaluateBatchOn(
   }
 
   // Phase 2 (under batch_mu_, parallel): evaluate the misses over the
-  // frozen view, with the persistent lane scratches so repeated batches
-  // skip dense-table compilation. ThreadPool::ParallelFor supports one
-  // caller at a time, so only batches that actually reach the pool
-  // serialize here.
+  // frozen view. ThreadPool::ParallelFor supports one caller at a time, so
+  // only batches that actually reach the pool serialize here.
   if (!miss_queries.empty()) {
     std::lock_guard<std::mutex> lock(batch_mu_);
     if (batch_pool_ == nullptr) {
       batch_pool_ = std::make_unique<ThreadPool>(options_.batch_threads);
     }
-    miss_results =
-        view.EvaluateBatch(miss_queries, batch_pool_.get(), &miss_stats,
-                           options_.validate, &batch_scratches_);
+    miss_results = view.EvaluateBatch(miss_queries, batch_pool_.get(),
+                                      &miss_stats, options_.validate);
   }
   for (size_t j = 0; j < miss_queries.size(); ++j) {
     cache_.Put(miss_keys[j], view.epoch(), miss_results[j]);
@@ -462,8 +459,10 @@ void QueryServer::Publish() {
         seq_, options_.frozen);
   }
   {
+    // Swap, not assign: the old snapshot is then freed after the lock is
+    // released instead of while every reader's snapshot() waits.
     std::unique_lock<std::shared_mutex> lock(snapshot_mu_);
-    snapshot_ = std::move(next);
+    snapshot_.swap(next);
   }
   {
     std::lock_guard<std::mutex> lock(state_mu_);

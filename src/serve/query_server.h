@@ -238,12 +238,9 @@ class QueryServer {
   // EvaluateBatch's worker pool: created lazily (first batch), held under
   // batch_mu_ only for the fan-out itself because ThreadPool::ParallelFor
   // supports one caller at a time (batches with misses serialize here;
-  // all-hit batches and single-query readers never touch it). The lane
-  // scratches persist across batches so a cycling workload amortizes
-  // dense-table compilation.
+  // all-hit batches and single-query readers never touch it).
   mutable std::mutex batch_mu_;
   mutable std::unique_ptr<ThreadPool> batch_pool_;
-  mutable std::vector<std::unique_ptr<FrozenScratch>> batch_scratches_;
 
   // Parse cache (query/parse_cache.h): query text -> compiled
   // PathExpression, shared by the single-query and batch read paths, with

@@ -269,10 +269,10 @@ TEST(BackendDiffTest, BatchLaneSizingRespectsMinQueriesPerLane) {
   for (const auto& c : cases) {
     std::vector<const PathExpression*> batch(static_cast<size_t>(c.total),
                                              &query);
-    std::vector<std::unique_ptr<FrozenScratch>> lanes;
     std::vector<std::vector<NodeId>> results =
-        view.EvaluateBatch(batch, &pool, nullptr, true, &lanes);
-    EXPECT_EQ(static_cast<int>(lanes.size()), c.want_lanes)
+        view.EvaluateBatch(batch, &pool);
+    EXPECT_EQ(FrozenView::BatchLanes(c.total, pool.num_threads()),
+              c.want_lanes)
         << "total=" << c.total;
     const std::vector<NodeId> want = view.Evaluate(query);
     for (const auto& r : results) EXPECT_EQ(want, r) << "total=" << c.total;

@@ -174,10 +174,8 @@ TEST(FrozenBudgetTest, EvaluateBatchMatchesFlatAcrossLaneCounts) {
       queries, /*pool=*/nullptr);
   for (int threads : {1, 2, 4}) {
     ThreadPool pool(threads);
-    std::vector<std::unique_ptr<FrozenScratch>> lanes;
     std::vector<EvalStats> stats;
-    EXPECT_EQ(budgeted.EvaluateBatch(queries, &pool, &stats, true, &lanes),
-              want)
+    EXPECT_EQ(budgeted.EvaluateBatch(queries, &pool, &stats), want)
         << threads << " lanes";
   }
 }

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -324,6 +325,146 @@ TEST(FrozenViewTest, ScratchReusesAcrossViewsAndQueries) {
           << text;
     }
   }
+}
+
+// One view plus the queries parsed against its graph's label table.
+struct ViewCase {
+  std::string name;
+  const FrozenView* view;
+  std::vector<PathExpression> queries;
+};
+
+// One evaluation's results and EvalStats, for one of three ways to
+// evaluate: Evaluate with validation, Evaluate without, EvaluateOnData.
+struct Outcome {
+  std::vector<NodeId> results;
+  EvalStats stats;
+};
+constexpr int kWays = 3;
+
+Outcome EvaluateWay(const FrozenView& view, const PathExpression& query,
+                    int way, FrozenScratch* scratch) {
+  Outcome out;
+  out.results = way == 2 ? view.EvaluateOnData(query, &out.stats, scratch)
+                         : view.Evaluate(query, &out.stats, way == 0, scratch);
+  return out;
+}
+
+// Runs every case's queries in `ways` on the calling thread's own scratch
+// (no explicit one), switching view on every query so that scratch keeps
+// changing size, storage tier and label universe, and checks each outcome
+// against want[view][query][way] (fresh-scratch outcomes).
+void ExpectThreadScratchMatches(
+    const std::vector<ViewCase>& cases,
+    const std::vector<std::vector<std::vector<Outcome>>>& want,
+    const std::vector<int>& ways) {
+  size_t longest = 0;
+  for (const ViewCase& c : cases) longest = std::max(longest, c.queries.size());
+  for (size_t q = 0; q < longest; ++q) {
+    for (size_t v = 0; v < cases.size(); ++v) {
+      const ViewCase& c = cases[v];
+      if (q >= c.queries.size()) continue;
+      for (int way : ways) {
+        const Outcome got = EvaluateWay(*c.view, c.queries[q], way, nullptr);
+        const Outcome& expect = want[v][q][static_cast<size_t>(way)];
+        const std::string ctx = c.name + " query " + c.queries[q].text() +
+                                " way " + std::to_string(way);
+        EXPECT_EQ(expect.results, got.results) << ctx;
+        ExpectStatsEq(expect.stats, got.stats, ctx);
+      }
+    }
+  }
+}
+
+// A thread's passes: data path alone first (EvaluateOnData advances the
+// data generation by exactly one per call, so a generation that restarted
+// on growth would collide with the in-result stamps of earlier calls),
+// then all three ways.
+void RunThreadScratchPasses(
+    const std::vector<ViewCase>& cases,
+    const std::vector<std::vector<std::vector<Outcome>>>& want) {
+  ExpectThreadScratchMatches(cases, want, {2});
+  ExpectThreadScratchMatches(cases, want, {0, 1, 2});
+}
+
+// Evaluation without an explicit scratch runs on a thread-local one that
+// only grows. Alternating it between a large and a small view, a flat and
+// a budgeted view, and a view before and after an AddSubgraph must give
+// exactly what a fresh explicit scratch gives — results and EvalStats, on
+// the index path (both validate modes) and the data path. The query mix
+// includes a >64-state automaton (two mask words) so the mask width
+// changes too, and more distinct texts than the compiled-query cache holds.
+TEST(FrozenViewTest, ThreadScratchMatchesFreshScratchAcrossViews) {
+  XmarkOptions xopt;
+  xopt.scale = 0.08;
+  DataGraph xmark = GenerateXmarkGraph(xopt).graph;
+  AkIndex xmark_a1 = AkIndex::Build(&xmark, 1);
+  FrozenView large(xmark_a1.index(), ReferenceBackend());
+  FrozenViewOptions budget = ReferenceBackend();
+  budget.memory_budget_bytes = 1;  // forces the compressed + spilled tier
+  FrozenView budgeted(xmark_a1.index(), budget);
+
+  Rng rng(31);
+  DataGraph small_graph = testing_util::RandomGraph(40, 4, 8, &rng);
+  AkIndex small_a1 = AkIndex::Build(&small_graph, 1);
+  FrozenView small(small_a1.index(), ReferenceBackend());
+
+  DataGraph grown = testing_util::RandomGraph(150, 5, 30, &rng);
+  LabelRequirements reqs;
+  reqs[1] = 2;
+  DkIndex dk = DkIndex::Build(&grown, reqs);
+  std::string wide = "_";
+  for (int i = 0; i < 69; ++i) wide += "._";
+  // Each list opens with "_", which every node answers, so a stale stamp
+  // left on any node by an earlier call shows up as a missing result.
+  auto parse_all = [&](const DataGraph& g, std::vector<std::string> texts) {
+    texts.insert(texts.begin(), "_");
+    texts.push_back(wide);
+    std::vector<PathExpression> out;
+    for (const std::string& t : texts) {
+      out.push_back(testing_util::MustParse(t, g.labels()));
+    }
+    return out;
+  };
+  // Smallest first, so a thread's first pass grows its scratch three times
+  // after stamping it; later passes alternate large -> small -> large.
+  std::vector<ViewCase> cases;
+  cases.push_back(
+      {"small", &small, parse_all(small_graph, MixedQueries(small_graph, 43))});
+  FrozenView before(dk.index(), ReferenceBackend());
+  cases.push_back(
+      {"before-subgraph", &before, parse_all(grown, MixedQueries(grown, 37))});
+  dk.AddSubgraph(testing_util::RandomGraph(300, 7, 40, &rng));
+  FrozenView after(dk.index(), ReferenceBackend());
+  cases.push_back(
+      {"after-subgraph", &after, parse_all(grown, MixedQueries(grown, 47))});
+  cases.push_back({"xmark", &large, parse_all(xmark, MixedQueries(xmark, 41))});
+  cases.push_back({"xmark-budgeted", &budgeted, cases.back().queries});
+  ASSERT_LT(small.num_data_nodes(), before.num_data_nodes());
+  ASSERT_LT(before.num_data_nodes(), after.num_data_nodes());
+  ASSERT_LT(after.num_data_nodes(), large.num_data_nodes());
+  ASSERT_GT(cases.back().queries.size(), FrozenScratch::kMaxCompiledQueries);
+
+  std::vector<std::vector<std::vector<Outcome>>> want(cases.size());
+  for (size_t v = 0; v < cases.size(); ++v) {
+    for (const PathExpression& q : cases[v].queries) {
+      want[v].emplace_back();
+      for (int way = 0; way < kWays; ++way) {
+        FrozenScratch fresh;
+        want[v].back().push_back(EvaluateWay(*cases[v].view, q, way, &fresh));
+      }
+    }
+  }
+
+  RunThreadScratchPasses(cases, want);
+
+  // Four threads at once, each on its own (fresh) thread-local scratch,
+  // over the same shared views.
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] { RunThreadScratchPasses(cases, want); });
+  }
+  for (std::thread& t : threads) t.join();
 }
 
 // Satellite: the label inverted indexes behind the bucket-backed
