@@ -1,30 +1,33 @@
-// Head-to-head of the evaluation backends (query/backend.h) across query
-// shapes on the paper's two datasets: for each (dataset, query-shape class,
-// backend mode) this sweeps forced nfa / dfa / nfa_prefilter /
-// dfa_prefilter / reverse views plus the kAuto planner, times repeated
-// evaluation through persistent scratches (the serving configuration —
-// compiled tables and DFA memos warm across repetitions exactly as they do
-// across a server's request stream), and cross-checks an FNV-1a hash of
-// every backend's results against the reference backend. ANY divergence is
-// a correctness bug: the binary prints the offending class and exits
+// The index traversal (query/backend.h) with and without its planner,
+// across query shapes on the paper's two datasets: for each (dataset,
+// query-shape class) this times the pure reference NFA ("nfa", prefilter
+// off) against the default view ("auto": empty short-circuit plus the
+// gated required-label prefilter) through persistent scratches (the
+// serving configuration — compiled tables warm across repetitions exactly
+// as they do across a server's request stream), and cross-checks an
+// FNV-1a hash of auto's results against nfa's. ANY divergence is a
+// correctness bug: the binary prints the offending class and exits
 // nonzero, which is what the CI bench-smoke job gates on.
 //
-// Usage: backends [--small] [--json PATH]
+// Usage: backends [--small] [--json PATH] [--commit TEXT]
 //   --small   CI smoke shape: tiny datasets, few repetitions
 //   --json    also emit BENCH_backends.json (schema in docs/BENCHMARKS.md)
+//   --commit  source revision recorded in the JSON provenance block
 //
 // The interesting column is auto's speedup_vs_nfa per class: the planner
-// should ride the reference on literal chains (where NFA is already
-// optimal) and beat it wherever a specialist backend wins — wildcard
-// starts (reverse), selective mid-chain literals (prefilter), repeated
-// alternation/closure queries (DFA), dead labels (empty shortcircuit).
+// should ride the reference where the prefilter gate stays shut (literal
+// chains, alternations) and beat it on selective anchors under wildcard
+// starts (prefilter) and dead labels (empty shortcircuit).
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -38,11 +41,12 @@
 namespace dki {
 namespace {
 
-const EvalBackendMode kModes[] = {
-    EvalBackendMode::kNfa,          EvalBackendMode::kDfa,
-    EvalBackendMode::kNfaPrefilter, EvalBackendMode::kDfaPrefilter,
-    EvalBackendMode::kReverse,      EvalBackendMode::kAuto,
-};
+// Row name and FrozenViewOptions::prefilter; the first row is the baseline
+// every other row's speedup and result hash are measured against.
+const struct {
+  const char* name;
+  bool prefilter;
+} kModes[] = {{"nfa", false}, {"auto", true}};
 
 struct ShapeClass {
   std::string name;
@@ -50,7 +54,7 @@ struct ShapeClass {
 };
 
 // Label of the smallest non-empty data population (skipping the document
-// root) — the most selective prefilter/reverse anchor the dataset offers —
+// root) — the most selective prefilter anchor the dataset offers —
 // and one from the largest, for unselective baselines.
 std::pair<std::string, std::string> RareAndCommonLabels(const DataGraph& g) {
   LabelId rare = kInvalidLabel, common = kInvalidLabel;
@@ -82,9 +86,8 @@ std::vector<ShapeClass> MakeClasses(const DataGraph& g, uint64_t seed) {
   for (int i = 0; i < 8; ++i) literal.texts.push_back(chain(3 + i % 3));
   classes.push_back(std::move(literal));
 
-  // Wildcard/high-fanout starts: the NFA seeds every index node; the
-  // accept side is one label bucket (reverse bait) or a rare mid-chain
-  // literal bounds the cone (prefilter bait).
+  // Wildcard/high-fanout starts: the NFA seeds every index node; a rare
+  // required literal bounds the cone (prefilter bait).
   ShapeClass wild{"wildcard_start", {}};
   wild.texts.push_back("_." + rare);
   wild.texts.push_back("_._." + chain(1));
@@ -94,9 +97,8 @@ std::vector<ShapeClass> MakeClasses(const DataGraph& g, uint64_t seed) {
   wild.texts.push_back("_*." + common);
   classes.push_back(std::move(wild));
 
-  // Alternations and closures: state-overlap shapes where the subset
-  // construction collapses several NFA states per node (DFA bait, once the
-  // memo is warm).
+  // Alternations and closures: shapes that keep several automaton states
+  // live per index node.
   ShapeClass alt{"alternation_star", {}};
   alt.texts.push_back("(" + chain(2) + ")|(" + chain(2) + ")");
   alt.texts.push_back("(" + chain(3) + ")|(" + chain(3) + ")");
@@ -117,6 +119,32 @@ std::vector<ShapeClass> MakeClasses(const DataGraph& g, uint64_t seed) {
   return classes;
 }
 
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const size_t colon = line.find(':');
+      if (colon != std::string::npos) return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+// Where the numbers came from. Every evaluation runs on the calling thread,
+// so hardware_threads only describes the machine.
+bench::Json Provenance(double scale, const std::string& commit) {
+  bench::Json p = bench::Json::Object();
+  p.Set("cpu_model", bench::Json::Str(CpuModel()));
+  p.Set("hardware_threads", bench::Json::Int(static_cast<int64_t>(
+                                std::thread::hardware_concurrency())));
+  p.Set("eval_threads", bench::Json::Int(1));
+  p.Set("build_type", bench::Json::Str(DKI_BENCH_BUILD_TYPE));
+  p.Set("scale", bench::Json::Num(scale));
+  p.Set("commit", bench::Json::Str(commit));
+  return p;
+}
+
 uint64_t Fnv1aMix(uint64_t h, uint64_t v) {
   for (int b = 0; b < 8; ++b) {
     h ^= (v >> (b * 8)) & 0xffu;
@@ -135,63 +163,78 @@ uint64_t HashResults(const std::vector<std::vector<NodeId>>& results) {
 }
 
 struct ModeRun {
-  EvalBackendMode mode;
   double ns_per_query = 0;
   uint64_t result_hash = 0;
   std::map<std::string, int> plans;  // auto only: backend -> queries
 };
 
-// Times `reps` passes of the class through one forced-mode view with a
-// persistent scratch; the first pass (compile + memo warmup) is untimed.
-ModeRun RunMode(const IndexGraph& index, const std::vector<PathExpression>& qs,
-                EvalBackendMode mode, int reps) {
-  FrozenViewOptions options;
-  options.backend = mode;
-  FrozenView view(index, options);
-  FrozenScratch scratch;
-  ModeRun run;
-  run.mode = mode;
-
-  std::vector<std::vector<NodeId>> results(qs.size());
-  for (size_t i = 0; i < qs.size(); ++i) {
-    results[i] = view.Evaluate(qs[i], nullptr, /*validate=*/true, &scratch);
+// Times `reps` passes of the class through each row's view, each view with
+// a persistent scratch. The first pass per view (table compilation) is
+// untimed and yields the row's result hash; the timed passes alternate
+// between the rows, in alternating order, so machine drift lands on every
+// row alike.
+std::vector<ModeRun> RunModes(const IndexGraph& index,
+                              const std::vector<PathExpression>& qs,
+                              int reps) {
+  constexpr size_t kRows = std::size(kModes);
+  std::vector<std::unique_ptr<FrozenView>> views;
+  std::vector<std::unique_ptr<FrozenScratch>> scratches;
+  std::vector<ModeRun> runs(kRows);
+  for (size_t m = 0; m < kRows; ++m) {
+    FrozenViewOptions options;
+    options.prefilter = kModes[m].prefilter;
+    views.push_back(std::make_unique<FrozenView>(index, options));
+    scratches.push_back(std::make_unique<FrozenScratch>());
+    std::vector<std::vector<NodeId>> results;
+    for (const PathExpression& q : qs) {
+      results.push_back(views[m]->Evaluate(q, nullptr, /*validate=*/true,
+                                           scratches[m].get()));
+    }
+    runs[m].result_hash = HashResults(results);
+    if (kModes[m].prefilter) {
+      // What the planner picked for each query.
+      for (const PathExpression& q : qs) {
+        const EvalPlan plan = views[m]->PlanQuery(q, /*validate=*/true);
+        runs[m].plans[plan.empty ? "empty"
+                                 : std::string(EvalBackendName(plan.backend))]++;
+      }
+    }
   }
-  run.result_hash = HashResults(results);
 
-  const auto start = std::chrono::steady_clock::now();
+  std::vector<double> elapsed_ns(kRows, 0);
   for (int rep = 0; rep < reps; ++rep) {
-    for (const PathExpression& q : qs) {
-      (void)view.Evaluate(q, nullptr, /*validate=*/true, &scratch);
+    for (size_t k = 0; k < kRows; ++k) {
+      const size_t m = rep % 2 == 0 ? k : kRows - 1 - k;
+      const auto start = std::chrono::steady_clock::now();
+      for (const PathExpression& q : qs) {
+        (void)views[m]->Evaluate(q, nullptr, /*validate=*/true,
+                                 scratches[m].get());
+      }
+      elapsed_ns[m] += std::chrono::duration<double, std::nano>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
     }
   }
-  const double elapsed_ns =
-      std::chrono::duration<double, std::nano>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  run.ns_per_query = elapsed_ns / (static_cast<double>(reps) *
-                                   static_cast<double>(qs.size()));
-
-  if (mode == EvalBackendMode::kAuto) {
-    // What the planner settled on (post-warmup) for each query.
-    for (const PathExpression& q : qs) {
-      const EvalPlan plan = view.PlanQuery(q, /*validate=*/true);
-      run.plans[plan.empty ? "empty"
-                           : std::string(EvalBackendName(plan.backend))]++;
-    }
+  for (size_t m = 0; m < kRows; ++m) {
+    runs[m].ns_per_query =
+        elapsed_ns[m] /
+        (static_cast<double>(reps) * static_cast<double>(qs.size()));
   }
-  return run;
+  return runs;
 }
 
 int Main(int argc, char** argv) {
   bool small = false;
   std::string json_path;
+  std::string commit = "unknown";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--small") small = true;
     if (arg == "--json" && i + 1 < argc) json_path = argv[++i];
+    if (arg == "--commit" && i + 1 < argc) commit = argv[++i];
   }
   const double scale = small ? 0.15 : bench::ScaleFromEnv();
-  const int reps = small ? 3 : 12;
+  const int reps = small ? 3 : 100;
 
   bench::Json datasets_json = bench::Json::Array();
   bool diverged = false;
@@ -214,38 +257,37 @@ int Main(int argc, char** argv) {
 
     bench::Json classes_json = bench::Json::Array();
     for (const ShapeClass& cls : classes) {
-      std::vector<PathExpression> parsed;  // per mode: fresh memo history
+      std::vector<PathExpression> parsed;
+      for (const std::string& t : cls.texts) {
+        parsed.push_back(testing_util::MustParse(t, g.labels()));
+      }
       bench::Json rows = bench::Json::Array();
       std::printf("\n%-10s %-18s %14s %12s\n", dataset.name.c_str(),
                   cls.name.c_str(), "ns/query", "vs nfa");
       double nfa_ns = 0;
       uint64_t want_hash = 0;
-      for (EvalBackendMode mode : kModes) {
-        parsed.clear();
-        for (const std::string& t : cls.texts) {
-          parsed.push_back(testing_util::MustParse(t, g.labels()));
-        }
-        ModeRun run = RunMode(dk.index(), parsed, mode, reps);
-        if (mode == EvalBackendMode::kNfa) {
+      const std::vector<ModeRun> runs = RunModes(dk.index(), parsed, reps);
+      for (size_t m = 0; m < runs.size(); ++m) {
+        const auto& mode = kModes[m];
+        const ModeRun& run = runs[m];
+        if (m == 0) {
           nfa_ns = run.ns_per_query;
           want_hash = run.result_hash;
         } else if (run.result_hash != want_hash) {
           std::fprintf(stderr,
-                       "RESULT DIVERGENCE: %s/%s backend %s hash %016llx != "
+                       "RESULT DIVERGENCE: %s/%s row %s hash %016llx != "
                        "nfa %016llx\n",
-                       dataset.name.c_str(), cls.name.c_str(),
-                       EvalBackendModeName(mode),
+                       dataset.name.c_str(), cls.name.c_str(), mode.name,
                        static_cast<unsigned long long>(run.result_hash),
                        static_cast<unsigned long long>(want_hash));
           diverged = true;
         }
         const double speedup =
             run.ns_per_query > 0 ? nfa_ns / run.ns_per_query : 0;
-        std::printf("%-10s %-18s %14.0f %11.2fx\n", "",
-                    EvalBackendModeName(mode), run.ns_per_query, speedup);
+        std::printf("%-10s %-18s %14.0f %11.2fx\n", "", mode.name,
+                    run.ns_per_query, speedup);
         bench::Json row = bench::Json::Object();
-        row.Set("backend", bench::Json::Str(
-                               std::string(EvalBackendModeName(mode))));
+        row.Set("backend", bench::Json::Str(mode.name));
         row.Set("ns_per_query", bench::Json::Num(run.ns_per_query));
         row.Set("speedup_vs_nfa", bench::Json::Num(speedup));
         if (!run.plans.empty()) {
@@ -281,9 +323,10 @@ int Main(int argc, char** argv) {
   if (!json_path.empty()) {
     bench::Json root = bench::Json::Object();
     root.Set("bench", bench::Json::Str("backends"));
-    root.Set("version", bench::Json::Int(1));
+    root.Set("version", bench::Json::Int(2));
     root.Set("small", bench::Json::Bool(small));
     root.Set("reps", bench::Json::Int(reps));
+    root.Set("provenance", Provenance(scale, commit));
     root.Set("datasets", std::move(datasets_json));
     std::string error;
     if (!bench::Json::WriteFile(json_path, root, &error)) {
@@ -293,7 +336,7 @@ int Main(int argc, char** argv) {
     std::printf("\nwrote %s\n", json_path.c_str());
   }
   if (diverged) {
-    std::fprintf(stderr, "backends: cross-backend result divergence\n");
+    std::fprintf(stderr, "backends: auto vs nfa result divergence\n");
     return 1;
   }
   return 0;

@@ -35,7 +35,6 @@ std::optional<PathExpression> PathExpression::Parse(std::string_view text,
     LabelId id = labels.Find(name);
     expr.required_labels_.push_back(id == kInvalidLabel ? kUnknownLabel : id);
   }
-  expr.dfa_memo_ = std::make_shared<DfaMemo>();
   return expr;
 }
 

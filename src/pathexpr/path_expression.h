@@ -1,14 +1,12 @@
 #ifndef DKINDEX_PATHEXPR_PATH_EXPRESSION_H_
 #define DKINDEX_PATHEXPR_PATH_EXPRESSION_H_
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "graph/label_table.h"
-#include "pathexpr/dfa_memo.h"
 #include "pathexpr/nfa.h"
 
 namespace dki {
@@ -56,12 +54,6 @@ class PathExpression {
     return required_labels_;
   }
 
-  // Shared subset-construction transition cache, created once per Parse.
-  // Copies of the expression (and every reader holding the ParseCache's
-  // shared entry) point at the same memo, so DFA-backend evaluations warm a
-  // single cache per distinct query text. Never null after Parse.
-  const std::shared_ptr<DfaMemo>& dfa_memo() const { return dfa_memo_; }
-
  private:
   PathExpression() = default;
 
@@ -71,7 +63,6 @@ class PathExpression {
   bool is_chain_ = false;
   std::vector<LabelId> chain_labels_;
   std::vector<LabelId> required_labels_;
-  std::shared_ptr<DfaMemo> dfa_memo_;
   int max_word_length_ = -2;
 };
 

@@ -2,116 +2,60 @@
 #define DKINDEX_QUERY_BACKEND_H_
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
 #include "graph/label_table.h"
 
 namespace dki {
 
-// The evaluation strategies behind FrozenView::Evaluate. All of them return
-// bit-identical RESULTS for every query (the differential suite
-// tests/backend_diff_test.cc holds them to it); EvalStats traversal counters
-// are backend-defined (each counts what it actually visits), so stats-exact
-// comparisons against the reference evaluators require forcing kNfa.
+// The index traversal behind FrozenView::Evaluate is always the NFA
+// product-BFS over the frozen index graph (query/index_traversal.cc),
+// bit-identical to EvaluateOnIndex in results AND EvalStats when the view's
+// prefilter is off. With it on (FrozenViewOptions::prefilter, the default),
+// PlanQuery may put a required-label prefilter in front of the BFS:
 //
-//   kNfa          — the reference NFA product-BFS over the index graph
-//                   (query/backends/nfa_backend.cc), bit-identical to
-//                   EvaluateOnIndex in results AND stats.
-//   kDfa          — on-the-fly subset construction: frontier entries carry
-//                   state BITMASKS instead of single states, and (mask,
-//                   label) transitions are memoized in a per-query cache
-//                   shared across threads via PathExpression::dfa_memo()
-//                   (query/backends/dfa_backend.cc). Requires <= 64 NFA
-//                   states; wins when many nodes share automaton state sets
-//                   (one hash probe replaces per-state move-span scans).
-//   kNfaPrefilter / kDfaPrefilter
-//                 — the same traversals behind a required-label prefilter
-//                   (query/backends/prefilter.cc): must-occur labels from
-//                   the AST intersect the label->nodes inverted indexes; a
-//                   query whose required label has no index population
+//   kNfa          — the plain product-BFS, seeded from every index node whose
+//                   label can start a word.
+//   kNfaPrefilter — the same BFS, behind the prefilter: must-occur labels
+//                   from the AST intersect the label->nodes inverted indexes;
+//                   a query whose required label has no index population
 //                   short-circuits to {}, and otherwise the BFS seed set
 //                   shrinks to ancestors (within the query's length bound)
-//                   of the rarest required label's bucket.
-//   kReverse      — evaluates the REVERSED expression from the accept side
-//                   (query/backends/reverse_backend.cc): candidates are the
-//                   data nodes whose label can end a matching word, each
-//                   confirmed by the reverse-automaton validation BFS the
-//                   Theorem-1 path already uses. Exact only in validate
-//                   mode (raw mode falls back to kNfa); wins when the
-//                   accept-side population is far smaller than the forward
-//                   seed frontier.
+//                   of the rarest required label's bucket. Results are
+//                   unchanged; only the traversal counters shrink.
 enum class EvalBackend {
   kNfa = 0,
-  kDfa,
   kNfaPrefilter,
-  kDfaPrefilter,
-  kReverse,
 };
-inline constexpr int kNumEvalBackends = 5;
+inline constexpr int kNumEvalBackends = 2;
 
-// Backend selection policy of one FrozenView (FrozenViewOptions::backend,
-// overridable per process via the DKI_EVAL_BACKEND environment variable):
-// kAuto lets the per-query cost model pick; the rest force one backend,
-// falling back to kNfa where the forced one is not applicable (DFA with
-// > 64 states, reverse in raw mode, prefilter without required labels).
-enum class EvalBackendMode {
-  kAuto = 0,
-  kNfa,
-  kDfa,
-  kNfaPrefilter,
-  kDfaPrefilter,
-  kReverse,
-};
+// Metric name of a plan's traversal: "nfa" or "prefilter" (used in the
+// serve.eval.backend.<name>.* metrics and bench/backends).
+inline const char* EvalBackendName(EvalBackend backend) {
+  return backend == EvalBackend::kNfaPrefilter ? "prefilter" : "nfa";
+}
 
-// Metric / CLI name of a backend: "nfa", "dfa", "prefilter",
-// "dfa_prefilter", "reverse" (used in serve.eval.backend.<name>.* metrics,
-// bench/backends, and DKI_EVAL_BACKEND values, with "auto" for kAuto).
-const char* EvalBackendName(EvalBackend backend);
-const char* EvalBackendModeName(EvalBackendMode mode);
-
-// Parses a backend-mode name (see above); nullopt for unknown names.
-std::optional<EvalBackendMode> ParseEvalBackendMode(std::string_view name);
-
-// One planned evaluation: the backend to run plus the planner's prefilter
+// One planned evaluation: the traversal to run plus the planner's prefilter
 // decisions. Produced by FrozenView::PlanQuery.
 struct EvalPlan {
   EvalBackend backend = EvalBackend::kNfa;
   // A required label has zero index population (or is unknown to the label
-  // table): the result is {} with no traversal at all.
+  // table), or no index node can start or end a match: the result is {}
+  // with no traversal at all.
   bool empty = false;
   // Prefilter anchor: the required label with the smallest index
   // population; kInvalidLabel when the plan has no prefilter pass.
   LabelId anchor_label = kInvalidLabel;
 };
 
-// Planner thresholds, exported for tests/bench introspection. Grounded by
-// bench/micro's per-backend section and bench/backends (docs/BENCHMARKS.md):
+// Prefilter gate, grounded by bench/micro's selectivity sweep and
+// bench/backends (docs/BENCHMARKS.md):
 //
-//   kDfaWarmupEvals      — NFA evaluations of a query before the planner
-//                          tries the DFA. The warmup runs record the NFA's
-//                          latency in the query's DfaMemo; the first
-//                          post-warmup run is a DFA trial, after which the
-//                          cheaper MEASURED family keeps winning (no static
-//                          signal separates chain queries, where the NFA's
-//                          direct move-span scans beat hash probes, from
-//                          state-overlap queries where the subset
-//                          construction pays).
-//   kReverseCostFactor   — a reverse candidate costs about this many times
-//                          a forward seed (node, state) pair (one
-//                          validation BFS vs one frontier expansion), so
-//                          reverse is picked when the language is finite
-//                          (bounding each candidate's validation BFS) and
-//                          accept-side population × factor <= estimated
-//                          forward seed pairs.
 //   kPrefilterMinSeeds   — below this many estimated seed nodes the BFS is
 //                          already cheap; the ancestor walk would cost more
 //                          than it saves.
 //   kPrefilterFactor     — the anchor bucket must be at least this many
 //                          times smaller than the seed estimate before the
 //                          ancestor walk pays for itself.
-inline constexpr int64_t kDfaWarmupEvals = 2;
-inline constexpr int64_t kReverseCostFactor = 4;
 inline constexpr int64_t kPrefilterMinSeeds = 256;
 inline constexpr int64_t kPrefilterFactor = 8;
 

@@ -4,9 +4,6 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <optional>
 #include <utility>
 
 #include "common/logging.h"
@@ -91,28 +88,8 @@ int64_t VectorBytes(const std::vector<T>& v) {
   return static_cast<int64_t>(v.capacity() * sizeof(T));
 }
 
-// Resolves a view's backend policy: an explicit option wins; otherwise
-// DKI_EVAL_BACKEND overrides kAuto (unknown values warn once and are
-// ignored, so a typo degrades to the default instead of crashing serving).
-EvalBackendMode ResolveBackendMode(EvalBackendMode option) {
-  if (option != EvalBackendMode::kAuto) return option;
-  const char* env = std::getenv("DKI_EVAL_BACKEND");
-  if (env == nullptr || *env == '\0') return EvalBackendMode::kAuto;
-  std::optional<EvalBackendMode> parsed = ParseEvalBackendMode(env);
-  if (!parsed.has_value()) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      std::fprintf(stderr,
-                   "DKI_EVAL_BACKEND=%s is not a backend name; using auto\n",
-                   env);
-    }
-    return EvalBackendMode::kAuto;
-  }
-  return *parsed;
-}
-
-// Per-backend serving metrics: a call counter and an evaluation-latency
-// histogram under serve.eval.backend.<name>.*, resolved once per backend.
+// Per-plan serving metrics: a call counter and an evaluation-latency
+// histogram under serve.eval.backend.<name>.*, resolved once per name.
 struct BackendMetrics {
   explicit BackendMetrics(const std::string& name)
       : calls(MetricsRegistry::Global().GetCounter(
@@ -146,7 +123,7 @@ FrozenView::FrozenView(const IndexGraph& index,
                        const FrozenViewOptions& options)
     : epoch_(index.epoch()),
       num_labels_(static_cast<int32_t>(index.graph().labels().size())),
-      mode_(ResolveBackendMode(options.backend)),
+      prefilter_(options.prefilter),
       view_id_(g_next_view_id.fetch_add(1, std::memory_order_relaxed)) {
   const DataGraph& g = index.graph();
   const int64_t n = g.NumNodes();
@@ -430,13 +407,9 @@ void FrozenScratch::PrepareForQuery(const FrozenView& view,
     entry.fwd.Compile(query.forward(), view.num_labels());
     entry.rev.Compile(query.reverse(), view.num_labels());
     entry.fingerprint = fp;
-    entry.dfa_trans.clear();
-    entry.dfa_synced = false;
-    entry.dfa_merged_size = 0;
   }
   fwd_ = &entry.fwd;
   rev_ = &entry.rev;
-  cur_compiled_ = &entry;
 }
 
 void FrozenScratch::BeginIndexTraversal(int64_t num_index_nodes) {
@@ -479,18 +452,6 @@ bool FrozenScratch::InsertIndexVisit(int32_t node, int32_t state) {
   if (word & bit) return false;
   word |= bit;
   return true;
-}
-
-uint64_t FrozenScratch::InsertIndexMask(int32_t node, uint64_t mask) {
-  DKI_DCHECK(index_words_ == 1);
-  const size_t i = static_cast<size_t>(node);
-  if (index_mask_gen_[i] != index_gen_) {
-    index_mask_gen_[i] = index_gen_;
-    index_masks_[i] = 0;
-  }
-  const uint64_t fresh = mask & ~index_masks_[i];
-  index_masks_[i] |= fresh;
-  return fresh;
 }
 
 bool FrozenScratch::InsertDataVisit(int32_t node, int32_t state) {
@@ -559,11 +520,8 @@ std::vector<NodeId> FrozenView::Evaluate(const PathExpression& query,
   s->PrepareForQuery(*this, query);
   EvalStats local;
 
-  // --- plan + dispatch the index-side traversal --------------------------
-  // The planner consults the query's evaluation count BEFORE this call is
-  // recorded, so the decision for evaluation N never depends on N itself.
+  // --- plan + run the index-side traversal -------------------------------
   const EvalPlan plan = PlanQuery(query, validate);
-  if (query.dfa_memo() != nullptr) query.dfa_memo()->RecordEval();
   BackendMetrics& backend_metrics = MetricsForBackend(plan.backend);
   backend_metrics.calls.Increment();
   const auto backend_start = std::chrono::steady_clock::now();
@@ -575,26 +533,15 @@ std::vector<NodeId> FrozenView::Evaluate(const PathExpression& query,
     // no label can seed/end a match), so the result is {} with no
     // traversal at all.
     s->matched_.clear();
-  } else if (plan.backend == EvalBackend::kReverse) {
-    // Accept-side evaluation: every plausible end node becomes a candidate
-    // for the shared validation tail; no index BFS, no certain extents.
-    CollectReverseCandidates(s);
   } else {
     const bool use_prefilter = plan.anchor_label != kInvalidLabel;
     if (use_prefilter) {
       ComputePrefilterSeeds(s, plan.anchor_label, query.max_word_length());
     }
-    if (plan.backend == EvalBackend::kDfa ||
-        plan.backend == EvalBackend::kDfaPrefilter) {
-      RunDfaIndexBfs(s, query, use_prefilter, &local);
-    } else {
-      RunNfaIndexBfs(s, use_prefilter, &local);
-    }
+    RunNfaIndexBfs(s, use_prefilter, &local);
   }
 
   // --- Theorem 1 split: certain extents vs. candidates to validate -------
-  // (reverse plans arrive with an empty matched set and pre-filled
-  // candidates, so the split is a no-op and every candidate validates)
   for (IndexNodeId inode : s->matched_) {
     const size_t i = static_cast<size_t>(inode);
     const auto [eb, ee] = ExtentRow(s, inode);
@@ -661,15 +608,6 @@ std::vector<NodeId> FrozenView::Evaluate(const PathExpression& query,
           std::chrono::steady_clock::now() - backend_start)
           .count();
   backend_metrics.latency_ns.Record(backend_ns);
-  // Feed the planner's NFA-vs-DFA latency A/B (see PlanQuery): empty and
-  // reverse plans say nothing about that choice, so they record nothing.
-  if (query.dfa_memo() != nullptr && !plan.empty &&
-      plan.backend != EvalBackend::kReverse) {
-    query.dfa_memo()->RecordFamilyNs(
-        plan.backend == EvalBackend::kDfa ||
-            plan.backend == EvalBackend::kDfaPrefilter,
-        backend_ns);
-  }
   static FrozenCounters& counters = *new FrozenCounters("eval.frozen.index");
   counters.Record(local);
   if (stats != nullptr) stats->Accumulate(local);

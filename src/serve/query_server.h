@@ -131,13 +131,11 @@ class QueryServer {
   // results[i] is nullopt iff query_texts[i] failed to parse (message in
   // (*errors)[i] when given); per-query stats land in (*stats)[i], with
   // cache hits charging only result_size. Results are bit-identical to
-  // issuing the same Evaluate calls sequentially against the same snapshot
-  // regardless of which evaluation backend the planner picks; stats are too
-  // under a FORCED backend (FrozenViewOptions::backend / DKI_EVAL_BACKEND),
-  // but under kAuto traversal counters may depend on evaluation-order
-  // history (the DFA warmup in query/backends/planner.cc). Thread-safe;
-  // only batches with cache misses serialize (on the shared fan-out pool)
-  // — concurrent all-hit batches run fully in parallel.
+  // issuing the same Evaluate calls sequentially against the same snapshot,
+  // and so are stats: the evaluation plan depends only on the snapshot and
+  // the query (FrozenView::PlanQuery), never on evaluation order.
+  // Thread-safe; only batches with cache misses serialize (on the shared
+  // fan-out pool) — concurrent all-hit batches run fully in parallel.
   std::vector<std::optional<std::vector<NodeId>>> EvaluateBatch(
       const std::vector<std::string>& query_texts,
       std::vector<EvalStats>* stats = nullptr,

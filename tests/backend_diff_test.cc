@@ -1,15 +1,14 @@
-// Differential suite for the evaluation backends (query/backend.h): every
-// backend — NFA reference, DFA subset construction, required-label
-// prefilter variants, reverse-automaton — and the kAuto planner must return
+// Differential suite for the index traversal (query/backend.h): views with
+// the required-label prefilter on (the default: empty short-circuit plus
+// prefiltered seeding) and off (the pure reference NFA) must return
 // bit-identical RESULTS to the reference evaluator, on random graphs, XMark
 // and NASA, through the budgeted storage tier, across epochs, and through
-// forced-backend QueryServer configurations. (EvalStats are only defined to
-// match the reference under forced kNfa — tests/frozen_view_test.cc pins
-// that; here only results are compared.)
+// QueryServer configurations. (EvalStats are only defined to match the
+// reference with the prefilter off — tests/frozen_view_test.cc pins that;
+// here only results are compared.)
 //
-// Every suite evaluates each query TWICE per view: the second pass crosses
-// the planner's DFA warmup threshold (kDfaWarmupEvals), so kAuto views
-// genuinely switch backends mid-test instead of riding NFA throughout.
+// Every suite evaluates each query TWICE per view: the second pass runs on
+// warm scratches (compiled-query cache hits, stale generation stamps).
 
 #include <memory>
 #include <string>
@@ -34,25 +33,19 @@
 namespace dki {
 namespace {
 
-// kAuto first so the other views' evaluations warm each query's shared
-// DfaMemo before auto plans — exercising history-dependent planning.
-const EvalBackendMode kAllModes[] = {
-    EvalBackendMode::kAuto,         EvalBackendMode::kNfa,
-    EvalBackendMode::kDfa,          EvalBackendMode::kNfaPrefilter,
-    EvalBackendMode::kDfaPrefilter, EvalBackendMode::kReverse,
-};
+const bool kAllModes[] = {true, false};  // FrozenViewOptions::prefilter
 
-FrozenViewOptions ModeOptions(EvalBackendMode mode, int64_t budget = 0) {
+FrozenViewOptions ModeOptions(bool prefilter, int64_t budget = 0) {
   FrozenViewOptions options;
-  options.backend = mode;
+  options.prefilter = prefilter;
   options.memory_budget_bytes = budget;
   return options;
 }
 
 // The workload generator's chains plus handwritten expressions picking the
-// shapes the planner routes differently: wildcard starts (reverse bait),
-// literal-heavy chains (prefilter bait), alternation and closures (DFA
-// bait), and dead/absent labels (empty shortcircuit).
+// shapes the planner routes differently: wildcard starts and literal-heavy
+// chains (prefilter gate), alternation and closures (automaton states
+// overlapping at a node), and dead/absent labels (empty shortcircuit).
 std::vector<std::string> BackendQueries(const DataGraph& g, uint64_t seed) {
   Rng rng(seed);
   WorkloadOptions options;
@@ -79,8 +72,7 @@ std::vector<std::string> BackendQueries(const DataGraph& g, uint64_t seed) {
 
 // Checks: reference(EvaluateOnIndex) == every mode's view, both validate
 // flavors, two passes. All views share the parsed PathExpression objects,
-// so the DFA memo and eval history accumulate across modes as they would
-// across serving threads.
+// as serving threads do.
 void ExpectAllModesMatchReference(const IndexGraph& index, const DataGraph& g,
                                   const std::vector<std::string>& texts,
                                   int64_t budget = 0) {
@@ -91,11 +83,10 @@ void ExpectAllModesMatchReference(const IndexGraph& index, const DataGraph& g,
 
   std::vector<std::unique_ptr<FrozenView>> views;
   std::vector<std::unique_ptr<FrozenScratch>> scratches;
-  for (EvalBackendMode mode : kAllModes) {
+  for (bool prefilter : kAllModes) {
     views.push_back(
-        std::make_unique<FrozenView>(index, ModeOptions(mode, budget)));
+        std::make_unique<FrozenView>(index, ModeOptions(prefilter, budget)));
     scratches.push_back(std::make_unique<FrozenScratch>());
-    EXPECT_EQ(views.back()->backend_mode(), mode);
     EXPECT_EQ(views.back()->epoch(), index.epoch());
   }
 
@@ -108,7 +99,7 @@ void ExpectAllModesMatchReference(const IndexGraph& index, const DataGraph& g,
           const std::vector<NodeId> got = views[vi]->Evaluate(
               queries[qi], nullptr, validate, scratches[vi].get());
           EXPECT_EQ(want, got)
-              << "mode=" << EvalBackendModeName(kAllModes[vi])
+              << "prefilter=" << kAllModes[vi]
               << " budget=" << budget << " pass=" << pass
               << " validate=" << validate << " query=" << texts[qi];
         }
@@ -157,9 +148,9 @@ TEST(BackendDiffTest, NasaAllBackendsBitIdentical) {
 }
 
 TEST(BackendDiffTest, BudgetedTierAllBackendsBitIdentical) {
-  // Backends over the compressed/spilled storage tier: the prefilter's
-  // index-parent walk and the reverse backend's bucket scans must read the
-  // same bytes the flat representation holds.
+  // The traversal over the compressed/spilled storage tier: the extent and
+  // data-parent rows the Theorem-1 split and validation decode must hold
+  // the same bytes the flat representation holds.
   XmarkOptions opt;
   opt.scale = 0.06;
   DataGraph g = GenerateXmarkGraph(opt).graph;
@@ -195,18 +186,18 @@ TEST(BackendDiffTest, BackendsAgreeAcrossEpochs) {
 }
 
 TEST(BackendDiffTest, ForcedBackendServersBitIdentical) {
-  // End to end through the serving stack: one QueryServer per forced
-  // backend (QueryServer::Options::frozen.backend) plus kAuto, fed the same
-  // traffic and the same updates, must answer identically — single queries
-  // and batches — across republished snapshots.
+  // End to end through the serving stack: one QueryServer with the
+  // prefilter on and one with it off (QueryServer::Options::frozen), fed
+  // the same traffic and the same updates, must answer identically — single
+  // queries and batches — across republished snapshots.
   Rng rng(67);
   DataGraph g = testing_util::RandomGraph(250, 6, 50, &rng);
   DkIndex dk = DkIndex::Build(&g, {});
 
   std::vector<std::unique_ptr<QueryServer>> servers;
-  for (EvalBackendMode mode : kAllModes) {
+  for (bool prefilter : kAllModes) {
     QueryServer::Options options;
-    options.frozen.backend = mode;
+    options.frozen.prefilter = prefilter;
     servers.push_back(std::make_unique<QueryServer>(dk, options));
   }
 
@@ -219,7 +210,7 @@ TEST(BackendDiffTest, ForcedBackendServersBitIdentical) {
         auto got = servers[si]->Evaluate(text);
         ASSERT_TRUE(got.has_value()) << when << " " << text;
         EXPECT_EQ(*want, *got)
-            << when << " mode=" << EvalBackendModeName(kAllModes[si])
+            << when << " prefilter=" << kAllModes[si]
             << " query=" << text;
       }
     }
@@ -229,7 +220,7 @@ TEST(BackendDiffTest, ForcedBackendServersBitIdentical) {
     }
     for (size_t si = 1; si < batches.size(); ++si) {
       EXPECT_EQ(batches[0], batches[si])
-          << when << " batch mode=" << EvalBackendModeName(kAllModes[si]);
+          << when << " batch prefilter=" << kAllModes[si];
     }
   };
 
@@ -277,15 +268,6 @@ TEST(BackendDiffTest, BatchLaneSizingRespectsMinQueriesPerLane) {
     const std::vector<NodeId> want = view.Evaluate(query);
     for (const auto& r : results) EXPECT_EQ(want, r) << "total=" << c.total;
   }
-}
-
-TEST(BackendDiffTest, BackendModeNamesRoundTrip) {
-  for (EvalBackendMode mode : kAllModes) {
-    auto parsed = ParseEvalBackendMode(EvalBackendModeName(mode));
-    ASSERT_TRUE(parsed.has_value()) << EvalBackendModeName(mode);
-    EXPECT_EQ(*parsed, mode);
-  }
-  EXPECT_FALSE(ParseEvalBackendMode("no_such_backend").has_value());
 }
 
 }  // namespace

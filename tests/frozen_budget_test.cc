@@ -53,16 +53,15 @@ void ExpectSameStats(const EvalStats& got, const EvalStats& want,
 
 void RunDifferential(DataGraph& g, DkIndex& dk, int64_t budget,
                      const std::string& name) {
-  // Pin the reference backend on both sides: this helper compares EvalStats,
-  // which are only defined to match under a forced backend (under kAuto the
-  // planner's DFA warmup depends on per-query evaluation counts, which the
-  // two views advance in interleaved order).
+  // Pin the reference traversal on both sides: this helper compares
+  // EvalStats, and the prefilter-free NFA is the traversal whose counters
+  // the reference evaluators define.
   FrozenViewOptions flat_options;
-  flat_options.backend = EvalBackendMode::kNfa;
+  flat_options.prefilter = false;
   FrozenView flat(dk.index(), flat_options);
   FrozenViewOptions options;
   options.memory_budget_bytes = budget;
-  options.backend = EvalBackendMode::kNfa;
+  options.prefilter = false;
   FrozenView budgeted(dk.index(), options);
   EXPECT_TRUE(budgeted.budgeted());
   EXPECT_FALSE(flat.budgeted());

@@ -29,14 +29,13 @@
 namespace dki {
 namespace {
 
-// This suite pins the reference backend: EvalStats are compared pop-for-pop
-// against query/evaluator.cc, a property only forced EvalBackend::kNfa
-// guarantees (under kAuto the planner may legally pick a backend with
-// different traversal counts — tests/backend_diff_test.cc covers those and
-// holds their RESULTS bit-identical).
+// This suite pins the reference traversal: EvalStats are compared
+// pop-for-pop against query/evaluator.cc, a property only the
+// prefilter-free view guarantees (the prefilter legally skips traversal
+// work — tests/backend_diff_test.cc holds its RESULTS bit-identical).
 FrozenViewOptions ReferenceBackend() {
   FrozenViewOptions options;
-  options.backend = EvalBackendMode::kNfa;
+  options.prefilter = false;
   return options;
 }
 
@@ -465,6 +464,77 @@ TEST(FrozenViewTest, ThreadScratchMatchesFreshScratchAcrossViews) {
     threads.emplace_back([&] { RunThreadScratchPasses(cases, want); });
   }
   for (std::thread& t : threads) t.join();
+}
+
+// The plan depends only on (view, query), so repeated evaluations of one
+// shared PathExpression on a default (prefiltered) view report identical
+// EvalStats, from one thread or several at once. "_*.item" keeps several
+// automaton states live per index node, the shape on which traversal
+// counters would differ if the plan could change between evaluations.
+struct DeterminismCase {
+  DataGraph graph;
+  AkIndex index;
+  FrozenView view;
+  PathExpression query;
+
+  DeterminismCase()
+      : graph(GenerateXmarkGraph(Options()).graph),
+        index(AkIndex::Build(&graph, 1)),
+        view(index.index()),
+        query(testing_util::MustParse("_*.item", graph.labels())) {}
+
+  static XmarkOptions Options() {
+    XmarkOptions opt;
+    opt.scale = 0.08;
+    return opt;
+  }
+};
+
+constexpr int kDeterminismEvals = 5;
+
+TEST(FrozenViewTest, DefaultViewStatsAreDeterministic) {
+  DeterminismCase c;
+  EvalStats want;
+  const std::vector<NodeId> want_result = c.view.Evaluate(c.query, &want);
+  ASSERT_FALSE(want_result.empty());
+  for (int i = 1; i < kDeterminismEvals; ++i) {
+    EvalStats got;
+    EXPECT_EQ(c.view.Evaluate(c.query, &got), want_result) << "eval " << i;
+    ExpectStatsEq(want, got, "eval " + std::to_string(i));
+  }
+}
+
+TEST(FrozenViewTest, DefaultViewStatsAreDeterministicAcrossThreads) {
+  DeterminismCase c;
+  EvalStats want;
+  const std::vector<NodeId> want_result = c.view.Evaluate(c.query, &want);
+  constexpr int kThreads = 4;
+  std::vector<std::vector<EvalStats>> got(
+      kThreads, std::vector<EvalStats>(kDeterminismEvals));
+  std::vector<std::vector<std::vector<NodeId>>> results(
+      kThreads, std::vector<std::vector<NodeId>>(kDeterminismEvals));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kDeterminismEvals; ++i) {
+        results[static_cast<size_t>(t)][static_cast<size_t>(i)] =
+            c.view.Evaluate(c.query,
+                            &got[static_cast<size_t>(t)][static_cast<size_t>(i)]);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kDeterminismEvals; ++i) {
+      const std::string ctx =
+          "thread " + std::to_string(t) + " eval " + std::to_string(i);
+      EXPECT_EQ(results[static_cast<size_t>(t)][static_cast<size_t>(i)],
+                want_result)
+          << ctx;
+      ExpectStatsEq(want, got[static_cast<size_t>(t)][static_cast<size_t>(i)],
+                    ctx);
+    }
+  }
 }
 
 // Satellite: the label inverted indexes behind the bucket-backed
