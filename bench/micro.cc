@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "common/metrics.h"
@@ -24,6 +26,7 @@
 #include "query/frozen_view.h"
 #include "query/load_analyzer.h"
 #include "query/result_cache.h"
+#include "serve/query_server.h"
 #include "twig/twig.h"
 
 namespace dki {
@@ -452,6 +455,41 @@ void BM_CachedEvaluateInvalidated(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CachedEvaluateInvalidated);
+
+// Result-cache hits through QueryServer::Evaluate on 1, 2 and 4 threads,
+// over a warmed 64-query XMark pool: a hit probes before parsing, at the
+// published epoch, under one of the cache's shard locks, and records its
+// metrics into per-thread stripes, so threads should scale.
+const QueryServer& WarmHitServer(std::vector<std::string>* texts) {
+  static std::vector<std::string>* pool = new std::vector<std::string>();
+  static const QueryServer* server = [] {
+    DataGraph copy = SharedXmark().graph;
+    auto workload = bench::MakeWorkload(copy, 64, 20030609);
+    LabelRequirements reqs =
+        bench::MineWorkloadRequirements(workload, copy.labels());
+    DkIndex dk = DkIndex::Build(&copy, reqs);
+    auto* s = new QueryServer(dk);  // forks its own master
+    for (const PathExpression& q : workload) {
+      pool->push_back(q.text());
+      s->Evaluate(q.text());
+    }
+    return s;
+  }();
+  *texts = *pool;
+  return *server;
+}
+
+void BM_ServerEvaluateHit(benchmark::State& state) {
+  std::vector<std::string> texts;
+  const QueryServer& server = WarmHitServer(&texts);
+  size_t i = static_cast<size_t>(state.thread_index()) * 17;
+  for (auto _ : state) {
+    auto result = server.Evaluate(texts[i++ % texts.size()]);
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ServerEvaluateHit)->Threads(1)->Threads(2)->Threads(4);
 
 void BM_AkEdgeAdditionBaseline(benchmark::State& state) {
   const bench::Dataset& dataset = SharedXmark();

@@ -15,6 +15,15 @@ int64_t NowNanos() {
 
 }  // namespace
 
+namespace metrics_internal {
+
+int NextStripe() {
+  static std::atomic<int> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed) % kMetricStripes;
+}
+
+}  // namespace metrics_internal
+
 ScopedTimer::ScopedTimer(TimerMetric* metric)
     : metric_(metric), start_nanos_(NowNanos()) {}
 
@@ -53,16 +62,28 @@ int64_t Histogram::BucketWidth(size_t index) {
   return int64_t{1} << (static_cast<int>(index) / kSubBuckets - 1);
 }
 
+void Histogram::Reset() {
+  for (Stripe& s : stripes_) {
+    for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
+    s.sum.store(0, std::memory_order_relaxed);
+    s.max.store(0, std::memory_order_relaxed);
+  }
+}
+
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot snap;
+  for (const Stripe& s : stripes_) {
+    for (size_t i = 0; i < s.buckets.size(); ++i) {
+      snap.buckets[i] += s.buckets[i].load(std::memory_order_relaxed);
+    }
+    snap.sum += s.sum.load(std::memory_order_relaxed);
+    snap.max = std::max(snap.max, s.max.load(std::memory_order_relaxed));
+  }
   size_t highest_nonzero = 0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    snap.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
+  for (size_t i = 0; i < snap.buckets.size(); ++i) {
     snap.count += snap.buckets[i];
     if (snap.buckets[i] > 0) highest_nonzero = i;
   }
-  snap.sum = sum_.load(std::memory_order_relaxed);
-  snap.max = max_.load(std::memory_order_relaxed);
   // Record() bumps the bucket and the max in two independent relaxed
   // stores, so a snapshot racing it can observe the bucket increment but a
   // stale max (e.g. count > 0 with max == 0) — and ValueAtQuantile clamps

@@ -15,30 +15,61 @@ namespace dki {
 // Process-wide observability for the serving path: named monotonic counters,
 // accumulating timers, and latency histograms, registered on first use and
 // kept for the process lifetime. Increments are lock-free (relaxed atomics —
-// the values are statistics, not synchronization), so instrumenting a hot
-// loop costs one uncontended atomic add. Registration takes a mutex but
-// happens once per name; call sites cache the returned reference (see
-// DKI_METRIC_COUNTER).
+// the values are statistics, not synchronization). Every metric keeps
+// kMetricStripes cache-line-aligned copies of its cells and a thread records
+// into the stripe of its per-thread index, so readers on different cores
+// never bounce one line between them; reads, snapshots and resets visit all
+// stripes. Registration takes a mutex but happens once per name; call sites
+// cache the returned reference (see DKI_METRIC_COUNTER).
 //
 // Naming convention: dotted lowercase paths grouped by subsystem, e.g.
 // "eval.index.calls", "cache.result.hits", "index.dk.add_edge.calls".
+
+// Stripes per metric. Threads take indexes round-robin on their first
+// record, so threads that start recording one after another share a cell
+// only once more than this many have started.
+inline constexpr int kMetricStripes = 8;
+
+namespace metrics_internal {
+
+constexpr size_t kCacheLine = 64;
+
+int NextStripe();
+
+inline int ThisThreadStripe() {
+  thread_local const int stripe = NextStripe();
+  return stripe;
+}
+
+}  // namespace metrics_internal
+
 class Counter {
  public:
   explicit Counter(std::string name) : name_(std::move(name)) {}
 
   void Increment(int64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+    cells_[metrics_internal::ThisThreadStripe()].value.fetch_add(
+        delta, std::memory_order_relaxed);
   }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
+  int64_t value() const {
+    int64_t sum = 0;
+    for (const Cell& c : cells_) sum += c.value.load(std::memory_order_relaxed);
+    return sum;
+  }
   const std::string& name() const { return name_; }
 
   // Test support: counters are process-global, so tests compare deltas or
   // reset explicitly.
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  void Reset() {
+    for (Cell& c : cells_) c.value.store(0, std::memory_order_relaxed);
+  }
 
  private:
+  struct alignas(metrics_internal::kCacheLine) Cell {
+    std::atomic<int64_t> value{0};
+  };
   const std::string name_;
-  std::atomic<int64_t> value_{0};
+  std::array<Cell, kMetricStripes> cells_{};
 };
 
 // Accumulated wall time plus invocation count; records are lock-free.
@@ -49,13 +80,22 @@ class TimerMetric {
   explicit TimerMetric(std::string name) : name_(std::move(name)) {}
 
   void RecordNanos(int64_t nanos) {
-    total_nanos_.fetch_add(nanos, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
+    Cell& c = cells_[metrics_internal::ThisThreadStripe()];
+    c.total_nanos.fetch_add(nanos, std::memory_order_relaxed);
+    c.count.fetch_add(1, std::memory_order_relaxed);
   }
   int64_t total_nanos() const {
-    return total_nanos_.load(std::memory_order_relaxed);
+    int64_t sum = 0;
+    for (const Cell& c : cells_) {
+      sum += c.total_nanos.load(std::memory_order_relaxed);
+    }
+    return sum;
   }
-  int64_t count() const { return count_.load(std::memory_order_relaxed); }
+  int64_t count() const {
+    int64_t sum = 0;
+    for (const Cell& c : cells_) sum += c.count.load(std::memory_order_relaxed);
+    return sum;
+  }
   // Mean nanoseconds per invocation; 0 before the first record.
   int64_t avg_nanos() const {
     const int64_t n = count();
@@ -64,14 +104,19 @@ class TimerMetric {
   const std::string& name() const { return name_; }
 
   void Reset() {
-    total_nanos_.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
+    for (Cell& c : cells_) {
+      c.total_nanos.store(0, std::memory_order_relaxed);
+      c.count.store(0, std::memory_order_relaxed);
+    }
   }
 
  private:
+  struct alignas(metrics_internal::kCacheLine) Cell {
+    std::atomic<int64_t> total_nanos{0};
+    std::atomic<int64_t> count{0};
+  };
   const std::string name_;
-  std::atomic<int64_t> total_nanos_{0};
-  std::atomic<int64_t> count_{0};
+  std::array<Cell, kMetricStripes> cells_{};
 };
 
 // A point-in-time view of one Histogram (relaxed loads; consistent enough
@@ -97,11 +142,11 @@ struct HistogramSnapshot {
 
 // Lock-free log-linear-bucketed histogram of non-negative values (nanosecond
 // latencies by convention). Record() costs one relaxed atomic add on the
-// containing bucket (plus a sum add and a wait-free max update) — cheap
-// enough for the serving hot path. Buckets: 2^kSubBucketBits linear
-// sub-buckets per power-of-two octave (the HdrHistogram layout), so
-// percentile error is bounded at 25% of the value while the whole table is
-// 256 atomics.
+// containing bucket of the thread's stripe (plus a sum add and a wait-free
+// max update there) — cheap enough for the serving hot path. Buckets:
+// 2^kSubBucketBits linear sub-buckets per power-of-two octave (the
+// HdrHistogram layout), so percentile error is bounded at 25% of the value
+// while one stripe's table is 256 atomics.
 class Histogram {
  public:
   static constexpr int kSubBucketBits = 2;
@@ -112,23 +157,20 @@ class Histogram {
 
   void Record(int64_t value) {
     const uint64_t v = value <= 0 ? 0 : static_cast<uint64_t>(value);
-    buckets_[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(static_cast<int64_t>(v), std::memory_order_relaxed);
-    int64_t prev = max_.load(std::memory_order_relaxed);
+    Stripe& s = stripes_[metrics_internal::ThisThreadStripe()];
+    s.buckets[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
+    s.sum.fetch_add(static_cast<int64_t>(v), std::memory_order_relaxed);
+    int64_t prev = s.max.load(std::memory_order_relaxed);
     while (static_cast<int64_t>(v) > prev &&
-           !max_.compare_exchange_weak(prev, static_cast<int64_t>(v),
-                                       std::memory_order_relaxed)) {
+           !s.max.compare_exchange_weak(prev, static_cast<int64_t>(v),
+                                        std::memory_order_relaxed)) {
     }
   }
 
   HistogramSnapshot snapshot() const;
   const std::string& name() const { return name_; }
 
-  void Reset() {
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-    max_.store(0, std::memory_order_relaxed);
-  }
+  void Reset();
 
   // Bucket geometry (shared with HistogramSnapshot::ValueAtQuantile).
   static size_t BucketIndex(uint64_t v);
@@ -136,10 +178,13 @@ class Histogram {
   static int64_t BucketWidth(size_t index);
 
  private:
+  struct alignas(metrics_internal::kCacheLine) Stripe {
+    std::array<std::atomic<int64_t>, kNumBuckets> buckets{};
+    std::atomic<int64_t> sum{0};
+    std::atomic<int64_t> max{0};
+  };
   const std::string name_;
-  std::array<std::atomic<int64_t>, kNumBuckets> buckets_{};
-  std::atomic<int64_t> sum_{0};
-  std::atomic<int64_t> max_{0};
+  std::array<Stripe, kMetricStripes> stripes_{};
 };
 
 // RAII scope latency recorder feeding a Histogram (nanoseconds).

@@ -1,6 +1,8 @@
 #ifndef DKINDEX_QUERY_RESULT_CACHE_H_
 #define DKINDEX_QUERY_RESULT_CACHE_H_
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <mutex>
@@ -12,31 +14,40 @@
 #include "index/index_graph.h"
 #include "pathexpr/path_expression.h"
 #include "query/evaluator.h"
-#include "query/frozen_view.h"
 
 namespace dki {
 
 // Rewrites a path expression to a canonical spelling so that textual
-// variants of the same query ("a.b", "a . b", "(a).b" stays distinct — only
+// variants of the same query ("a.b", "a . b"; "(a).b" stays distinct — only
 // token spacing is normalized) share one cache entry: the token stream is
-// re-joined without whitespace. Returns `text` unchanged when it does not
-// tokenize (such strings never parse into a PathExpression either).
+// re-joined without whitespace, except for one space between two adjacent
+// label/wildcard tokens ("a b" -> "a b", never "ab"). The spelling is
+// injective on token streams: Tokenize(CanonicalizeQuery(t)) yields t's
+// tokens, so a cache hit on the canonical key is an answer to the same
+// query. Whitespace-free text is already canonical and is returned without
+// tokenizing. Returns `text` unchanged when it does not tokenize (such
+// strings never parse into a PathExpression either).
 std::string CanonicalizeQuery(std::string_view text);
 
 // An LRU cache of query results for ONE index graph, invalidated by the
 // index's update epoch (IndexGraph::epoch): every entry is stamped with the
-// epoch at evaluation time, and a lookup whose stamp disagrees with the
-// index's current epoch drops the entry ("stale drop") and reports a miss.
-// Repeated-traffic serving therefore reuses results for free between
-// updates, and can never return a pre-update answer after one — Section 5's
-// update operations all bump the epoch (see DkIndex::epoch).
+// epoch at evaluation time, and a lookup at a newer epoch drops the entry
+// ("stale drop") and reports a miss. Repeated-traffic serving therefore
+// reuses results for free between updates, and can never return a
+// pre-update answer after one — Section 5's update operations all bump the
+// epoch (see DkIndex::epoch).
 //
 // Capacity is byte-budgeted: each entry is charged its key size, its result
-// vector's bytes and a fixed bookkeeping overhead, and the least recently
-// used entries are evicted until the total fits. All operations take an
-// internal mutex, so one cache may serve concurrent readers; the underlying
-// index must not be mutated concurrently with evaluation (the evaluator
-// itself reads the index unlocked).
+// vector's bytes and a fixed bookkeeping overhead. The cache is split into
+// kShards cache-line-aligned shards by key hash, each with its own mutex,
+// LRU list and map, so concurrent readers of different keys never share a
+// lock. The budget is global: a Put first reserves its bytes against one
+// atomic total, evicting shard LRU tails round-robin (one shard lock at a
+// time) until they fit, so the total never exceeds the budget and a Put
+// never evicts the entry it inserts. Eviction order is therefore LRU within
+// a shard and round-robin across shards. The underlying index must not be
+// mutated concurrently with evaluation (the evaluator itself reads the
+// index unlocked).
 //
 // One ResultCache instance must serve exactly one index: the key does not
 // encode the index identity, only the query text, the validate flag and the
@@ -64,20 +75,12 @@ class ResultCache {
                                      EvalStats* stats = nullptr,
                                      bool validate = true);
 
-  // Same entry point over the frozen read path: misses fall through to
-  // FrozenView::Evaluate (bit-identical to EvaluateOnIndex, so both
-  // overloads share the key space). The epoch stamp is the view's freeze
-  // epoch. `scratch` and `validation_pool` are forwarded to the evaluator.
-  std::vector<NodeId> CachedEvaluate(const FrozenView& view,
-                                     const PathExpression& query,
-                                     EvalStats* stats = nullptr,
-                                     bool validate = true,
-                                     FrozenScratch* scratch = nullptr,
-                                     ThreadPool* validation_pool = nullptr);
-
-  // Lower-level API (exposed for tests and custom serving loops). `key` is
-  // CanonicalizeQuery output plus any caller suffix; `epoch` the index epoch
-  // the result belongs to.
+  // Lower-level API (QueryServer's read paths and custom serving loops).
+  // `key` is CanonicalizeQuery output plus any caller suffix; `epoch` the
+  // index epoch the result belongs to. A lookup at an older epoch than the
+  // resident entry misses without dropping it, and a Put never replaces a
+  // resident entry of a newer epoch: a reader holding an old snapshot
+  // cannot evict the answers of the current one.
   bool TryGet(const std::string& key, uint64_t epoch,
               std::vector<NodeId>* out);
   void Put(const std::string& key, uint64_t epoch,
@@ -96,7 +99,10 @@ class ResultCache {
     int64_t entries = 0;
     int64_t bytes = 0;
   };
+  // Sums the shards, locking one at a time.
   Stats stats() const;
+
+  static constexpr int kShards = 16;
 
  private:
   struct Entry {
@@ -107,18 +113,31 @@ class ResultCache {
   };
   using LruList = std::list<Entry>;
 
-  int64_t EntryBytes(const Entry& e) const;
-  // Both require `mutex_` held.
-  void EvictToBudgetLocked();
-  void EraseLocked(LruList::iterator it);
+  struct alignas(64) Shard {
+    mutable std::mutex mutex;
+    LruList lru;  // front = most recently used
+    std::unordered_map<std::string, LruList::iterator> by_key;
+    // entries and oversized_rejects stay 0 here; stats() fills them in.
+    Stats stats;  // bytes = this shard's resident bytes
+  };
+
+  Shard& ShardFor(const std::string& key);
+  // Requires `shard->mutex` held.
+  void EraseLocked(Shard* shard, LruList::iterator it);
+  // Adds `bytes` to the global total, evicting until they fit. False when
+  // nothing is left to evict because concurrent Puts hold the budget.
+  bool Reserve(int64_t bytes);
+  // Evicts the LRU tail of the next non-empty shard in round-robin order.
+  bool EvictOne();
 
   const Options options_;
-
-  mutable std::mutex mutex_;
-  LruList lru_;  // front = most recently used
-  std::unordered_map<std::string, LruList::iterator> by_key_;
-  int64_t bytes_ = 0;
-  Stats stats_;
+  std::array<Shard, kShards> shards_;
+  // Resident bytes of every shard plus the reservations of in-flight Puts;
+  // never above options_.byte_budget. Written only by Put, eviction and
+  // Clear, so cache hits never touch it.
+  std::atomic<int64_t> bytes_{0};
+  std::atomic<uint32_t> evict_cursor_{0};
+  std::atomic<int64_t> oversized_rejects_{0};
 };
 
 }  // namespace dki

@@ -73,30 +73,65 @@ std::shared_ptr<const IndexSnapshot> QueryServer::snapshot() const {
   return snapshot_;
 }
 
+std::string QueryServer::CacheKey(const std::string& query_text) const {
+  std::string key = CanonicalizeQuery(query_text);
+  if (!options_.validate) key += "#raw";  // a different result space
+  return key;
+}
+
 std::optional<std::vector<NodeId>> QueryServer::Evaluate(
     const std::string& query_text, EvalStats* stats,
     std::string* error) const {
-  std::shared_ptr<const IndexSnapshot> snap = snapshot();
-  return EvaluateOn(*snap, query_text, stats, error);
+  return Serve(nullptr, query_text, stats, error);
 }
 
 std::optional<std::vector<NodeId>> QueryServer::EvaluateOn(
     const IndexSnapshot& snap, const std::string& query_text,
     EvalStats* stats, std::string* error) const {
+  return Serve(&snap, query_text, stats, error);
+}
+
+std::optional<std::vector<NodeId>> QueryServer::Serve(
+    const IndexSnapshot* held, const std::string& query_text,
+    EvalStats* stats, std::string* error) const {
   DKI_METRIC_COUNTER("serve.query.calls").Increment();
   ScopedTimer timer(&DKI_METRIC_TIMER("serve.query"));
   ScopedLatency latency(&DKI_METRIC_HISTOGRAM("serve.query.latency"));
+  // Probe before parsing: the canonical key is injective on token streams,
+  // so a hit is the answer to this very query and needs no parse. Without a
+  // held snapshot the probe uses the published epoch alone, so a hit takes
+  // neither snapshot_mu_ nor the snapshot's refcount.
+  const std::string key = CacheKey(query_text);
+  const uint64_t epoch =
+      held != nullptr ? held->frozen().epoch()
+                      : published_epoch_.load(std::memory_order_acquire);
+  std::vector<NodeId> result;
+  if (cache_.TryGet(key, epoch, &result)) {
+    if (stats != nullptr) {
+      EvalStats hit;
+      hit.result_size = static_cast<int64_t>(result.size());
+      stats->Accumulate(hit);
+    }
+    return result;
+  }
+  std::shared_ptr<const IndexSnapshot> latest;
+  if (held == nullptr) {
+    latest = snapshot();
+    held = latest.get();
+  }
   // Parse against the snapshot's own label table: labels added by a queued
   // AddSubgraph become queryable exactly when a snapshot containing them is
   // published.
   std::shared_ptr<const PathExpression> query =
-      parse_cache_.Get(query_text, snap.graph().labels(), error);
+      parse_cache_.Get(query_text, held->graph().labels(), error);
   if (query == nullptr) {
     DKI_METRIC_COUNTER("serve.query.parse_errors").Increment();
     return std::nullopt;
   }
-  return cache_.CachedEvaluate(snap.frozen(), *query, stats,
-                               options_.validate);
+  const FrozenView& view = held->frozen();
+  result = view.Evaluate(*query, stats, options_.validate);
+  cache_.Put(key, view.epoch(), result);
+  return result;
 }
 
 std::vector<std::optional<std::vector<NodeId>>> QueryServer::EvaluateBatch(
@@ -136,8 +171,7 @@ std::vector<std::optional<std::vector<NodeId>>> QueryServer::EvaluateBatchOn(
   std::vector<std::vector<NodeId>> miss_results;
   const LabelTable& labels = snap.graph().labels();
   for (size_t i = 0; i < n; ++i) {
-    std::string key = CanonicalizeQuery(query_texts[i]);
-    if (!options_.validate) key += "#raw";
+    std::string key = CacheKey(query_texts[i]);
     std::vector<NodeId> cached;
     if (cache_.TryGet(key, view.epoch(), &cached)) {
       if (stats != nullptr) {
@@ -463,6 +497,8 @@ void QueryServer::Publish() {
     // released instead of while every reader's snapshot() waits.
     std::unique_lock<std::shared_mutex> lock(snapshot_mu_);
     snapshot_.swap(next);
+    published_epoch_.store(snapshot_->frozen().epoch(),
+                           std::memory_order_release);
   }
   {
     std::lock_guard<std::mutex> lock(state_mu_);

@@ -1,6 +1,7 @@
 #ifndef DKINDEX_SERVE_QUERY_SERVER_H_
 #define DKINDEX_SERVE_QUERY_SERVER_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -31,12 +32,18 @@ namespace dki {
 // owns the mutable master index and drains a bounded MPSC queue of
 // Section 5 update operations.
 //
-//   readers ──► snapshot() ──► shared_ptr<const IndexSnapshot> ─┐
-//                 ▲  (shared_mutex-guarded pointer swap)        │ evaluate
-//                 │                                             ▼
+//   Evaluate(text) ──► ResultCache probe ──hit──► answer
+//     │ key = CanonicalizeQuery(text)     (16 shard locks; no parse, no
+//     │ epoch = published epoch atomic     snapshot lock, no refcount)
+//     │                    │ miss
+//     │                    ▼
+//     │    snapshot() ──► shared_ptr<const IndexSnapshot> ──► parse cache
+//     │      ▲  (shared_mutex-guarded pointer swap)      ──► evaluate, Put
+//     │      │
 //   publish ◄── writer thread ◄── UpdateQueue ◄── SubmitAddEdge /
 //   (deep copy      applies batches to the        SubmitRemoveEdge /
-//    + swap)        private master DkIndex        SubmitAddSubgraph
+//    + swap +       private master DkIndex        SubmitAddSubgraph
+//    epoch store)
 //
 // The contract:
 //   * Readers never block on the writer and never see a half-applied batch:
@@ -49,7 +56,10 @@ namespace dki {
 //     (Options::full_policy) when the writer falls behind.
 //   * Query results flow through the epoch-stamped ResultCache, so repeated
 //     traffic between republishes is served from memory and a stale entry
-//     can never be returned (epochs are monotonic and never reused).
+//     can never be returned (epochs are monotonic and never reused). A hit
+//     is probed before parsing, at the epoch Publish stored last, and
+//     answers as of the snapshot that was current at that load; only a
+//     miss takes snapshot(), the parse cache and the evaluator.
 //   * Durability (opt-in via Options::durability.dir): every op the writer
 //     applies is first appended to a write-ahead log (serve/wal.h) and a
 //     background checkpointer periodically persists the newest published
@@ -108,17 +118,18 @@ class QueryServer {
   // republishes.
   std::shared_ptr<const IndexSnapshot> snapshot() const;
 
-  // Parses `query_text` against the latest snapshot's labels and evaluates
-  // through the result cache. Returns nullopt on parse errors (message in
-  // *error if given).
+  // Answers `query_text` as of the latest published snapshot: a result
+  // cache hit at the published epoch returns at once; a miss parses against
+  // the latest snapshot's labels, evaluates and fills the cache. Returns
+  // nullopt on parse errors (message in *error if given).
   std::optional<std::vector<NodeId>> Evaluate(const std::string& query_text,
                                               EvalStats* stats = nullptr,
                                               std::string* error = nullptr)
       const;
 
   // Same against a caller-held snapshot (snapshot isolation: the caller
-  // chooses the state to read). Evaluation runs on the snapshot's FrozenView
-  // (built once at publish time), through the result cache.
+  // chooses the state to read): the probe uses the snapshot's epoch, and a
+  // miss evaluates on its FrozenView (built once at publish time).
   std::optional<std::vector<NodeId>> EvaluateOn(const IndexSnapshot& snap,
                                                 const std::string& query_text,
                                                 EvalStats* stats = nullptr,
@@ -209,6 +220,13 @@ class QueryServer {
   const Options& options() const { return options_; }
 
  private:
+  // Evaluate (held == nullptr) and EvaluateOn.
+  std::optional<std::vector<NodeId>> Serve(const IndexSnapshot* held,
+                                           const std::string& query_text,
+                                           EvalStats* stats,
+                                           std::string* error) const;
+  // The result-cache key of `query_text` on this server.
+  std::string CacheKey(const std::string& query_text) const;
   void WriterLoop();
   void CheckpointerLoop();
   // Deep-copies the master into a fresh snapshot and swaps it in.
@@ -241,7 +259,8 @@ class QueryServer {
   mutable std::unique_ptr<ThreadPool> batch_pool_;
 
   // Parse cache (query/parse_cache.h): query text -> compiled
-  // PathExpression, shared by the single-query and batch read paths, with
+  // PathExpression, shared by the single-query and batch read paths (which
+  // consult it only on a result-cache miss), with
   // per-entry LRU eviction at kMaxParsedQueries. Cached parses revalidate
   // against the snapshot's label-table size — sound because the writer only
   // ever appends to the label table, so equal size means identical
@@ -259,9 +278,11 @@ class QueryServer {
   uint64_t last_checkpoint_seq_ = 0;  // guarded by checkpoint_mu_
 
   // Publication point. Readers copy the shared_ptr under a shared lock;
-  // the writer swaps it under an exclusive lock.
+  // the writer swaps it, and stores its epoch, under an exclusive lock.
   mutable std::shared_mutex snapshot_mu_;
   std::shared_ptr<const IndexSnapshot> snapshot_;
+  // snapshot_'s epoch, read by Evaluate's cache probe without the lock.
+  std::atomic<uint64_t> published_epoch_{0};
 
   // Flush/stats accounting. accepted_ is incremented BEFORE the queue push
   // (and rolled back on rejection), so Flush's quiescence predicate

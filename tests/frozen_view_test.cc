@@ -22,7 +22,6 @@
 #include "index/one_index.h"
 #include "query/evaluator.h"
 #include "query/load_analyzer.h"
-#include "query/result_cache.h"
 #include "query/workload.h"
 #include "tests/test_util.h"
 
@@ -280,28 +279,6 @@ TEST(FrozenViewTest, ParallelValidationMatchesSequential) {
   EXPECT_TRUE(exercised_fanout)
       << "workload never crossed the parallel-validation threshold; "
          "the fan-out path went untested";
-}
-
-TEST(FrozenViewTest, ResultCacheServesFrozenPath) {
-  DataGraph g = testing_util::BuildMovieGraph();
-  AkIndex ak = AkIndex::Build(&g, 1);
-  FrozenView view(ak.index());
-  PathExpression query =
-      testing_util::MustParse("director.movie.title", g.labels());
-
-  ResultCache cache;
-  EvalStats miss_stats;
-  std::vector<NodeId> first =
-      cache.CachedEvaluate(view, query, &miss_stats);
-  EXPECT_EQ(first, EvaluateOnIndex(ak.index(), query));
-  EXPECT_EQ(cache.stats().misses, 1);
-
-  EvalStats hit_stats;
-  std::vector<NodeId> second = cache.CachedEvaluate(view, query, &hit_stats);
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(cache.stats().hits, 1);
-  EXPECT_EQ(hit_stats.index_nodes_visited, 0);  // served from memory
-  EXPECT_EQ(hit_stats.result_size, miss_stats.result_size);
 }
 
 TEST(FrozenViewTest, ScratchReusesAcrossViewsAndQueries) {

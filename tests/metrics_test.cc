@@ -68,6 +68,70 @@ TEST(MetricsTest, SnapshotContainsRegisteredMetricsSorted) {
   EXPECT_TRUE(found);
 }
 
+// More recording threads than stripes, so threads share stripes: records
+// stay lossless, Reset and ResetAll clear every stripe, and the histogram's
+// max and sum stay exact across stripes.
+TEST(MetricsTest, StripedCellsAreLosslessAndResetEverywhere) {
+  constexpr int kThreads = 16;
+  static_assert(kThreads > kMetricStripes);
+  constexpr int kPerThread = 5000;
+  auto& registry = MetricsRegistry::Global();
+  Counter& c = registry.GetCounter("test.metrics.striped.counter");
+  TimerMetric& t = registry.GetTimer("test.metrics.striped.timer");
+  Histogram& h = registry.GetHistogram("test.metrics.striped.hist");
+  auto record_everywhere = [&] {
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&, i] {
+        for (int j = 0; j < kPerThread; ++j) {
+          c.Increment(2);
+          t.RecordNanos(i + 1);
+          h.Record(i * 100 + j % 7);
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+  };
+  c.Reset();
+  t.Reset();
+  h.Reset();
+  record_everywhere();
+  EXPECT_EQ(c.value(), int64_t{2} * kThreads * kPerThread);
+  EXPECT_EQ(t.count(), int64_t{kThreads} * kPerThread);
+  // sum over threads of (i + 1) * kPerThread
+  EXPECT_EQ(t.total_nanos(),
+            int64_t{kThreads} * (kThreads + 1) / 2 * kPerThread);
+  HistogramSnapshot snap = h.snapshot();
+  EXPECT_EQ(snap.count, int64_t{kThreads} * kPerThread);
+  EXPECT_EQ(snap.max, (kThreads - 1) * 100 + 6);
+  int64_t expected_sum = 0;
+  for (int i = 0; i < kThreads; ++i) {
+    for (int j = 0; j < kPerThread; ++j) expected_sum += i * 100 + j % 7;
+  }
+  EXPECT_EQ(snap.sum, expected_sum);
+
+  c.Reset();
+  t.Reset();
+  h.Reset();
+  EXPECT_EQ(c.value(), 0);
+  EXPECT_EQ(t.count(), 0);
+  EXPECT_EQ(t.total_nanos(), 0);
+  snap = h.snapshot();
+  EXPECT_EQ(snap.count, 0);
+  EXPECT_EQ(snap.sum, 0);
+  EXPECT_EQ(snap.max, 0);
+
+  record_everywhere();
+  registry.ResetAll();
+  EXPECT_EQ(c.value(), 0);
+  EXPECT_EQ(t.count(), 0);
+  EXPECT_EQ(t.total_nanos(), 0);
+  snap = h.snapshot();
+  EXPECT_EQ(snap.count, 0);
+  EXPECT_EQ(snap.sum, 0);
+  EXPECT_EQ(snap.max, 0);
+}
+
 TEST(MetricsTest, TimerReportsMean) {
   TimerMetric t("test.metrics.mean");
   EXPECT_EQ(t.avg_nanos(), 0);  // no division by zero before first record

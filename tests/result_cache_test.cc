@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <iterator>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -11,6 +15,7 @@
 #include "datagen/xmark_generator.h"
 #include "index/ak_index.h"
 #include "index/dk_index.h"
+#include "pathexpr/tokenizer.h"
 #include "query/evaluator.h"
 #include "query/load_analyzer.h"
 #include "tests/test_util.h"
@@ -24,6 +29,73 @@ TEST(CanonicalizeQueryTest, NormalizesTokenSpacing) {
   EXPECT_EQ(CanonicalizeQuery("(a|b)* . _ // c"), "(a|b)*._//c");
   // Untokenizable input falls through unchanged (it cannot be a live query).
   EXPECT_EQ(CanonicalizeQuery("a.%"), "a.%");
+}
+
+TEST(CanonicalizeQueryTest, KeepsAdjacentWordsApart) {
+  EXPECT_EQ(CanonicalizeQuery("a b"), "a b");
+  EXPECT_EQ(CanonicalizeQuery("a\t\t_"), "a _");
+  EXPECT_EQ(CanonicalizeQuery(" _  a . b "), "_ a.b");
+  EXPECT_NE(CanonicalizeQuery("a b"), CanonicalizeQuery("ab"));
+}
+
+// Property: for random token streams — adjacent labels and `_` included —
+// rendered with random whitespace, the canonical text tokenizes back to the
+// same stream, and canonicalizing is idempotent.
+TEST(CanonicalizeQueryTest, RoundTripsRandomTokenStreams) {
+  struct Piece {
+    TokenKind kind;
+    const char* text;
+  };
+  const Piece pieces[] = {
+      {TokenKind::kLabel, "a"},       {TokenKind::kLabel, "ab"},
+      {TokenKind::kLabel, "a_b"},     {TokenKind::kLabel, "_x"},
+      {TokenKind::kLabel, "x-y:z"},   {TokenKind::kLabel, "__"},
+      {TokenKind::kWildcard, "_"},    {TokenKind::kDot, "."},
+      {TokenKind::kDoubleSlash, "//"}, {TokenKind::kPipe, "|"},
+      {TokenKind::kStar, "*"},        {TokenKind::kPlus, "+"},
+      {TokenKind::kQuestion, "?"},    {TokenKind::kLParen, "("},
+      {TokenKind::kRParen, ")"},
+  };
+  const char* const spaces[] = {"", " ", "\t", "  ", "\n "};
+  auto is_word = [](TokenKind k) {
+    return k == TokenKind::kLabel || k == TokenKind::kWildcard;
+  };
+  auto kinds_and_texts = [](const std::vector<Token>& tokens) {
+    std::vector<std::pair<TokenKind, std::string>> out;
+    for (const Token& t : tokens) out.emplace_back(t.kind, t.text);
+    return out;
+  };
+  Rng rng(829);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int length = static_cast<int>(rng.UniformInt(1, 8));
+    std::string text;
+    std::vector<std::pair<TokenKind, std::string>> expected;
+    bool after_word = false;
+    for (int i = 0; i < length; ++i) {
+      const Piece& p = pieces[rng.UniformInt(
+          0, static_cast<int64_t>(std::size(pieces)) - 1)];
+      const char* gap = spaces[rng.UniformInt(
+          0, static_cast<int64_t>(std::size(spaces)) - 1)];
+      // Two touching words would lex as one label: keep them apart.
+      if (after_word && is_word(p.kind) && *gap == '\0') gap = " ";
+      text += gap;
+      text += p.text;
+      after_word = is_word(p.kind);
+      expected.emplace_back(p.kind,
+                            p.kind == TokenKind::kLabel ? p.text : "");
+    }
+    expected.emplace_back(TokenKind::kEnd, "");
+
+    std::vector<Token> tokens;
+    std::string error;
+    ASSERT_TRUE(Tokenize(text, &tokens, &error)) << text << ": " << error;
+    ASSERT_EQ(kinds_and_texts(tokens), expected) << text;
+    const std::string canonical = CanonicalizeQuery(text);
+    ASSERT_TRUE(Tokenize(canonical, &tokens, &error)) << canonical;
+    EXPECT_EQ(kinds_and_texts(tokens), expected)
+        << "'" << text << "' -> '" << canonical << "'";
+    EXPECT_EQ(CanonicalizeQuery(canonical), canonical) << text;
+  }
 }
 
 TEST(ResultCacheTest, HitOnRepeatedQuery) {
@@ -289,6 +361,126 @@ TEST(ResultCacheTest, ConcurrentMixedUseKeepsInvariants) {
   ResultCache::Stats s = cache.stats();
   EXPECT_LE(s.bytes, options.byte_budget);
   EXPECT_GE(s.hits + s.misses, 0);
+}
+
+TEST(ResultCacheTest, OlderEpochNeitherDropsNorReplacesNewerEntry) {
+  ResultCache cache;
+  cache.Put("k", 5, {1});
+  std::vector<NodeId> out;
+  // A reader on an older snapshot misses without evicting the current
+  // answer, and its Put cannot overwrite it.
+  EXPECT_FALSE(cache.TryGet("k", 4, &out));
+  cache.Put("k", 4, {2});
+  EXPECT_EQ(cache.stats().stale_drops, 0);
+  ASSERT_TRUE(cache.TryGet("k", 5, &out));
+  EXPECT_EQ(out, (std::vector<NodeId>{1}));
+  // A newer epoch still drops it.
+  EXPECT_FALSE(cache.TryGet("k", 6, &out));
+  EXPECT_EQ(cache.stats().stale_drops, 1);
+  EXPECT_EQ(cache.stats().entries, 0);
+  EXPECT_EQ(cache.stats().bytes, 0);
+}
+
+// The byte budget is global across shards: with many more keys than shards,
+// the total stays within budget, every fitting entry is resident right after
+// its Put, and hits/misses/evictions/entries/bytes add up.
+TEST(ResultCacheTest, ShardedBudgetIsGlobal) {
+  constexpr int kKeys = 300;  // > kShards * 16 + 1
+  static_assert(kKeys > ResultCache::kShards * 16);
+  for (int64_t budget : {int64_t{600}, int64_t{4096}}) {
+    ResultCache::Options options;
+    options.byte_budget = budget;
+    ResultCache cache(options);
+    Rng rng(831);
+    std::vector<std::vector<NodeId>> values(kKeys);
+    int64_t oversized = 0;
+    int64_t lookups = 0;
+    for (int i = 0; i < kKeys; ++i) {
+      const std::string key = "key" + std::to_string(i);
+      values[i].assign(static_cast<size_t>(rng.UniformInt(0, 160)),
+                       static_cast<NodeId>(i));
+      const int64_t bytes = 96 + static_cast<int64_t>(key.size()) +
+                            static_cast<int64_t>(values[i].size() * 4);
+      cache.Put(key, 1, values[i]);
+      std::vector<NodeId> out;
+      ++lookups;
+      if (bytes > budget) {
+        ++oversized;
+        EXPECT_FALSE(cache.TryGet(key, 1, &out)) << key;
+      } else {
+        ASSERT_TRUE(cache.TryGet(key, 1, &out)) << key << " budget " << budget;
+        EXPECT_EQ(out, values[i]);
+      }
+      EXPECT_LE(cache.stats().bytes, budget);
+    }
+    // Sweep every key: the resident ones must account for entries/bytes.
+    int64_t resident = 0;
+    int64_t resident_bytes = 0;
+    for (int i = 0; i < kKeys; ++i) {
+      const std::string key = "key" + std::to_string(i);
+      std::vector<NodeId> out;
+      ++lookups;
+      if (cache.TryGet(key, 1, &out)) {
+        EXPECT_EQ(out, values[i]);
+        ++resident;
+        resident_bytes += 96 + static_cast<int64_t>(key.size()) +
+                          static_cast<int64_t>(out.size() * 4);
+      }
+    }
+    const ResultCache::Stats s = cache.stats();
+    EXPECT_EQ(s.hits + s.misses, lookups);
+    EXPECT_EQ(s.entries, resident);
+    EXPECT_EQ(s.bytes, resident_bytes);
+    EXPECT_LE(s.bytes, budget);
+    EXPECT_EQ(s.oversized_rejects, oversized);
+    EXPECT_EQ(s.evictions, kKeys - oversized - resident);
+    EXPECT_GT(s.evictions, 0);
+  }
+}
+
+TEST(ResultCacheTest, ConcurrentShardedUseStaysWithinBudget) {
+  constexpr int kKeys = 257;
+  for (int64_t budget : {int64_t{600}, int64_t{4096}}) {
+    ResultCache::Options options;
+    options.byte_budget = budget;
+    ResultCache cache(options);
+    constexpr int kThreads = 4;
+    constexpr int kOpsPerThread = 3000;
+    std::atomic<int64_t> lookups{0};
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < kOpsPerThread; ++i) {
+          const int k = (i * 7 + t * 31) % kKeys;
+          const std::string key = "key" + std::to_string(k);
+          // A key's value is a function of the key, so any hit is checkable.
+          const std::vector<NodeId> value(static_cast<size_t>(k % 40),
+                                          static_cast<NodeId>(k));
+          if (i % 3 == 0) {
+            cache.Put(key, 1, value);
+          } else {
+            std::vector<NodeId> out;
+            if (cache.TryGet(key, 1, &out) && out != value) wrong.fetch_add(1);
+            lookups.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    EXPECT_EQ(wrong.load(), 0);
+    const ResultCache::Stats s = cache.stats();
+    EXPECT_LE(s.bytes, budget);
+    EXPECT_EQ(s.hits + s.misses, lookups.load());
+    EXPECT_GT(s.evictions, 0);
+
+    // At quiescence a fitting Put is resident right after it returns.
+    std::vector<NodeId> out;
+    cache.Put("fresh", 2, {9, 9});
+    ASSERT_TRUE(cache.TryGet("fresh", 2, &out));
+    EXPECT_EQ(out, (std::vector<NodeId>{9, 9}));
+    EXPECT_LE(cache.stats().bytes, budget);
+  }
 }
 
 TEST(ResultCacheTest, CachedMatchesUncachedOnXmarkSeed) {
