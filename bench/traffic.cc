@@ -2,7 +2,7 @@
 // EXPERIMENTS.md "traffic simulator" section): Zipf-skewed queries and
 // NURand-skewed edge toggles arrive on a Poisson tape against a live
 // serving stack, swept across offered loads, with a drift phase that
-// rotates the hot query set so the load-mining retune controller
+// rotates the hot query set so the server's load-mining tuner
 // promotes/demotes under fire. Emits the per-phase table to stdout and the
 // machine-readable BENCH_traffic.json (schema version 3).
 //
@@ -94,8 +94,8 @@ int Main(int argc, char** argv) {
     opts.warm_qps = 200.0;
     opts.sweep_qps = {200.0, 400.0};
     opts.drift_qps = 300.0;
-    opts.control_interval_ms = 80.0;
-    opts.min_tracked_queries = 8;
+    opts.tuning.period_ms = 80;
+    opts.tuning.min_misses = 8;
   }
   // Durability on, in a per-run temp dir, so WAL deltas are real numbers.
   std::string wal_dir = "/tmp/dki_traffic_" + std::to_string(::getpid());

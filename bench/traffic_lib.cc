@@ -8,14 +8,12 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <thread>
 #include <utility>
 
 #include "common/metrics.h"
 #include "common/random.h"
-#include "query/load_tracker.h"
 #include "serve/sharded_server.h"
 
 namespace dki {
@@ -124,10 +122,6 @@ class ServerHandle {
     return sharded_ ? sharded_->SubmitRemoveEdge(u, v)
                     : single_->SubmitRemoveEdge(u, v);
   }
-  bool SubmitRetune(const LabelRequirements& targets) {
-    return sharded_ ? sharded_->SubmitRetune(targets, /*shrink=*/true)
-                    : single_->SubmitRetune(targets, /*shrink=*/true);
-  }
   void Flush() { sharded_ ? sharded_->Flush() : single_->Flush(); }
   void Stop() { sharded_ ? sharded_->Stop() : single_->Stop(); }
 
@@ -203,18 +197,20 @@ struct MetricPoint {
   }
 };
 
-// Shared mutable state of one run: the server plus the load-mining loop the
-// phases run against.
+// Shared mutable state of one run: the server and the pools the phases
+// draw from.
 class TrafficEngine {
  public:
   TrafficEngine(const Dataset& dataset, const TrafficOptions& opts)
       : opts_(opts), graph_(dataset.graph) {
     workload_ = MakeWorkload(graph_, opts.query_pool, opts.seed);
     for (const auto& q : workload_) query_texts_.push_back(q.text());
-    // Paper rule over the whole pool: deliberately generous, so the
-    // controller's first coverage-mined retune has something to demote.
-    LabelRequirements reqs =
-        MineWorkloadRequirements(workload_, graph_.labels());
+    // Paper rule over the half of the pool that warm and sweep make hot:
+    // drift rotates the other half in, so the tuner has labels to promote
+    // under load.
+    LabelRequirements reqs = MineWorkloadRequirements(
+        {workload_.begin(), workload_.begin() + workload_.size() / 2},
+        graph_.labels());
     server_ = std::make_unique<ServerHandle>(&graph_, reqs, opts);
 
     Dataset pool_source{dataset.name, graph_, dataset.ref_pairs};
@@ -252,33 +248,11 @@ class TrafficEngine {
     Histogram latency("traffic.phase.latency");
     std::atomic<size_t> cursor{0};
     std::atomic<int64_t> completed{0}, dropped{0}, upd_ok{0}, upd_rej{0};
-    std::atomic<bool> ctl_stop{false};
     const int64_t deadline_nanos =
         static_cast<int64_t>(opts_.deadline_ms * 1e6);
 
     const MetricPoint before = MetricPoint::Capture(*server_);
     const Clock::time_point t0 = Clock::now();
-
-    // The retune controller: decays + mines the recorded load and pushes a
-    // kRetune through the update pipeline whenever the mined map moves.
-    std::thread controller([&] {
-      const auto interval = std::chrono::microseconds(
-          static_cast<int64_t>(opts_.control_interval_ms * 1e3));
-      while (!ctl_stop.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(interval);
-        LabelRequirements mined;
-        {
-          std::lock_guard<std::mutex> lock(tracker_mu_);
-          tracker_.Decay(opts_.decay);
-          if (tracker_.total_queries() < opts_.min_tracked_queries) continue;
-          mined = tracker_.MineRequirements(opts_.coverage);
-        }
-        if (mined.empty() || mined == last_retune_) continue;
-        if (server_->SubmitRetune(mined)) {
-          last_retune_ = mined;
-        }
-      }
-    });
 
     std::vector<std::thread> workers;
     workers.reserve(static_cast<size_t>(opts_.workers));
@@ -307,16 +281,10 @@ class TrafficEngine {
           // the served latency (open-loop, no coordinated omission).
           latency.Record(NanosBetween(scheduled, Clock::now()));
           completed.fetch_add(1, std::memory_order_relaxed);
-          {
-            std::lock_guard<std::mutex> lock(tracker_mu_);
-            tracker_.Record(workload_[a.query], graph_.labels());
-          }
         }
       });
     }
     for (auto& t : workers) t.join();
-    ctl_stop.store(true, std::memory_order_relaxed);
-    controller.join();
     server_->Flush();  // phase deltas include every op this phase submitted
     const double elapsed =
         static_cast<double>(NanosBetween(t0, Clock::now())) / 1e9;
@@ -424,10 +392,6 @@ class TrafficEngine {
   std::vector<std::pair<NodeId, NodeId>> edge_pool_;
   std::set<std::pair<NodeId, NodeId>> present_;
   std::unique_ptr<ServerHandle> server_;
-
-  std::mutex tracker_mu_;
-  QueryLoadTracker tracker_;
-  LabelRequirements last_retune_;  // controller thread only
 };
 
 }  // namespace
@@ -440,6 +404,7 @@ QueryServer::Options TrafficOptions::ServerOptions() const {
   options.full_policy = UpdateQueue::FullPolicy::kReject;
   options.queue_capacity = 256;
   options.durability.dir = durability_dir;
+  options.tuning = tuning;
   if (memory_budget_mb > 0) {
     options.frozen.memory_budget_bytes = memory_budget_mb * (int64_t{1} << 20);
   }
@@ -468,7 +433,7 @@ TrafficResult RunTraffic(const Dataset& dataset, const TrafficOptions& opts) {
   }
   // Drift: rotate the Zipf ranks half way around the pool, so the hot
   // queries (and the labels they target) change under sustained load — this
-  // is the phase where the controller's promote/demote work shows up.
+  // is the phase where the tuner's promote/demote work shows up.
   result.phases.push_back(engine.RunPhase("drift", opts.drift_qps,
                                           /*rotation=*/pool / 2,
                                           next_seed()));
@@ -499,7 +464,7 @@ Json TrafficResultToJson(const TrafficResult& result,
   config.Set("update_fraction", Json::Num(opts.update_fraction));
   config.Set("deadline_ms", Json::Num(opts.deadline_ms));
   config.Set("phase_sec", Json::Num(opts.phase_sec));
-  config.Set("coverage", Json::Num(opts.coverage));
+  config.Set("coverage", Json::Num(TuningOptions::kCoverage));
   config.Set("num_shards", Json::Int(opts.num_shards));
   config.Set("durability", Json::Bool(!opts.durability_dir.empty()));
   config.Set("memory_budget_mb", Json::Int(opts.memory_budget_mb));

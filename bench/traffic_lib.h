@@ -10,9 +10,9 @@
 // got free — so queueing delay under overload is visible instead of being
 // coordination-omitted away. Query popularity is Zipf-skewed with a
 // rotation knob (the drift phases rotate which queries are hot), update
-// edges are NURand-skewed, and a background controller mines the recorded
-// load (QueryLoadTracker) and submits kRetune ops so promote/demote runs
-// against live traffic.
+// edges are NURand-skewed, and the server's own tuner
+// (QueryServer::Options::tuning) mines the result-cache misses and submits
+// kRetune ops, so promote/demote runs against live traffic.
 //
 // Shaped as a library so tests/traffic_smoke_test.cc can run a tiny
 // configuration in-process and validate the emitted JSON.
@@ -57,12 +57,11 @@ struct TrafficOptions {
   double drift_qps = 800.0;
   double phase_sec = 2.0;
 
-  // Retune controller: every interval, decay the tracker, mine requirements
-  // at `coverage`, and submit a kRetune when the mined map changed.
-  double control_interval_ms = 150.0;
-  double coverage = 0.95;
-  double decay = 0.8;
-  int64_t min_tracked_queries = 32;  // don't retune off nearly-empty trackers
+  // The server's adaptive loop (sharded runs: every shard's). A 64-query
+  // pool behind the result cache misses mostly after publishes, far below
+  // the server default's min_misses, so the simulator ticks at 150 ms and
+  // mines from 32 decayed misses.
+  TuningOptions tuning{/*period_ms=*/150, /*min_misses=*/32};
 
   // 0: classic single QueryServer. >= 1: a ShardedQueryServer with that
   // many partitions (1 included, so "--shards 1" vs "--shards 4" compares

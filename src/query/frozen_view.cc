@@ -514,8 +514,7 @@ bool FrozenView::ValidateFrozenCandidate(FrozenScratch* s, NodeId node,
 
 std::vector<NodeId> FrozenView::Evaluate(const PathExpression& query,
                                          EvalStats* stats, bool validate,
-                                         FrozenScratch* scratch,
-                                         ThreadPool* validation_pool) const {
+                                         FrozenScratch* scratch) const {
   FrozenScratch* s = scratch != nullptr ? scratch : &ThreadScratch();
   s->PrepareForQuery(*this, query);
   EvalStats local;
@@ -558,43 +557,11 @@ std::vector<NodeId> FrozenView::Evaluate(const PathExpression& query,
     s->candidates_.insert(s->candidates_.end(), eb, ee);
   }
 
-  // --- validation: sequential, or fanned out over the pool ---------------
-  const int64_t num_candidates = static_cast<int64_t>(s->candidates_.size());
-  local.validated_candidates += num_candidates;
-  if (validation_pool != nullptr && validation_pool->num_threads() > 1 &&
-      num_candidates >= kParallelValidationThreshold) {
-    const int num_chunks = validation_pool->num_threads();
-    s->verdicts_.assign(static_cast<size_t>(num_candidates), 0);
-    std::vector<int64_t> chunk_visits(static_cast<size_t>(num_chunks), 0);
-    validation_pool->ParallelFor(
-        num_candidates, num_chunks,
-        [&](int chunk, int64_t begin, int64_t end) {
-          // Not ThreadScratch(): the calling thread runs a chunk too, while
-          // its own scratch still holds candidates_.
-          FrozenScratch chunk_scratch;
-          chunk_scratch.PrepareForQuery(*this, query);
-          for (int64_t c = begin; c < end; ++c) {
-            if (ValidateFrozenCandidate(
-                    &chunk_scratch, s->candidates_[static_cast<size_t>(c)],
-                    &chunk_visits[static_cast<size_t>(chunk)])) {
-              s->verdicts_[static_cast<size_t>(c)] = 1;
-            }
-          }
-        });
-    // Per-candidate visit counts are deterministic, so summing chunk
-    // subtotals reproduces the sequential total exactly.
-    for (int64_t v : chunk_visits) local.data_nodes_visited += v;
-    for (int64_t c = 0; c < num_candidates; ++c) {
-      if (s->verdicts_[static_cast<size_t>(c)]) {
-        result.push_back(s->candidates_[static_cast<size_t>(c)]);
-      }
-    }
-  } else {
-    for (int64_t c = 0; c < num_candidates; ++c) {
-      const NodeId member = s->candidates_[static_cast<size_t>(c)];
-      if (ValidateFrozenCandidate(s, member, &local.data_nodes_visited)) {
-        result.push_back(member);
-      }
+  // --- validation -------------------------------------------------------
+  local.validated_candidates += static_cast<int64_t>(s->candidates_.size());
+  for (NodeId member : s->candidates_) {
+    if (ValidateFrozenCandidate(s, member, &local.data_nodes_visited)) {
+      result.push_back(member);
     }
   }
 
@@ -698,8 +665,7 @@ std::vector<std::vector<NodeId>> FrozenView::EvaluateBatch(
     for (int64_t i = begin; i < end; ++i) {
       EvalStats st;
       results[static_cast<size_t>(i)] =
-          Evaluate(*queries[static_cast<size_t>(i)], &st, validate,
-                   /*scratch=*/nullptr, /*validation_pool=*/nullptr);
+          Evaluate(*queries[static_cast<size_t>(i)], &st, validate);
       if (stats != nullptr) (*stats)[static_cast<size_t>(i)] = st;
     }
   };

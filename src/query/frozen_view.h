@@ -79,10 +79,6 @@ struct FrozenMemoryStats {
 // stay bit-identical, trading decode CPU for a ~3× smaller resident index.
 class FrozenView {
  public:
-  // Candidate count at or above which Evaluate fans uncertain-extent
-  // validation out over the thread pool (when one is given).
-  static constexpr int64_t kParallelValidationThreshold = 64;
-
   // EvaluateBatch caps its lane count so each lane gets at least this many
   // queries — fanning a tiny batch over many lanes costs more in wake-up
   // latency than the parallelism returns.
@@ -150,15 +146,11 @@ class FrozenView {
   // smaller work otherwise. Without a `scratch` the calling thread's own
   // thread-local scratch is used, so traversal state and compiled tables
   // are reused across calls and views; pass one only to isolate a caller's
-  // state (one scratch serves one thread). With `validation_pool` set and
-  // at least kParallelValidationThreshold uncertain candidates, their
-  // validation fans out over the pool (results stay deterministic; the pool
-  // must not be running another job).
+  // state (one scratch serves one thread).
   std::vector<NodeId> Evaluate(const PathExpression& query,
                                EvalStats* stats = nullptr,
                                bool validate = true,
-                               FrozenScratch* scratch = nullptr,
-                               ThreadPool* validation_pool = nullptr) const;
+                               FrozenScratch* scratch = nullptr) const;
 
   // Ground-truth evaluation on the frozen data graph, equivalent to
   // EvaluateOnDataGraph: the NFA product-BFS over the data graph, never
@@ -392,9 +384,10 @@ class FrozenScratch {
   std::vector<int32_t> pf_cur_;
   std::vector<int32_t> pf_next_;
 
-  // Uncertain-extent candidates of the current query (parallel validation).
+  // Uncertain-extent candidates of the current query, collected before any
+  // is validated: on a budgeted view validation decodes rows into the same
+  // block cache that holds the extent row.
   std::vector<NodeId> candidates_;
-  std::vector<uint8_t> verdicts_;
 
   // Decoded-block cache for budgeted views (keyed per view, so one scratch
   // can serve successive snapshots without staleness).

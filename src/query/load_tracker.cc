@@ -50,10 +50,16 @@ void QueryLoadTracker::Decay(double factor) {
   // reflected and erased weight can never be counted again.
 }
 
-LabelRequirements QueryLoadTracker::MineRequirements(double coverage) const {
+LabelRequirements QueryLoadTracker::MineRequirements(
+    double coverage, const LabelRequirements* held) const {
   DKI_CHECK_GT(coverage, 0.0);
   DKI_CHECK_LE(coverage, 1.0);
   LabelRequirements reqs;
+  auto held_k = [held](LabelId label) {
+    if (held == nullptr) return 0;
+    auto it = held->find(label);
+    return it == held->end() ? 0 : it->second;
+  };
   for (const auto& [label, buckets] : per_label_) {
     double total = 0;
     for (const auto& [k, count] : buckets) total += count;
@@ -66,30 +72,35 @@ LabelRequirements QueryLoadTracker::MineRequirements(double coverage) const {
       chosen = k;
       if (cumulative / total >= coverage) break;
     }
+    // Rise at once; fall only once the requirements below the held one
+    // clearly cover the goal.
+    const int kept = held_k(label);
+    if (chosen < kept) {
+      double below = 0;
+      for (const auto& [k, count] : buckets) {
+        if (k < kept) below += count / total;
+      }
+      if (below < coverage + kHoldStandardErrors *
+                                 std::sqrt(coverage * (1 - coverage) / total)) {
+        chosen = kept;
+      }
+    }
     if (chosen > 0) reqs[label] = chosen;
   }
   return reqs;
 }
 
-QueryLoadTracker::TuningPlan QueryLoadTracker::Advise(
-    const DkIndex& index, double coverage) const {
-  TuningPlan plan;
-  plan.target = MineRequirements(coverage);
-  for (const auto& [label, k] : plan.target) {
-    if (k > index.effective_requirement(label)) {
-      plan.promotions[label] = k;
-    }
+int64_t QueryLoadTracker::TrafficChangedBetween(
+    const LabelRequirements& a, const LabelRequirements& b) const {
+  int64_t changed = 0;
+  for (const auto& [label, k] : a) {
+    auto it = b.find(label);
+    if (it == b.end() || it->second != k) changed += label_traffic(label);
   }
-  // Labels the index refines beyond the mined need (including labels with
-  // no recorded traffic at all but a positive requirement).
-  for (LabelId l = 0; l < index.graph().labels().size(); ++l) {
-    int current = index.effective_requirement(l);
-    if (current <= 0) continue;
-    auto it = plan.target.find(l);
-    int needed = it == plan.target.end() ? 0 : it->second;
-    if (needed < current) plan.demotable[l] = needed;
+  for (const auto& [label, k] : b) {
+    if (a.count(label) == 0) changed += label_traffic(label);
   }
-  return plan;
+  return changed;
 }
 
 }  // namespace dki

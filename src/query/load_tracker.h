@@ -22,8 +22,9 @@ namespace dki {
 // traffic sound on the index — rare deep queries then pay validation rather
 // than inflating the summary for everyone.
 //
-// Feeding the result into DkIndex::PromoteBatch / Demote (see Advise) keeps
-// the index tracking a drifting workload.
+// QueryServer's tuner feeds mined requirements back as retunes
+// (DkIndex::PromoteBatch + Demote), keeping the index tracking a drifting
+// workload.
 class QueryLoadTracker {
  public:
   explicit QueryLoadTracker(LoadAnalyzerOptions options = {})
@@ -66,19 +67,23 @@ class QueryLoadTracker {
 
   // The smallest per-label requirements covering at least `coverage` of
   // each label's traffic (coverage in (0, 1]; 1.0 = the paper's rule).
-  LabelRequirements MineRequirements(double coverage) const;
+  //
+  // Given `held` (the requirements in force; absent labels hold 0), a
+  // label's requirement rises as soon as its held value covers less than
+  // `coverage` of its traffic, but falls only once the requirements below
+  // the held one cover more than `coverage` by over kHoldStandardErrors
+  // standard errors of the label's coverage estimate. Noise near the goal
+  // can then raise a label a step, never drop it back, so a retune loop
+  // cannot flap between two maps. A held label without recorded traffic
+  // (never queried, or decayed away) covers nothing and falls to 0.
+  static constexpr double kHoldStandardErrors = 3.0;
+  LabelRequirements MineRequirements(
+      double coverage, const LabelRequirements* held = nullptr) const;
 
-  // A tuning plan against a live index: `promotions` lists labels whose
-  // mined requirement exceeds the index's current effective requirement
-  // (apply with PromoteBatch); `demotable` lists labels the index refines
-  // beyond what the load needs. `target` is the full mined requirement map
-  // (apply with Demote to shrink).
-  struct TuningPlan {
-    LabelRequirements target;
-    LabelRequirements promotions;
-    LabelRequirements demotable;
-  };
-  TuningPlan Advise(const DkIndex& index, double coverage) const;
+  // Recorded executions targeting labels whose requirement differs between
+  // `a` and `b` (absent labels count as 0).
+  int64_t TrafficChangedBetween(const LabelRequirements& a,
+                                const LabelRequirements& b) const;
 
  private:
   LoadAnalyzerOptions options_;

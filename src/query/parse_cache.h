@@ -50,7 +50,10 @@ class ParseCache {
   // The cached (or freshly parsed) expression for `text` compiled against
   // `labels`, or null with *parse_error set (when given) if the text does
   // not parse. Entries compiled against an older label-table size are
-  // re-parsed in place (keeping their LRU slot).
+  // re-parsed in place (keeping their LRU slot). A miss parses outside the
+  // lock; when concurrent misses on one text race, the first insert wins
+  // and every caller gets an equal expression. Each call counts as exactly
+  // one hit or one miss.
   std::shared_ptr<const PathExpression> Get(const std::string& text,
                                             const LabelTable& labels,
                                             std::string* parse_error);

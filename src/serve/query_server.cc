@@ -3,14 +3,34 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <unordered_map>
 #include <utility>
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "io/fs_util.h"
+#include "query/load_tracker.h"
 #include "serve/apply.h"
 
 namespace dki {
+namespace {
+
+// Hands the pages of blocks the allocator keeps after free() back to the
+// OS. A retune builds a new master index, refinement trace, snapshot index
+// and frozen view while the old ones live; glibc keeps the replaced ones
+// resident in the writer's arena, where the readers' allocations cannot
+// reuse them.
+void ReleaseFreePages() {
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
+}
+
+}  // namespace
 
 QueryServer::QueryServer(const DkIndex& source, Options options)
     : options_(options),
@@ -21,6 +41,10 @@ QueryServer::QueryServer(const DkIndex& source, Options options)
       cache_(ResultCache::Options{options.cache_byte_budget}) {
   if (!options_.durability.dir.empty()) InitDurability();
   Publish();  // readers have a snapshot before the writer even starts
+  if (options_.tuning.period_ms > 0) {
+    tuner_ = std::thread(&QueryServer::TunerLoop, this,
+                         master_.effective_requirements());
+  }
   writer_ = std::thread(&QueryServer::WriterLoop, this);
   if (wal_ != nullptr) {
     checkpointer_ = std::thread(&QueryServer::CheckpointerLoop, this);
@@ -131,6 +155,7 @@ std::optional<std::vector<NodeId>> QueryServer::Serve(
   const FrozenView& view = held->frozen();
   result = view.Evaluate(*query, stats, options_.validate);
   cache_.Put(key, view.epoch(), result);
+  RecordMiss(std::move(query));
   return result;
 }
 
@@ -207,10 +232,136 @@ std::vector<std::optional<std::vector<NodeId>>> QueryServer::EvaluateBatchOn(
   }
   for (size_t j = 0; j < miss_queries.size(); ++j) {
     cache_.Put(miss_keys[j], view.epoch(), miss_results[j]);
+    RecordMiss(std::move(miss_exprs[j]));
     if (stats != nullptr) (*stats)[miss_slots[j]] = miss_stats[j];
     results[miss_slots[j]] = std::move(miss_results[j]);
   }
   return results;
+}
+
+void QueryServer::RecordMiss(
+    std::shared_ptr<const PathExpression> query) const {
+  if (options_.tuning.period_ms <= 0) return;
+  MissStripe& stripe = miss_stripes_[static_cast<size_t>(
+      metrics_internal::ThisThreadStripe())];
+  bool kept = false;
+  {
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    kept = stripe.queries.size() < kMissesPerStripe;
+    if (kept) {
+      stripe.queries.push_back(std::move(query));
+      ++stripe.recorded;
+    } else {
+      ++stripe.dropped;
+    }
+  }
+  if (kept) {
+    DKI_METRIC_COUNTER("serve.tuner.recorded_misses").Increment();
+  } else {
+    DKI_METRIC_COUNTER("serve.tuner.dropped_misses").Increment();
+  }
+}
+
+void QueryServer::TunerLoop(std::vector<int> initial_requirements) {
+  QueryLoadTracker tracker;
+  // The requirements in force: the source index's, until the tuner's own.
+  LabelRequirements last_submitted;
+  for (size_t label = 0; label < initial_requirements.size(); ++label) {
+    if (initial_requirements[label] > 0) {
+      last_submitted[static_cast<LabelId>(label)] =
+          initial_requirements[label];
+    }
+  }
+  // The misses each label of last_submitted carried when the tuner
+  // submitted it (0 for the source index's labels).
+  std::unordered_map<LabelId, int64_t> submitted_traffic;
+  std::vector<std::shared_ptr<const PathExpression>> drained;
+  // Misses seen (buffered or dropped), decayed like the tracker: a single
+  // stripe's buffer caps what the tracker keeps, not what reaches
+  // min_misses.
+  double seen = 0;
+  int64_t seen_counted = 0;  // the stripes' recorded + dropped last tick
+  bool trim_due = false;
+  while (WaitBackgroundTick(std::chrono::milliseconds(
+      options_.tuning.period_ms))) {
+    DKI_METRIC_COUNTER("serve.tuner.ticks").Increment();
+    // By now readers have let go of what the last retune replaced.
+    if (std::exchange(trim_due, false)) ReleaseFreePages();
+    int64_t seen_now = 0;
+    for (MissStripe& stripe : miss_stripes_) {
+      std::lock_guard<std::mutex> lock(stripe.mu);
+      drained.insert(drained.end(),
+                     std::make_move_iterator(stripe.queries.begin()),
+                     std::make_move_iterator(stripe.queries.end()));
+      stripe.queries.clear();
+      seen_now += stripe.recorded + stripe.dropped;
+    }
+    const int64_t seen_new = seen_now - std::exchange(seen_counted, seen_now);
+    seen = seen * TuningOptions::kDecay + static_cast<double>(seen_new);
+    tracker.Decay(TuningOptions::kDecay);
+    {
+      // Every expression was parsed against this label table or a prefix
+      // of it (the writer only appends labels).
+      const std::shared_ptr<const IndexSnapshot> snap = snapshot();
+      for (const auto& query : drained) {
+        tracker.Record(*query, snap->graph().labels());
+      }
+    }
+    drained.clear();
+    if (seen < static_cast<double>(options_.tuning.min_misses)) continue;
+    LabelRequirements mined =
+        tracker.MineRequirements(TuningOptions::kCoverage, &last_submitted);
+    // An explicit retune since the last auto-retune is left alone until the
+    // traffic moves the mined map, and a move only counts once the labels
+    // it changes carry the traffic share coverage leaves to validation
+    // anyway: a trickle of rarely queried labels is not worth a
+    // re-partition. A label whose misses decayed away counts with the
+    // misses it carried when submitted, so a label raised by a few misses
+    // (or held from the source index) falls only alongside a larger move,
+    // not on its own. No changed traffic means no evidence at all, e.g.
+    // misses on labels the graph does not have.
+    int64_t changed = tracker.TrafficChangedBetween(mined, last_submitted);
+    for (const auto& [label, k] : last_submitted) {
+      if (tracker.label_traffic(label) == 0) {
+        changed += submitted_traffic[label];
+      }
+    }
+    if (changed == 0 || static_cast<double>(changed) <
+                            (1 - TuningOptions::kCoverage) *
+                                static_cast<double>(tracker.total_queries())) {
+      continue;
+    }
+    if (!SubmitRetune(mined, /*shrink=*/true)) continue;
+    last_submitted = std::move(mined);
+    submitted_traffic.clear();
+    for (const auto& [label, k] : last_submitted) {
+      submitted_traffic[label] = tracker.label_traffic(label);
+    }
+    DKI_METRIC_COUNTER("serve.tuner.retunes").Increment();
+    // Wait for the snapshot that publishes the retune (the writer runs
+    // until Stop has joined this thread) and log its size. `submitted`
+    // counts every op queued ahead of the retune, and maybe concurrent
+    // Submits that roll back — hence the min with the live count.
+    {
+      std::unique_lock<std::mutex> lock(state_mu_);
+      ++auto_retunes_;
+      const int64_t submitted = accepted_;
+      state_cv_.wait(lock, [&] {
+        return applied_published_ >= std::min(submitted, accepted_);
+      });
+    }
+    const int64_t nodes = snapshot()->frozen().num_index_nodes();
+    DKI_METRIC_HISTOGRAM("serve.tuner.index_nodes").Record(nodes);
+    trim_due = true;
+    std::lock_guard<std::mutex> lock(state_mu_);
+    tuner_last_index_nodes_ = nodes;
+  }
+}
+
+bool QueryServer::WaitBackgroundTick(std::chrono::milliseconds period) {
+  std::unique_lock<std::mutex> lock(background_mu_);
+  background_cv_.wait_for(lock, period, [&] { return background_stop_; });
+  return !background_stop_;
 }
 
 bool QueryServer::SubmitAddEdge(NodeId u, NodeId v) {
@@ -320,16 +471,16 @@ void QueryServer::Stop() {
     if (stopped_) return;
     stopped_ = true;
   }
+  {
+    std::lock_guard<std::mutex> lock(background_mu_);
+    background_stop_ = true;
+  }
+  background_cv_.notify_all();
+  // The tuner goes first: once the queue is closed it must submit nothing.
+  if (tuner_.joinable()) tuner_.join();
   queue_.Close();  // writer drains the remainder, publishes, and exits
   if (writer_.joinable()) writer_.join();
-  if (checkpointer_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(ckpt_wake_mu_);
-      ckpt_stop_ = true;
-    }
-    ckpt_wake_cv_.notify_all();
-    checkpointer_.join();
-  }
+  if (checkpointer_.joinable()) checkpointer_.join();
   // Clean shutdown leaves a checkpoint of the final state and an empty log
   // tail, so the next start (or a recovery) replays nothing.
   if (wal_ != nullptr) {
@@ -339,7 +490,7 @@ void QueryServer::Stop() {
 }
 
 QueryServer::Stats QueryServer::stats() const {
-  std::lock_guard<std::mutex> lock(state_mu_);
+  std::unique_lock<std::mutex> lock(state_mu_);
   Stats s;
   s.ops_accepted = accepted_;
   s.ops_rejected = rejected_full_ + rejected_closed_;
@@ -352,6 +503,14 @@ QueryServer::Stats QueryServer::stats() const {
   s.batches = batches_;
   s.publishes = publishes_;
   s.checkpoints = checkpoints_written_;
+  s.auto_retunes = auto_retunes_;
+  s.tuner_last_index_nodes = tuner_last_index_nodes_;
+  lock.unlock();
+  for (MissStripe& stripe : miss_stripes_) {
+    std::lock_guard<std::mutex> stripe_lock(stripe.mu);
+    s.tuner_recorded_misses += stripe.recorded;
+    s.tuner_dropped_misses += stripe.dropped;
+  }
   return s;
 }
 
@@ -419,6 +578,7 @@ void QueryServer::WriterLoop() {
           continue;
         }
         ScopedTimer op_timer(&DKI_METRIC_TIMER("serve.writer.op"));
+        if (batch[i].kind != UpdateOp::Kind::kRetune) graph_changed_ = true;
         if (!ApplyUpdateOp(&master_, batch[i])) {
           std::lock_guard<std::mutex> lock(state_mu_);
           ++invalid_;
@@ -453,12 +613,7 @@ void QueryServer::CheckpointerLoop() {
                                         : d.checkpoint_interval_ms,
                                     d.checkpoint_interval_ms)));
   auto last_checkpoint = std::chrono::steady_clock::now();
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(ckpt_wake_mu_);
-      ckpt_wake_cv_.wait_for(lock, tick, [&] { return ckpt_stop_; });
-      if (ckpt_stop_) return;
-    }
+  while (WaitBackgroundTick(tick)) {
     // Time-based side of the group-commit policy: ops the writer appended
     // but did not sync become durable once they are sync_interval_ms old,
     // even if the writer has gone idle since.
@@ -488,8 +643,13 @@ void QueryServer::Publish() {
     ScopedTimer timer(&DKI_METRIC_TIMER("serve.writer.republish"));
     ScopedLatency latency(
         &DKI_METRIC_HISTOGRAM("serve.writer.republish.latency"));
+    // A batch of retunes only leaves the graph as published: share it.
+    std::shared_ptr<const DataGraph> graph =
+        graph_changed_ ? std::make_shared<const DataGraph>(master_graph_)
+                       : snapshot_->shared_graph();
+    graph_changed_ = false;
     next = std::make_shared<const IndexSnapshot>(
-        master_graph_, master_.index(), master_.effective_requirements(),
+        std::move(graph), master_.index(), master_.effective_requirements(),
         seq_, options_.frozen);
   }
   {

@@ -1,7 +1,9 @@
 #ifndef DKINDEX_SERVE_QUERY_SERVER_H_
 #define DKINDEX_SERVE_QUERY_SERVER_H_
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -12,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "graph/data_graph.h"
 #include "index/dk_index.h"
@@ -25,6 +28,30 @@
 #include "serve/wal.h"
 
 namespace dki {
+
+// The server's adaptive loop (QueryServer::Options::tuning), the D(k)
+// promote/demote cycle of Sections 5.3-5.4 run against live traffic. The
+// defaults were chosen on servebench (EXPERIMENTS.md, "The adaptive loop"):
+// read_wide's first retune lands inside the 1 s warm-up, while read_hot's
+// start-up misses and write_mix's post-publish misses stay below
+// min_misses.
+struct TuningOptions {
+  // Tick period of the tuner thread; 0 turns the loop off (no thread, and
+  // misses are not recorded).
+  int64_t period_ms = 100;
+  // A tick mines only once the decayed count of misses seen (buffered or
+  // dropped; about the misses of the last 1 / (1 - kDecay) periods)
+  // reaches this: the first retune then rests on enough misses to stand,
+  // and the misses that warm a small hot set's result cache never retune.
+  int64_t min_misses = 3000;
+
+  // Fraction of each label's recorded miss traffic the mined requirements
+  // make sound (QueryLoadTracker::MineRequirements).
+  static constexpr double kCoverage = 0.95;
+  // Weight each tick keeps of the misses seen before it
+  // (QueryLoadTracker::Decay).
+  static constexpr double kDecay = 0.8;
+};
 
 // Snapshot-isolated concurrent serving of a D(k)-index (the ROADMAP's
 // "heavy traffic" story): any number of reader threads answer queries
@@ -60,6 +87,24 @@ namespace dki {
 //     is probed before parsing, at the epoch Publish stored last, and
 //     answers as of the snapshot that was current at that load; only a
 //     miss takes snapshot(), the parse cache and the evaluator.
+//   * Adaptive tuning (Options::tuning, on by default): every result-cache
+//     MISS appends its parsed expression to a bounded per-thread-stripe
+//     buffer (hits record nothing). A tuner thread drains the buffers each
+//     period into a QueryLoadTracker, decays it, and mines coverage-aware
+//     per-label requirements against the last map the tuner itself
+//     submitted (at first, the source index's requirements): a label rises
+//     as soon as its misses need it, falls only on evidence beyond
+//     sampling noise, and falls to 0 once its misses have decayed away
+//     (QueryLoadTracker::MineRequirements). When the mined map moves on
+//     labels carrying at least 1 - kCoverage of the recorded misses (a
+//     label whose misses decayed away counts with those it carried when
+//     the tuner submitted it), the tuner submits it as a shrink
+//     SubmitRetune. Auto-retunes are thus ordinary kRetune ops: ordered
+//     with updates, WAL-logged and replayed on recovery. An explicit
+//     SubmitRetune is an operator override: the tuner never re-asserts an
+//     unchanged mined map over it and acts again only once the traffic's
+//     mined map moves. Answers are unaffected — a retune only changes
+//     which extents Theorem 1 certifies and which need validation.
 //   * Durability (opt-in via Options::durability.dir): every op the writer
 //     applies is first appended to a write-ahead log (serve/wal.h) and a
 //     background checkpointer periodically persists the newest published
@@ -98,6 +143,9 @@ class QueryServer {
     // arrays with bit-identical answers at a fraction of the resident
     // memory.
     FrozenViewOptions frozen;
+    // The adaptive loop: mines result-cache misses and retunes the index
+    // through the update pipeline. period_ms = 0 pins the index.
+    TuningOptions tuning;
   };
 
   // Forks a private master from `source` (deep copy; `source` is not
@@ -169,8 +217,9 @@ class QueryServer {
   // index to the mined per-label targets and, when `shrink` is set, demotes
   // refinement the targets no longer require. Flows through the same
   // queue/WAL pipeline as structural updates, so retunes are ordered with
-  // them, durable, and replayed on recovery. Typical source of `targets` is
-  // QueryLoadTracker::MineRequirements over recent traffic.
+  // them, durable, and replayed on recovery. The server's own tuner submits
+  // these from mined misses; an explicit call overrides it until the mined
+  // requirements move (see the class comment).
   bool SubmitRetune(LabelRequirements targets, bool shrink = true);
 
   // Blocks until every op accepted so far has been applied AND published
@@ -189,9 +238,10 @@ class QueryServer {
   // serialized with the background checkpointer.
   bool CheckpointNow();
 
-  // Graceful shutdown: rejects new submissions, drains the queue, publishes
-  // the final state, joins the writer. Idempotent; the read path stays
-  // usable afterwards. Called by the destructor.
+  // Graceful shutdown: joins the tuner (so it submits nothing afterwards),
+  // rejects new submissions, drains the queue, publishes the final state,
+  // joins the writer. Idempotent; the read path stays usable afterwards.
+  // Called by the destructor.
   void Stop();
 
   struct Stats {
@@ -211,6 +261,13 @@ class QueryServer {
     int64_t batches = 0;        // writer batches (== republishes after init)
     int64_t publishes = 0;      // snapshots published, including the initial
     int64_t checkpoints = 0;    // checkpoints written (incl. the initial one)
+    // The tuner: retunes it submitted, misses it buffered and misses it
+    // dropped because their stripe's buffer was full, and the index-node
+    // count of the snapshot that published its latest retune.
+    int64_t auto_retunes = 0;
+    int64_t tuner_recorded_misses = 0;
+    int64_t tuner_dropped_misses = 0;
+    int64_t tuner_last_index_nodes = 0;
   };
   Stats stats() const;
 
@@ -238,6 +295,13 @@ class QueryServer {
   void InitDurability();
   // Checkpoints `snap` and truncates the log. Serialized by checkpoint_mu_.
   bool WriteCheckpoint(const IndexSnapshot& snap);
+  // Appends a result-cache miss's expression to this thread's stripe of
+  // the tuner's buffer (no-op with tuning off).
+  void RecordMiss(std::shared_ptr<const PathExpression> query) const;
+  // The tuner thread; `initial_requirements` are the source index's.
+  void TunerLoop(std::vector<int> initial_requirements);
+  // Waits one background-thread period; false once Stop asked them to end.
+  bool WaitBackgroundTick(std::chrono::milliseconds period);
 
   const Options options_;
 
@@ -247,6 +311,9 @@ class QueryServer {
   DkIndex master_;
   // Next WAL record gets seq_ + 1; writer thread only (after construction).
   uint64_t seq_ = 0;
+  // Whether master_graph_ may differ from the published snapshot's graph
+  // (writer thread only): retune-only batches republish sharing it.
+  bool graph_changed_ = true;
 
   UpdateQueue queue_;
   mutable ResultCache cache_;
@@ -300,17 +367,33 @@ class QueryServer {
   int64_t batches_ = 0;
   int64_t publishes_ = 0;
   int64_t checkpoints_written_ = 0;
+  int64_t auto_retunes_ = 0;
+  int64_t tuner_last_index_nodes_ = 0;
 
   std::thread writer_;
   bool stopped_ = false;  // guarded by state_mu_
 
-  // Background checkpointer (durability only): ticks every
+  // The tuner's miss buffers, striped like the metric cells so readers on
+  // different cores take different locks; each holds at most
+  // kMissesPerStripe expressions between two ticks.
+  static constexpr size_t kMissesPerStripe = 512;
+  struct alignas(metrics_internal::kCacheLine) MissStripe {
+    std::mutex mu;
+    std::vector<std::shared_ptr<const PathExpression>> queries;  // by mu
+    int64_t recorded = 0;                                        // by mu
+    int64_t dropped = 0;                                         // by mu
+  };
+  mutable std::array<MissStripe, kMetricStripes> miss_stripes_;
+
+  // Background threads, woken early only by Stop: the tuner (tuning on) and
+  // the checkpointer (durability only), which ticks every
   // min(sync_interval, checkpoint_interval) to enforce the time-based fsync
   // policy and write due checkpoints.
+  std::mutex background_mu_;
+  std::condition_variable background_cv_;
+  bool background_stop_ = false;  // guarded by background_mu_
+  std::thread tuner_;
   std::thread checkpointer_;
-  std::mutex ckpt_wake_mu_;
-  std::condition_variable ckpt_wake_cv_;
-  bool ckpt_stop_ = false;  // guarded by ckpt_wake_mu_
 };
 
 }  // namespace dki

@@ -2,6 +2,7 @@
 #define DKINDEX_SERVE_SNAPSHOT_H_
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -18,24 +19,28 @@ namespace dki {
 // after construction, and the shared_ptr keeps it alive for as long as any
 // reader holds it, across any number of republishes.
 //
-// Both members are deep copies; readers holding a snapshot are therefore
-// fully isolated from the writer's private master, which keeps mutating.
+// Both members are copies; readers holding a snapshot are therefore fully
+// isolated from the writer's private master, which keeps mutating.
+// Consecutive snapshots share one immutable graph copy when the writer's
+// batch left the graph untouched (a retune).
 class IndexSnapshot {
  public:
-  // Deep-copies `graph` and `index`, rebinding the index copy onto the
-  // graph copy. `index.graph()` must be `graph`. `effective_requirements`
-  // and `seq` carry the durability metadata the background checkpointer
-  // needs to persist this state without touching the writer's master: the
-  // per-label requirements (part of the SaveDkIndex format) and the
-  // write-ahead-log sequence number of the last op the snapshot includes.
-  // `frozen_options` selects the frozen view's storage tier (flat by
-  // default; memory-budgeted/out-of-core when a budget is set).
-  IndexSnapshot(const DataGraph& graph, const IndexGraph& index,
-                std::vector<int> effective_requirements = {},
-                uint64_t seq = 0,
-                const FrozenViewOptions& frozen_options = {})
-      : graph_(graph),
-        index_(index.CloneOnto(&graph_)),
+  // Shares `graph`, an immutable copy equal to `index.graph()` (the writer
+  // hands the previous snapshot's copy on when a batch left the graph
+  // untouched), and deep-copies `index`, rebinding the copy onto `graph`.
+  // `effective_requirements` and `seq` carry the durability metadata the
+  // background checkpointer needs to persist this state without touching
+  // the writer's master: the per-label requirements (part of the
+  // SaveDkIndex format) and the write-ahead-log sequence number of the last
+  // op the snapshot includes. `frozen_options` selects the frozen view's
+  // storage tier (flat by default; memory-budgeted/out-of-core when a
+  // budget is set).
+  IndexSnapshot(std::shared_ptr<const DataGraph> graph,
+                const IndexGraph& index,
+                std::vector<int> effective_requirements, uint64_t seq,
+                const FrozenViewOptions& frozen_options)
+      : graph_(std::move(graph)),
+        index_(index.CloneOnto(graph_.get())),
         frozen_(index_, frozen_options),
         effective_requirements_(std::move(effective_requirements)),
         seq_(seq) {}
@@ -43,7 +48,10 @@ class IndexSnapshot {
   IndexSnapshot(const IndexSnapshot&) = delete;
   IndexSnapshot& operator=(const IndexSnapshot&) = delete;
 
-  const DataGraph& graph() const { return graph_; }
+  const DataGraph& graph() const { return *graph_; }
+  const std::shared_ptr<const DataGraph>& shared_graph() const {
+    return graph_;
+  }
   const IndexGraph& index() const { return index_; }
 
   // The flat-memory read path over this snapshot (query/frozen_view.h):
@@ -66,7 +74,7 @@ class IndexSnapshot {
   }
 
  private:
-  DataGraph graph_;   // declared first: index_ is rebound onto it
+  std::shared_ptr<const DataGraph> graph_;  // first: index_ is rebound onto it
   IndexGraph index_;
   FrozenView frozen_;  // declared after index_: frozen from it
   std::vector<int> effective_requirements_;

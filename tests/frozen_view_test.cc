@@ -244,43 +244,6 @@ TEST(FrozenViewTest, BatchMatchesSequentialAcrossThreadCounts) {
   }
 }
 
-TEST(FrozenViewTest, ParallelValidationMatchesSequential) {
-  // A(0) leaves every non-depth-0 match uncertain, so a multi-label chain
-  // pushes hundreds of candidates through validation — well past
-  // kParallelValidationThreshold, exercising the in-query fan-out.
-  XmarkOptions opt;
-  opt.scale = 0.12;
-  DataGraph g = GenerateXmarkGraph(opt).graph;
-  AkIndex a0 = AkIndex::Build(&g, 0);
-  FrozenView view(a0.index(), ReferenceBackend());
-  ThreadPool pool(4);
-
-  std::vector<std::string> texts = MixedQueries(g, 19);
-  bool exercised_fanout = false;
-  FrozenScratch seq_scratch, par_scratch;
-  for (const std::string& text : texts) {
-    PathExpression query = testing_util::MustParse(text, g.labels());
-    EvalStats ref_stats, seq_stats, par_stats;
-    std::vector<NodeId> ref = EvaluateOnIndex(a0.index(), query, &ref_stats);
-    std::vector<NodeId> seq =
-        view.Evaluate(query, &seq_stats, /*validate=*/true, &seq_scratch);
-    std::vector<NodeId> par = view.Evaluate(query, &par_stats,
-                                            /*validate=*/true, &par_scratch,
-                                            &pool);
-    EXPECT_EQ(ref, seq) << text;
-    EXPECT_EQ(ref, par) << text;
-    ExpectStatsEq(ref_stats, seq_stats, "seq " + text);
-    ExpectStatsEq(ref_stats, par_stats, "par " + text);
-    if (seq_stats.validated_candidates >=
-        FrozenView::kParallelValidationThreshold) {
-      exercised_fanout = true;
-    }
-  }
-  EXPECT_TRUE(exercised_fanout)
-      << "workload never crossed the parallel-validation threshold; "
-         "the fan-out path went untested";
-}
-
 TEST(FrozenViewTest, ScratchReusesAcrossViewsAndQueries) {
   // One scratch across different graphs, views, automaton sizes and label
   // universes: the per-query recompile key and the generation-stamped

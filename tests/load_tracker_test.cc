@@ -212,7 +212,75 @@ TEST_F(LoadTrackerTest, RegexQueriesAttributeToEndLabels) {
   EXPECT_EQ(reqs.at(c_), 2);
 }
 
-TEST(LoadTrackerAdviseTest, PlansPromotionsAndDemotions) {
+TEST_F(LoadTrackerTest, HeldRequirementRisesAtOnceAndFallsOnEvidence) {
+  QueryLoadTracker tracker;
+  Record(&tracker, "b.c", 960);    // k=1 covers 96%, just over the goal
+  Record(&tracker, "a.b.c", 40);
+  EXPECT_EQ(tracker.MineRequirements(0.95).at(c_), 1);
+  // Falling from a held k=2 needs k=1 to cover 95% plus 3 standard errors
+  // (~2.1% at 1000 misses): 96% is not enough.
+  const LabelRequirements held_two = {{c_, 2}};
+  EXPECT_EQ(tracker.MineRequirements(0.95, &held_two).at(c_), 2);
+  Record(&tracker, "b.c", 1000);  // now 98%: clear evidence
+  EXPECT_EQ(tracker.MineRequirements(0.95, &held_two).at(c_), 1);
+  // Rising needs no evidence margin: k=1 covering 94% is below the goal.
+  QueryLoadTracker short_of_goal;
+  Record(&short_of_goal, "b.c", 940);
+  Record(&short_of_goal, "a.b.c", 60);
+  const LabelRequirements held_one = {{c_, 1}};
+  EXPECT_EQ(short_of_goal.MineRequirements(0.95, &held_one).at(c_), 2);
+}
+
+TEST_F(LoadTrackerTest, HeldRequirementMovesOnClearEvidence) {
+  QueryLoadTracker tracker;
+  Record(&tracker, "b.c", 500);
+  Record(&tracker, "a.b.c", 500);
+  const LabelRequirements held = {{c_, 1}, {b_, 3}};
+  // c needs k=2 for half its traffic; b has no traffic and falls to 0.
+  const LabelRequirements want = {{c_, 2}};
+  EXPECT_EQ(tracker.MineRequirements(0.95, &held), want);
+  // A label held at 0 with all its traffic at k=0 stays out of the map.
+  Record(&tracker, "a", 100);
+  EXPECT_EQ(tracker.MineRequirements(0.95, &held).count(a_), 0u);
+}
+
+TEST_F(LoadTrackerTest, HeldRequirementFallsOnceItsTrafficDecaysAway) {
+  QueryLoadTracker tracker;
+  Record(&tracker, "a.b", 1000);
+  const LabelRequirements held = tracker.MineRequirements(0.95);
+  ASSERT_EQ(held, (LabelRequirements{{b_, 1}}));
+  // The traffic moves to another chain. While b's fading buckets remain,
+  // their small weight is no evidence for a fall and b holds.
+  for (int tick = 0; tick < 20; ++tick) {
+    tracker.Decay(0.8);
+    Record(&tracker, "b.c", 100);
+  }
+  ASSERT_GT(tracker.label_traffic(b_), 0);
+  EXPECT_EQ(tracker.MineRequirements(0.95, &held),
+            (LabelRequirements{{b_, 1}, {c_, 1}}));
+  // Once they decay away, b falls back to 0.
+  while (tracker.label_traffic(b_) > 0) {
+    tracker.Decay(0.8);
+    Record(&tracker, "b.c", 100);
+  }
+  EXPECT_EQ(tracker.MineRequirements(0.95, &held),
+            (LabelRequirements{{c_, 1}}));
+}
+
+TEST_F(LoadTrackerTest, TrafficChangedBetweenSumsMovedLabels) {
+  QueryLoadTracker tracker;
+  Record(&tracker, "b.c", 70);
+  Record(&tracker, "a.b", 30);
+  const LabelRequirements a = {{c_, 1}, {b_, 1}};
+  EXPECT_EQ(tracker.TrafficChangedBetween(a, a), 0);
+  EXPECT_EQ(tracker.TrafficChangedBetween(a, {{c_, 2}, {b_, 1}}), 70);
+  EXPECT_EQ(tracker.TrafficChangedBetween(a, {{c_, 1}}), 30);
+  EXPECT_EQ(tracker.TrafficChangedBetween({}, a), 100);
+}
+
+// Mined requirements drive DkIndex::PromoteBatch / Demote, the retune the
+// server's tuner submits.
+TEST(LoadTrackerRetuneTest, MinedPromotionsMakeDeepQueriesCertain) {
   Rng rng(401);
   DataGraph g = testing_util::RandomGraph(120, 4, 20, &rng);
   // Build an index for a shallow load, then record a deeper one.
@@ -231,24 +299,25 @@ TEST(LoadTrackerAdviseTest, PlansPromotionsAndDemotions) {
   ASSERT_FALSE(deep.empty());
   tracker.Record(testing_util::MustParse(deep, g.labels()), g.labels(), 10);
 
-  auto plan = tracker.Advise(dk, 1.0);
-  ASSERT_FALSE(plan.target.empty());
+  const LabelRequirements mined = tracker.MineRequirements(1.0);
+  ASSERT_FALSE(mined.empty());
   // The deep query's end label needs k=3, above anything the shallow index
-  // has, so it must appear in the promotions.
+  // has, so applying the mined map promotes it.
   PathExpression q = testing_util::MustParse(deep, g.labels());
   LabelId end = q.chain_labels().back();
-  ASSERT_TRUE(plan.promotions.count(end) > 0);
-  EXPECT_EQ(plan.promotions.at(end), 3);
+  ASSERT_TRUE(mined.count(end) > 0);
+  EXPECT_EQ(mined.at(end), 3);
+  EXPECT_LT(dk.effective_requirement(end), 3);
 
-  // Applying the plan makes the deep query sound without validation.
-  dk.PromoteBatch(plan.promotions);
+  // Applying it makes the deep query sound without validation.
+  dk.PromoteBatch(mined);
   EvalStats stats;
   EXPECT_EQ(EvaluateOnIndex(dk.index(), q, &stats),
             EvaluateOnDataGraph(g, q));
   EXPECT_EQ(stats.uncertain_index_nodes, 0);
 }
 
-TEST(LoadTrackerAdviseTest, DemotableListsOverRefinedLabels) {
+TEST(LoadTrackerRetuneTest, EmptyTrackerDemotesToTheLabelSplit) {
   Rng rng(409);
   DataGraph g = testing_util::RandomGraph(100, 4, 15, &rng);
   std::string query;
@@ -261,13 +330,15 @@ TEST(LoadTrackerAdviseTest, DemotableListsOverRefinedLabels) {
   LabelRequirements reqs =
       MineRequirementsFromText({query}, g.labels(), nullptr);
   DkIndex dk = DkIndex::Build(&g, reqs);
+  const PathExpression q = testing_util::MustParse(query, g.labels());
+  ASSERT_GT(dk.effective_requirement(q.chain_labels().back()), 0);
 
-  // Tracker sees nothing: everything refined is demotable.
+  // The tracker sees nothing: the mined map is empty, even against the
+  // index's own requirements, and demoting to it undoes all refinement.
   QueryLoadTracker tracker;
-  auto plan = tracker.Advise(dk, 1.0);
-  EXPECT_TRUE(plan.promotions.empty());
-  EXPECT_FALSE(plan.demotable.empty());
-  dk.Demote(plan.target);  // empty target: back to the label split
+  EXPECT_TRUE(tracker.MineRequirements(1.0).empty());
+  EXPECT_TRUE(tracker.MineRequirements(1.0, &reqs).empty());
+  dk.Demote(tracker.MineRequirements(1.0, &reqs));
   for (IndexNodeId i = 0; i < dk.index().NumIndexNodes(); ++i) {
     EXPECT_EQ(dk.index().k(i), 0);
   }

@@ -19,6 +19,7 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -832,6 +833,91 @@ TEST(DurableServerRaceTest, ReadersWriterAndCheckpointerRace) {
   EXPECT_EQ(EvaluateOnIndex(recovered->index(),
                             testing_util::MustParse(probe, rg.labels())),
             *served);
+}
+
+// ---------------------------------------------------------------------------
+// The adaptive tuner's retunes are ordinary kRetune records.
+// ---------------------------------------------------------------------------
+
+// Same partition and local similarities, node by node (block numbering may
+// differ).
+void ExpectSameIndex(const IndexGraph& a, const IndexGraph& b) {
+  ASSERT_EQ(a.graph().NumNodes(), b.graph().NumNodes());
+  ASSERT_EQ(a.NumIndexNodes(), b.NumIndexNodes());
+  std::vector<IndexNodeId> map(static_cast<size_t>(a.NumIndexNodes()),
+                               kInvalidNode);
+  for (NodeId n = 0; n < a.graph().NumNodes(); ++n) {
+    IndexNodeId& mapped = map[static_cast<size_t>(a.index_of(n))];
+    if (mapped == kInvalidNode) mapped = b.index_of(n);
+    ASSERT_EQ(mapped, b.index_of(n)) << "partition differs at node " << n;
+    ASSERT_EQ(a.k(a.index_of(n)), b.k(b.index_of(n))) << "node " << n;
+  }
+}
+
+TEST(CrashStateTest, AutoRetunesReplayFromTheLog) {
+  const DataGraph original = testing_util::BuildMovieGraph();
+  const std::vector<std::string> texts = {"director.movie.title",
+                                          "actor.movie.title"};
+  const std::string dir = FreshDir("auto_retune");
+  const std::string crashed = FreshDir("auto_retune_crashed");
+  std::vector<std::vector<NodeId>> served;
+  {
+    DataGraph g = original;
+    DkIndex dk = DkIndex::Build(&g, {});
+    QueryServer::Options options;
+    options.durability.dir = dir;
+    options.durability.sync_every_n = 1;
+    options.durability.checkpoint_interval_ms = 60000;  // keep it in the log
+    options.cache_byte_budget = 1;  // every query misses
+    options.tuning.period_ms = 2;
+    options.tuning.min_misses = 8;
+    QueryServer server(dk, options);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server.stats().tuner_last_index_nodes == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      for (const std::string& text : texts) server.Evaluate(text);
+    }
+    ASSERT_EQ(server.stats().auto_retunes, 1);
+    for (const std::string& text : texts) {
+      served.push_back(server.Evaluate(text).value());
+    }
+    // The crash image: the initial checkpoint plus a log whose records were
+    // each fsynced before they were applied. Stop would checkpoint them.
+    namespace fs = std::filesystem;
+    fs::copy(dir, crashed,
+             fs::copy_options::recursive | fs::copy_options::overwrite_existing);
+  }
+
+  DataGraph rg;
+  RecoveryStats stats;
+  std::string error;
+  std::optional<DkIndex> recovered =
+      RecoverDkIndex(crashed, &rg, &stats, &error);
+  ASSERT_TRUE(recovered.has_value()) << error;
+  EXPECT_EQ(stats.checkpoint_seq, 0u);
+  EXPECT_EQ(stats.replayed_ops, 1);
+  LabelRequirements reqs;
+  const std::vector<int>& eff = recovered->effective_requirements();
+  for (size_t l = 0; l < eff.size(); ++l) {
+    if (eff[l] > 0) reqs[static_cast<LabelId>(l)] = eff[l];
+  }
+  EXPECT_EQ(reqs[rg.labels().Find("title")], 2);  // the mined target
+  DataGraph fresh_graph = original;
+  DkIndex fresh = DkIndex::Build(&fresh_graph, reqs);
+  ExpectSameIndex(recovered->index(), fresh.index());
+
+  // A restart on the recovered state serves the same answers.
+  QueryServer::Options pinned;
+  pinned.tuning.period_ms = 0;
+  QueryServer restarted(*recovered, pinned);
+  for (size_t i = 0; i < texts.size(); ++i) {
+    EXPECT_EQ(EvaluateOnIndex(recovered->index(),
+                              testing_util::MustParse(texts[i], rg.labels())),
+              served[i])
+        << texts[i];
+    EXPECT_EQ(restarted.Evaluate(texts[i]).value(), served[i]) << texts[i];
+  }
 }
 
 }  // namespace

@@ -487,6 +487,27 @@ TEST(QueryServerTest, RetunePromotesThroughThePipeline) {
   EXPECT_EQ(server.stats().ops_invalid, 0);
 }
 
+TEST(QueryServerTest, RetuneOnlyBatchesShareThePublishedGraph) {
+  DataGraph g = testing_util::BuildMovieGraph();
+  DkIndex dk = DkIndex::Build(&g, {});
+  QueryServer server(dk);
+  const std::shared_ptr<const IndexSnapshot> before = server.snapshot();
+  const LabelId title = g.labels().Find("title");
+  ASSERT_TRUE(server.SubmitRetune({{title, 2}}, /*shrink=*/true));
+  server.Flush();
+  const std::shared_ptr<const IndexSnapshot> retuned = server.snapshot();
+  EXPECT_NE(retuned.get(), before.get());
+  EXPECT_EQ(retuned->shared_graph(), before->shared_graph());
+  EXPECT_EQ(&retuned->index().graph(), &retuned->graph());
+  // An edge op changes the graph: the next publish copies it.
+  const auto [u, v] = AnswerGrowingEdge(g);
+  ASSERT_TRUE(server.SubmitAddEdge(u, v));
+  server.Flush();
+  EXPECT_NE(server.snapshot()->shared_graph(), before->shared_graph());
+  EXPECT_TRUE(server.snapshot()->graph().HasEdge(u, v));
+  EXPECT_FALSE(before->graph().HasEdge(u, v));
+}
+
 TEST(QueryServerTest, RetuneShrinkDemotesAndKeepsAnswersExact) {
   DataGraph g = testing_util::BuildMovieGraph();
   DataGraph truth_graph = g;
@@ -528,8 +549,8 @@ TEST(QueryServerTest, RetuneWithInvalidLabelIsDroppedNotFatal) {
 }
 
 TEST(QueryServerTest, MinedRequirementsDriveRetune) {
-  // End-to-end shape of the traffic simulator's controller: record traffic,
-  // mine requirements, submit them, observe the promoted snapshot.
+  // The tuner's cycle by hand: record traffic, mine requirements, submit
+  // them, observe the promoted snapshot.
   DataGraph g = testing_util::BuildMovieGraph();
   DkIndex dk = DkIndex::Build(&g, {});
   QueryServer server(dk);
@@ -547,6 +568,236 @@ TEST(QueryServerTest, MinedRequirementsDriveRetune) {
     ASSERT_LT(static_cast<size_t>(label), eff.size());
     EXPECT_GE(eff[static_cast<size_t>(label)], k) << "label " << label;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The adaptive tuner (Options::tuning): result-cache misses mined into
+// WAL-logged retunes.
+// ---------------------------------------------------------------------------
+
+// Every query misses (a 1-byte result cache stores nothing) and the tuner
+// ticks every 2 ms.
+QueryServer::Options EagerTunerOptions() {
+  QueryServer::Options options;
+  options.cache_byte_budget = 1;
+  options.tuning.period_ms = 2;
+  options.tuning.min_misses = 8;
+  return options;
+}
+
+// Serves `texts` round-robin until `done()` holds; false after 10 s.
+template <typename Done>
+bool ServeUntil(const QueryServer& server,
+                const std::vector<std::string>& texts, Done done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    for (const std::string& text : texts) {
+      EXPECT_TRUE(server.Evaluate(text).has_value()) << text;
+    }
+  }
+  return true;
+}
+
+// Serves `texts` while the tuner ticks `ticks` more times.
+void ServeForTicks(const QueryServer& server,
+                   const std::vector<std::string>& texts, int ticks) {
+  Counter& tick_counter =
+      MetricsRegistry::Global().GetCounter("serve.tuner.ticks");
+  const int64_t target = tick_counter.value() + ticks;
+  EXPECT_TRUE(ServeUntil(server, texts,
+                         [&] { return tick_counter.value() >= target; }));
+}
+
+int EffectiveRequirement(const QueryServer& server, LabelId label) {
+  const std::shared_ptr<const IndexSnapshot> snap = server.snapshot();
+  const std::vector<int>& eff = snap->effective_requirements();
+  return static_cast<size_t>(label) < eff.size()
+             ? eff[static_cast<size_t>(label)]
+             : 0;
+}
+
+TEST(QueryServerTunerTest, CacheHitsRecordNothingAndNeverRetune) {
+  DataGraph g = testing_util::BuildMovieGraph();
+  DkIndex dk = DkIndex::Build(&g, {});
+  QueryServer::Options options;
+  options.tuning.period_ms = 2;
+  options.tuning.min_misses = 2;
+  QueryServer server(dk, options);
+  const std::vector<std::string> texts = {"director.movie.title"};
+  ServeForTicks(server, texts, 20);  // one miss, then only hits
+  const QueryServer::Stats s = server.stats();
+  EXPECT_EQ(server.cache_stats().misses, 1);
+  EXPECT_EQ(s.tuner_recorded_misses, 1);
+  EXPECT_EQ(s.tuner_dropped_misses, 0);
+  EXPECT_EQ(s.auto_retunes, 0);
+  EXPECT_EQ(s.ops_accepted, 0);
+}
+
+TEST(QueryServerTunerTest, StableTrafficRetunesOnceThenStaysPut) {
+  DataGraph g = testing_util::BuildMovieGraph();
+  DataGraph truth_graph = g;
+  DkIndex dk = DkIndex::Build(&g, {});
+  Counter& retunes =
+      MetricsRegistry::Global().GetCounter("serve.tuner.retunes");
+  const int64_t retunes_before = retunes.value();
+  const int64_t sizes_before = MetricsRegistry::Global()
+                                   .GetHistogram("serve.tuner.index_nodes")
+                                   .snapshot()
+                                   .count;
+  QueryServer server(dk, EagerTunerOptions());
+  const std::vector<std::string> texts = {"director.movie.title",
+                                          "actor.movie.title"};
+  ASSERT_TRUE(ServeUntil(server, texts, [&] {
+    return server.stats().tuner_last_index_nodes > 0;
+  }));
+  ServeForTicks(server, texts, 20);
+
+  const QueryServer::Stats s = server.stats();
+  EXPECT_EQ(s.auto_retunes, 1);
+  EXPECT_EQ(s.ops_applied, 1);
+  EXPECT_GT(s.tuner_recorded_misses, 0);
+  EXPECT_EQ(s.tuner_last_index_nodes,
+            server.snapshot()->index().NumIndexNodes());
+  EXPECT_EQ(retunes.value() - retunes_before, 1);
+  EXPECT_EQ(MetricsRegistry::Global()
+                    .GetHistogram("serve.tuner.index_nodes")
+                    .snapshot()
+                    .count -
+                sizes_before,
+            1);
+  // Both chains end at title two steps down: the mined map is {title: 2}.
+  EXPECT_EQ(EffectiveRequirement(server, truth_graph.labels().Find("title")),
+            2);
+  for (const std::string& text : texts) {
+    EXPECT_EQ(*server.Evaluate(text),
+              EvaluateOnDataGraph(truth_graph, testing_util::MustParse(
+                                                   text, truth_graph.labels())))
+        << text;
+  }
+}
+
+TEST(QueryServerTunerTest, ExplicitRetuneHoldsUntilTheTrafficMoves) {
+  DataGraph g = testing_util::BuildMovieGraph();
+  DkIndex dk = DkIndex::Build(&g, {});
+  QueryServer server(dk, EagerTunerOptions());
+  const LabelId title = g.labels().Find("title");
+  const std::vector<std::string> texts = {"director.movie.title"};
+  ASSERT_TRUE(ServeUntil(server, texts,
+                         [&] { return server.stats().auto_retunes == 1; }));
+
+  // The operator's override survives while the mined map stays {title: 2}.
+  ASSERT_TRUE(server.SubmitRetune({{title, 1}}, /*shrink=*/true));
+  server.Flush();
+  ServeForTicks(server, texts, 20);
+  EXPECT_EQ(EffectiveRequirement(server, title), 1);
+  EXPECT_EQ(server.stats().auto_retunes, 1);
+
+  // Deeper traffic moves the mined map to {title: 3}: the tuner acts again.
+  const std::vector<std::string> deeper = {"movieDB.director.movie.title"};
+  EXPECT_TRUE(ServeUntil(server, deeper, [&] {
+    return EffectiveRequirement(server, title) == 3 &&
+           server.stats().auto_retunes == 2;
+  }));
+}
+
+TEST(QueryServerTunerTest, MovedTrafficDemotesTheOldLabel) {
+  DataGraph g = testing_util::BuildMovieGraph();
+  DkIndex dk = DkIndex::Build(&g, {});
+  QueryServer server(dk, EagerTunerOptions());
+  const LabelId title = g.labels().Find("title");
+  const LabelId name = g.labels().Find("name");
+  ASSERT_TRUE(ServeUntil(server, {"director.movie.title"}, [&] {
+    return EffectiveRequirement(server, title) == 2;
+  }));
+  // The traffic moves to another chain: name rises at once, and title falls
+  // back to 0 once its misses have decayed away.
+  EXPECT_TRUE(ServeUntil(server, {"actor.name"}, [&] {
+    return EffectiveRequirement(server, name) == 1 &&
+           EffectiveRequirement(server, title) == 0;
+  }));
+  EXPECT_GE(server.stats().auto_retunes, 2);
+}
+
+TEST(QueryServerTunerTest, MissesWithoutIndexedLabelsNeverRetune) {
+  // Single unknown labels parse, match nothing and give the tracker no
+  // traffic; the source index's requirements must survive the misses.
+  DataGraph g = testing_util::BuildMovieGraph();
+  const LabelId title = g.labels().Find("title");
+  DkIndex dk = DkIndex::Build(&g, {{title, 2}});
+  QueryServer server(dk, EagerTunerOptions());
+  int next = 0;
+  Counter& tick_counter =
+      MetricsRegistry::Global().GetCounter("serve.tuner.ticks");
+  const int64_t target = tick_counter.value() + 20;
+  while (tick_counter.value() < target) {
+    ASSERT_TRUE(server.Evaluate("cold" + std::to_string(next++)).has_value());
+  }
+  EXPECT_GT(server.stats().tuner_recorded_misses, 8);
+  EXPECT_EQ(server.stats().auto_retunes, 0);
+  EXPECT_EQ(EffectiveRequirement(server, title), 2);
+}
+
+TEST(QueryServerTunerTest, OneReaderRetunesAtTheDefaultSettings) {
+  // One thread's misses all land in one stripe, whose buffer keeps at most
+  // kMissesPerStripe per tick; min_misses counts the misses seen, so the
+  // default minimum is still reached.
+  DataGraph g = testing_util::BuildMovieGraph();
+  DkIndex dk = DkIndex::Build(&g, {});
+  QueryServer::Options options;
+  options.cache_byte_budget = 1;  // every query misses
+  ASSERT_GT(options.tuning.period_ms, 0);
+  QueryServer server(dk, options);
+  ASSERT_TRUE(ServeUntil(server, {"director.movie.title"}, [&] {
+    return server.stats().tuner_last_index_nodes > 0;
+  }));
+  EXPECT_EQ(server.stats().auto_retunes, 1);
+  EXPECT_GT(server.stats().tuner_dropped_misses, 0);
+  EXPECT_EQ(EffectiveRequirement(server, g.labels().Find("title")), 2);
+}
+
+TEST(QueryServerTunerTest, StopJoinsTheTunerBeforeClosingTheQueue) {
+  DataGraph g = testing_util::BuildMovieGraph();
+  DkIndex dk = DkIndex::Build(&g, {});
+  QueryServer server(dk, EagerTunerOptions());
+  // Shallow and deep traffic alternating every 50 ms keeps the mined map
+  // moving (up at once, down once the deep misses have decayed), so the
+  // tuner is likely mid-submit when Stop lands.
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    const auto start = std::chrono::steady_clock::now();
+    while (!done.load()) {
+      const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+      EXPECT_TRUE(server
+                      .Evaluate(ms / 50 % 2 == 0
+                                    ? "director.movie.title"
+                                    : "movieDB.director.movie.title")
+                      .has_value());
+    }
+  });
+  EXPECT_TRUE(ServeUntil(server, {}, [&] {
+    return server.stats().auto_retunes >= 2;
+  }));
+  server.Stop();
+  const QueryServer::Stats stopped = server.stats();
+  // The reader keeps missing for a while after Stop.
+  auto misses = [&] {
+    const QueryServer::Stats s = server.stats();
+    return s.tuner_recorded_misses + s.tuner_dropped_misses;
+  };
+  const int64_t target = misses() + 100;
+  while (misses() < target) std::this_thread::yield();
+  done = true;
+  reader.join();
+
+  const QueryServer::Stats after = server.stats();
+  EXPECT_EQ(stopped.ops_rejected_closed, 0);  // nothing submitted after close
+  EXPECT_EQ(stopped.ops_applied, stopped.ops_accepted);
+  EXPECT_EQ(after.auto_retunes, stopped.auto_retunes);
+  EXPECT_EQ(after.ops_accepted, stopped.ops_accepted);
 }
 
 // ---------------------------------------------------------------------------
@@ -620,6 +871,38 @@ TEST(ParseCacheTest, ParseFailuresAreCachedWithTheirError) {
   EXPECT_EQ(error, first_error);
   EXPECT_EQ(misses.value(), 1);
   EXPECT_EQ(hits.value(), 1);
+}
+
+TEST(ParseCacheTest, ConcurrentMissesOnOneTextAgree) {
+  // Misses parse outside the lock, so racing callers may parse the same
+  // text twice; the first insert wins, every caller gets an equal
+  // expression, and each call counts exactly once.
+  Counter& hits = TestCounter("test.parse_cache.race.hits");
+  Counter& misses = TestCounter("test.parse_cache.race.misses");
+  DataGraph g = testing_util::BuildMovieGraph();
+  ParseCache cache("test.parse_cache.race", 16);
+  const std::string text = "movieDB.director.movie.title";
+  constexpr int kThreads = 8;
+  constexpr int kCalls = 200;
+  std::vector<std::shared_ptr<const PathExpression>> got(kThreads * kCalls);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kCalls; ++i) {
+        got[static_cast<size_t>(t * kCalls + i)] =
+            cache.Get(text, g.labels(), nullptr);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const PathExpression want = testing_util::MustParse(text, g.labels());
+  for (const auto& expr : got) {
+    ASSERT_NE(expr, nullptr);
+    EXPECT_EQ(expr->text(), want.text());
+    EXPECT_EQ(expr->chain_labels(), want.chain_labels());
+  }
+  EXPECT_GE(misses.value(), 1);
+  EXPECT_EQ(hits.value() + misses.value(), kThreads * kCalls);
 }
 
 TEST(QueryServerTest, ColdQueryCyclingEvictsIncrementally) {
@@ -726,6 +1009,9 @@ TEST(QueryServerTest, ConcurrentHitsFollowTheWriter) {
       }
     });
   }
+  // The toggles take milliseconds: on a loaded host they could all finish
+  // before any reader ran, so wait until the readers are reading.
+  while (reads.load() < 3) std::this_thread::yield();
   constexpr int kToggles = 41;  // odd: the edge ends up present
   for (int t = 0; t < kToggles; ++t) {
     ASSERT_TRUE(t % 2 == 0 ? server.SubmitAddEdge(u, v)

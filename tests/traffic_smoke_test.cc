@@ -67,8 +67,8 @@ class TrafficSmokeTest : public ::testing::Test {
     opts.warm_qps = 150.0;
     opts.sweep_qps = {150.0};
     opts.drift_qps = 150.0;
-    opts.control_interval_ms = 40.0;
-    opts.min_tracked_queries = 4;
+    opts.tuning.period_ms = 40;
+    opts.tuning.min_misses = 4;
     result_ = new TrafficResult(RunTraffic(dataset, opts));
     opts_ = new TrafficOptions(opts);
   }
@@ -195,8 +195,8 @@ TEST(ShardedTrafficSmokeTest, ShardedRunServesAndEmitsPerShardLatency) {
   opts.warm_qps = 150.0;
   opts.sweep_qps = {150.0};
   opts.drift_qps = 150.0;
-  opts.control_interval_ms = 40.0;
-  opts.min_tracked_queries = 4;
+  opts.tuning.period_ms = 40;
+  opts.tuning.min_misses = 4;
   opts.update_fraction = 0.2;  // make sure the writer path is exercised
   opts.num_shards = 2;
   TrafficResult result = RunTraffic(dataset, opts);
@@ -245,8 +245,8 @@ TEST(BudgetedTrafficSmokeTest, BudgetedRunServesAndPassesExactnessGuard) {
   opts.warm_qps = 150.0;
   opts.sweep_qps = {150.0};
   opts.drift_qps = 150.0;
-  opts.control_interval_ms = 40.0;
-  opts.min_tracked_queries = 4;
+  opts.tuning.period_ms = 40;
+  opts.tuning.min_misses = 4;
   opts.memory_budget_mb = 1;  // tiny: forces compression (and spill on
                               // anything bigger than a toy graph)
   TrafficResult result = RunTraffic(dataset, opts);
