@@ -18,12 +18,6 @@
 //                  partition into a single shard.
 //   --update-fraction F   fraction of arrivals that are edge toggles
 //                  (default 0.05; raise it to saturate the write path)
-//   --memory-budget-mb N  serve through the budgeted FrozenView storage
-//                  tier: cold adjacency/extents stay compressed (spilling
-//                  to an mmap-backed file past N MiB per view). The JSON
-//                  gains a "memory" section; unsharded runs re-check every
-//                  pool query against a flat rebuild and the binary exits
-//                  nonzero on any mismatch.
 
 #include <unistd.h>
 
@@ -44,7 +38,6 @@ int Main(int argc, char** argv) {
   uint64_t seed = 20030609;
   int num_shards = 0;
   double update_fraction = -1.0;
-  int64_t memory_budget_mb = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--small") {
@@ -65,12 +58,6 @@ int Main(int argc, char** argv) {
         std::fprintf(stderr, "--update-fraction wants [0, 1]\n");
         return 2;
       }
-    } else if (arg == "--memory-budget-mb" && i + 1 < argc) {
-      memory_budget_mb = std::atoll(argv[++i]);
-      if (memory_budget_mb < 1) {
-        std::fprintf(stderr, "--memory-budget-mb wants >= 1\n");
-        return 2;
-      }
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 2;
@@ -85,7 +72,6 @@ int Main(int argc, char** argv) {
   bench::TrafficOptions opts;
   opts.seed = seed;
   opts.num_shards = num_shards;
-  opts.memory_budget_mb = memory_budget_mb;
   if (update_fraction >= 0.0) opts.update_fraction = update_fraction;
   if (small) {
     opts.query_pool = 32;
@@ -123,15 +109,6 @@ int Main(int argc, char** argv) {
     return 1;
   }
   std::printf("\nwrote %s\n", json_path.c_str());
-
-  if (result.memory.exactness_mismatches > 0) {
-    std::fprintf(stderr,
-                 "traffic: budgeted serving diverged from flat on %lld/%lld "
-                 "pool queries\n",
-                 static_cast<long long>(result.memory.exactness_mismatches),
-                 static_cast<long long>(result.memory.exactness_queries));
-    return 1;
-  }
   return 0;
 }
 

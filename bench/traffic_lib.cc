@@ -343,41 +343,17 @@ class TrafficEngine {
     return out;
   }
 
-  // End-of-run storage accounting plus (unsharded budgeted runs) the
-  // bit-identical-answers guard: every pool query evaluated on the final
-  // published snapshot's budgeted FrozenView and on a flat rebuild of the
-  // same index graph. Call before Stop().
+  // End-of-run storage accounting. Call before Stop().
   TrafficMemoryStats CaptureMemory() const {
     TrafficMemoryStats m;
-    const auto snapshots = server_->Snapshots();
-    for (const auto& snap : snapshots) {
-      const FrozenMemoryStats& fs = snap->frozen().memory_stats();
-      m.frozen_flat_bytes += fs.flat_bytes;
-      m.frozen_resident_bytes += fs.resident_bytes;
-      m.frozen_compressed_bytes += fs.compressed_bytes;
-      m.frozen_spilled_bytes += fs.spilled_bytes;
+    for (const auto& snap : server_->Snapshots()) {
+      m.frozen_resident_bytes += snap->frozen().memory_stats().resident_bytes;
     }
     m.checkpoint_bytes_written =
         MetricsRegistry::Global().GetCounter("checkpoint.bytes").value();
     struct rusage usage;
     if (::getrusage(RUSAGE_SELF, &usage) == 0) {
       m.max_rss_kb = usage.ru_maxrss;
-    }
-    if (opts_.memory_budget_mb > 0 && opts_.num_shards == 0) {
-      const IndexSnapshot& snap = *snapshots.front();
-      FrozenView flat(snap.index());  // unbudgeted, same index epoch
-      FrozenScratch budgeted_scratch, flat_scratch;
-      for (const PathExpression& q : workload_) {
-        ++m.exactness_queries;
-        const bool same_index =
-            snap.frozen().Evaluate(q, nullptr, /*validate=*/true,
-                                   &budgeted_scratch) ==
-            flat.Evaluate(q, nullptr, /*validate=*/true, &flat_scratch);
-        const bool same_data =
-            snap.frozen().EvaluateOnData(q, nullptr, &budgeted_scratch) ==
-            flat.EvaluateOnData(q, nullptr, &flat_scratch);
-        if (!same_index || !same_data) ++m.exactness_mismatches;
-      }
     }
     return m;
   }
@@ -405,9 +381,6 @@ QueryServer::Options TrafficOptions::ServerOptions() const {
   options.queue_capacity = 256;
   options.durability.dir = durability_dir;
   options.tuning = tuning;
-  if (memory_budget_mb > 0) {
-    options.frozen.memory_budget_bytes = memory_budget_mb * (int64_t{1} << 20);
-  }
   return options;
 }
 
@@ -447,7 +420,7 @@ Json TrafficResultToJson(const TrafficResult& result,
                          const TrafficOptions& opts) {
   Json root = Json::Object();
   root.Set("bench", Json::Str("traffic"));
-  root.Set("version", Json::Int(3));
+  root.Set("version", Json::Int(4));
 
   Json dataset = Json::Object();
   dataset.Set("name", Json::Str(result.dataset_name));
@@ -467,23 +440,14 @@ Json TrafficResultToJson(const TrafficResult& result,
   config.Set("coverage", Json::Num(TuningOptions::kCoverage));
   config.Set("num_shards", Json::Int(opts.num_shards));
   config.Set("durability", Json::Bool(!opts.durability_dir.empty()));
-  config.Set("memory_budget_mb", Json::Int(opts.memory_budget_mb));
   root.Set("config", std::move(config));
 
   Json memory = Json::Object();
-  memory.Set("frozen_flat_bytes", Json::Int(result.memory.frozen_flat_bytes));
   memory.Set("frozen_resident_bytes",
              Json::Int(result.memory.frozen_resident_bytes));
-  memory.Set("frozen_compressed_bytes",
-             Json::Int(result.memory.frozen_compressed_bytes));
-  memory.Set("frozen_spilled_bytes",
-             Json::Int(result.memory.frozen_spilled_bytes));
   memory.Set("checkpoint_bytes_written",
              Json::Int(result.memory.checkpoint_bytes_written));
   memory.Set("max_rss_kb", Json::Int(result.memory.max_rss_kb));
-  memory.Set("exactness_queries", Json::Int(result.memory.exactness_queries));
-  memory.Set("exactness_mismatches",
-             Json::Int(result.memory.exactness_mismatches));
   root.Set("memory", std::move(memory));
 
   Json phases = Json::Array();
@@ -569,23 +533,10 @@ void PrintTrafficResult(const TrafficResult& result) {
   }
   const TrafficMemoryStats& m = result.memory;
   std::printf(
-      "\nmemory: frozen resident %.1f KiB / flat %.1f KiB (%.0f%%), "
-      "compressed %.1f KiB, spilled %.1f KiB, checkpoints %.1f KiB, "
+      "\nmemory: frozen view %.1f KiB, checkpoints %.1f KiB, "
       "peak RSS %lld KiB\n",
-      m.frozen_resident_bytes / 1024.0, m.frozen_flat_bytes / 1024.0,
-      m.frozen_flat_bytes == 0
-          ? 0.0
-          : 100.0 * static_cast<double>(m.frozen_resident_bytes) /
-                static_cast<double>(m.frozen_flat_bytes),
-      m.frozen_compressed_bytes / 1024.0, m.frozen_spilled_bytes / 1024.0,
-      m.checkpoint_bytes_written / 1024.0,
+      m.frozen_resident_bytes / 1024.0, m.checkpoint_bytes_written / 1024.0,
       static_cast<long long>(m.max_rss_kb));
-  if (m.exactness_queries > 0) {
-    std::printf("exactness: %lld/%lld pool queries bit-identical to flat\n",
-                static_cast<long long>(m.exactness_queries -
-                                       m.exactness_mismatches),
-                static_cast<long long>(m.exactness_queries));
-  }
 }
 
 }  // namespace bench

@@ -77,16 +77,6 @@ struct TrafficOptions {
   // shard-<i>/ subdirectories).
   std::string durability_dir;
 
-  // > 0: published snapshots build their FrozenView through the budgeted
-  // storage tier (query/frozen_view.h) — cold adjacency/extent arrays are
-  // kept varint/delta-compressed, spilling to an mmap-backed temp file when
-  // hot-flat + compressed exceeds this many MiB (per view; per shard when
-  // sharded). Answers are bit-identical to the flat representation; the
-  // run's "memory" JSON section reports the resident/flat ratio, and
-  // unsharded runs re-check every pool query against a flat rebuild of the
-  // final snapshot (exactness_mismatches must stay 0).
-  int64_t memory_budget_mb = 0;
-
   QueryServer::Options ServerOptions() const;
 };
 
@@ -134,24 +124,13 @@ struct ShardLatencyStats {
 // End-of-run storage accounting, captured from the final published
 // snapshot(s) — summed over shards when sharded.
 struct TrafficMemoryStats {
-  // FrozenView accounting (query/frozen_view.h): what the flat
-  // representation would cost vs what the budgeted tier keeps resident.
-  // resident == flat when no budget is set.
-  int64_t frozen_flat_bytes = 0;
+  // Heap bytes of the final FrozenView(s) (query/frozen_view.h).
   int64_t frozen_resident_bytes = 0;
-  int64_t frozen_compressed_bytes = 0;
-  int64_t frozen_spilled_bytes = 0;
   // Cumulative bytes the checkpointer wrote over the run (the
   // checkpoint.bytes counter); 0 without durability.
   int64_t checkpoint_bytes_written = 0;
   // getrusage(RUSAGE_SELF) peak RSS for the whole process, in KiB.
   int64_t max_rss_kb = 0;
-  // Unsharded budgeted runs only: every pool query re-evaluated on the
-  // final snapshot, budgeted FrozenView vs a flat rebuild of the same
-  // index. Any mismatch is a correctness bug; the traffic binary exits
-  // nonzero on it. Both stay 0 when the check does not apply.
-  int64_t exactness_queries = 0;
-  int64_t exactness_mismatches = 0;
 };
 
 struct TrafficResult {
@@ -167,9 +146,9 @@ struct TrafficResult {
 // returns per-phase stats.
 TrafficResult RunTraffic(const Dataset& dataset, const TrafficOptions& opts);
 
-// The BENCH_traffic.json schema (version 3: version 2's num_shards /
-// per-phase ops_applied / top-level "shards" array, plus memory_budget_mb
-// in config and the top-level "memory" section) — documented in
+// The BENCH_traffic.json schema (version 4: version 3 without the
+// budgeted-storage fields — config.memory_budget_mb and the memory
+// section's flat/compressed/spilled/exactness entries) — documented in
 // docs/BENCHMARKS.md and round-trip-validated by tests/traffic_smoke_test.
 Json TrafficResultToJson(const TrafficResult& result,
                          const TrafficOptions& opts);

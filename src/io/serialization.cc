@@ -1,14 +1,9 @@
 #include "io/serialization.h"
 
-#include <fstream>
+#include <vector>
 
 #include "io/fs_util.h"
 #include "io/varint.h"
-#include <istream>
-#include <limits>
-#include <ostream>
-#include <sstream>
-#include <vector>
 
 namespace dki {
 namespace {
@@ -17,37 +12,6 @@ bool Fail(std::string* error, const std::string& message) {
   *error = message;
   return false;
 }
-
-// Reads one whitespace-delimited token; false at EOF / bad stream.
-bool ReadToken(std::istream* in, std::string* token) {
-  return static_cast<bool>(*in >> *token);
-}
-
-bool ReadInt(std::istream* in, int64_t* value) {
-  return static_cast<bool>(*in >> *value);
-}
-
-// Discards the remainder of the current line (typically just the '\n' after
-// a count read with operator>>), positioning the stream at the next line.
-bool SkipRestOfLine(std::istream* in) {
-  return static_cast<bool>(
-      in->ignore(std::numeric_limits<std::streamsize>::max(), '\n'));
-}
-
-bool ExpectHeader(std::istream* in, const std::string& magic,
-                  const std::string& version, std::string* error) {
-  std::string m, v;
-  if (!ReadToken(in, &m) || !ReadToken(in, &v)) {
-    return Fail(error, "truncated header");
-  }
-  if (m != magic || v != version) {
-    return Fail(error, "bad header: expected '" + magic + " " + version +
-                           "', found '" + m + " " + v + "'");
-  }
-  return true;
-}
-
-// --- v2 binary helpers -----------------------------------------------------
 
 constexpr std::string_view kGraphV2Magic = "dki-graph v2\n";
 constexpr std::string_view kIndexV2Magic = "dki-index v2\n";
@@ -112,202 +76,10 @@ bool ReadVarintOr(std::string_view data, size_t* pos, uint64_t* out,
 
 }  // namespace
 
-bool SaveGraph(const DataGraph& graph, std::ostream* out) {
-  // The label table is written one name per line (names may contain spaces,
-  // e.g. "open auction"); a name containing a newline cannot round-trip
-  // through the line-based format, so refuse to save it.
-  for (LabelId l = 0; l < graph.labels().size(); ++l) {
-    const std::string& name = graph.labels().Name(l);
-    if (name.find('\n') != std::string::npos ||
-        name.find('\r') != std::string::npos) {
-      return false;
-    }
-  }
-  *out << "dki-graph v1\n";
-  *out << "labels " << graph.labels().size() << "\n";
-  for (LabelId l = 0; l < graph.labels().size(); ++l) {
-    *out << graph.labels().Name(l) << "\n";
-  }
-  *out << "nodes " << graph.NumNodes() << "\n";
-  for (NodeId n = 0; n < graph.NumNodes(); ++n) {
-    *out << graph.label(n) << "\n";
-  }
-  *out << "edges " << graph.NumEdges() << "\n";
-  for (NodeId u = 0; u < graph.NumNodes(); ++u) {
-    for (NodeId v : graph.children(u)) {
-      *out << u << " " << v << "\n";
-    }
-  }
-  return out->good();
-}
-
-bool LoadGraph(std::istream* in, DataGraph* graph, std::string* error) {
-  if (!ExpectHeader(in, "dki-graph", "v1", error)) return false;
-  std::string keyword;
-  int64_t count = 0;
-
-  if (!ReadToken(in, &keyword) || keyword != "labels" ||
-      !ReadInt(in, &count) || count < 2 || !SkipRestOfLine(in)) {
-    return Fail(error, "bad labels section");
-  }
-  DataGraph loaded;
-  for (int64_t i = 0; i < count; ++i) {
-    std::string name;
-    // Line-based: label names may contain whitespace (matches SaveGraph's
-    // one-name-per-line layout).
-    if (!std::getline(*in, name)) return Fail(error, "truncated label table");
-    LabelId id = loaded.labels().Intern(name);
-    if (id != static_cast<LabelId>(i)) {
-      return Fail(error, "label table not dense (duplicate '" + name + "')");
-    }
-  }
-
-  if (!ReadToken(in, &keyword) || keyword != "nodes" ||
-      !ReadInt(in, &count) || count < 1) {
-    return Fail(error, "bad nodes section");
-  }
-  for (int64_t n = 0; n < count; ++n) {
-    int64_t label = 0;
-    if (!ReadInt(in, &label)) return Fail(error, "truncated node list");
-    if (label < 0 || label >= loaded.labels().size()) {
-      return Fail(error, "node with out-of-range label");
-    }
-    if (n == 0) {
-      if (label != LabelTable::kRootLabel) {
-        return Fail(error, "node 0 must be the ROOT node");
-      }
-      continue;  // the constructor created it
-    }
-    loaded.AddNode(static_cast<LabelId>(label));
-  }
-
-  if (!ReadToken(in, &keyword) || keyword != "edges" || !ReadInt(in, &count) ||
-      count < 0) {
-    return Fail(error, "bad edges section");
-  }
-  for (int64_t i = 0; i < count; ++i) {
-    int64_t u = 0, v = 0;
-    if (!ReadInt(in, &u) || !ReadInt(in, &v)) {
-      return Fail(error, "truncated edge list");
-    }
-    if (u < 0 || v < 0 || u >= loaded.NumNodes() || v >= loaded.NumNodes()) {
-      return Fail(error, "edge endpoint out of range");
-    }
-    loaded.AddEdgeUnchecked(static_cast<NodeId>(u), static_cast<NodeId>(v));
-  }
-  *graph = std::move(loaded);
-  return true;
-}
-
-bool SaveIndex(const IndexGraph& index, std::ostream* out) {
-  *out << "dki-index v1\n";
-  *out << "index_nodes " << index.NumIndexNodes() << "\n";
-  for (IndexNodeId i = 0; i < index.NumIndexNodes(); ++i) {
-    *out << index.label(i) << " " << index.k(i) << " "
-         << index.extent(i).size();
-    for (NodeId n : index.extent(i)) *out << " " << n;
-    *out << "\n";
-  }
-  return out->good();
-}
-
-bool LoadIndex(std::istream* in, const DataGraph* graph, IndexGraph* index,
-               std::string* error) {
-  if (!ExpectHeader(in, "dki-index", "v1", error)) return false;
-  std::string keyword;
-  int64_t count = 0;
-  if (!ReadToken(in, &keyword) || keyword != "index_nodes" ||
-      !ReadInt(in, &count) || count < 1) {
-    return Fail(error, "bad index_nodes section");
-  }
-
-  std::vector<int32_t> block_of(static_cast<size_t>(graph->NumNodes()), -1);
-  std::vector<int> block_k;
-  for (int64_t b = 0; b < count; ++b) {
-    int64_t label = 0, k = 0, size = 0;
-    if (!ReadInt(in, &label) || !ReadInt(in, &k) || !ReadInt(in, &size) ||
-        size < 1) {
-      return Fail(error, "truncated index node");
-    }
-    block_k.push_back(static_cast<int>(k));
-    for (int64_t i = 0; i < size; ++i) {
-      int64_t n = 0;
-      if (!ReadInt(in, &n)) return Fail(error, "truncated extent");
-      if (n < 0 || n >= graph->NumNodes()) {
-        return Fail(error, "extent member out of range");
-      }
-      if (block_of[static_cast<size_t>(n)] != -1) {
-        return Fail(error, "data node in two extents");
-      }
-      if (graph->label(static_cast<NodeId>(n)) !=
-          static_cast<LabelId>(label)) {
-        return Fail(error, "extent member label mismatch");
-      }
-      block_of[static_cast<size_t>(n)] = static_cast<int32_t>(b);
-    }
-  }
-  for (NodeId n = 0; n < graph->NumNodes(); ++n) {
-    if (block_of[static_cast<size_t>(n)] == -1) {
-      return Fail(error, "data node missing from every extent");
-    }
-  }
-  *index = IndexGraph::FromPartition(graph, block_of,
-                                     static_cast<int32_t>(count), block_k);
-  return true;
-}
-
-bool SaveDkIndexParts(const DataGraph& graph, const IndexGraph& index,
-                      const std::vector<int>& reqs, std::ostream* out) {
-  if (!SaveGraph(graph, out)) return false;
-  if (!SaveIndex(index, out)) return false;
-  *out << "effective_requirements " << reqs.size() << "\n";
-  for (int r : reqs) *out << r << "\n";
-  return out->good();
-}
-
-bool SaveDkIndex(const DkIndex& index, std::ostream* out) {
-  return SaveDkIndexParts(index.graph(), index.index(),
-                          index.effective_requirements(), out);
-}
-
-std::optional<DkIndex> LoadDkIndex(std::istream* in, DataGraph* graph,
-                                   std::string* error) {
-  if (!LoadGraph(in, graph, error)) return std::nullopt;
-  IndexGraph loaded_index(graph);
-  if (!LoadIndex(in, graph, &loaded_index, error)) return std::nullopt;
-  std::string keyword;
-  int64_t count = 0;
-  if (!ReadToken(in, &keyword) || keyword != "effective_requirements" ||
-      !ReadInt(in, &count) || count != graph->labels().size()) {
-    Fail(error, "bad effective_requirements section");
-    return std::nullopt;
-  }
-  std::vector<int> reqs;
-  for (int64_t i = 0; i < count; ++i) {
-    int64_t r = 0;
-    if (!ReadInt(in, &r) || r < 0) {
-      Fail(error, "bad effective requirement");
-      return std::nullopt;
-    }
-    reqs.push_back(static_cast<int>(r));
-  }
-  std::string invariant;
-  if (!loaded_index.ValidatePartition(&invariant)) {
-    Fail(error, "loaded index invalid: " + invariant);
-    return std::nullopt;
-  }
-  return DkIndex::FromParts(graph, std::move(loaded_index), std::move(reqs));
-}
-
-// ---------------------------------------------------------------------------
-// v2 binary format
-// ---------------------------------------------------------------------------
-
 bool SaveGraphV2(const DataGraph& graph, ByteSink* sink) {
   ChunkedWriter w(sink);
   w.Raw(kGraphV2Magic);
-  // Label names are length-prefixed, so (unlike v1's line format) any byte
-  // sequence round-trips.
+  // Label names are length-prefixed, so any byte sequence round-trips.
   w.Varint(static_cast<uint64_t>(graph.labels().size()));
   for (LabelId l = 0; l < graph.labels().size(); ++l) {
     const std::string& name = graph.labels().Name(l);
@@ -512,55 +284,54 @@ std::optional<DkIndex> LoadDkIndexV2(std::string_view data, size_t* pos,
   return DkIndex::FromParts(graph, std::move(loaded_index), std::move(reqs));
 }
 
-bool LooksLikeGraphV2(std::string_view data) {
-  return data.substr(0, kGraphV2Magic.size()) == kGraphV2Magic;
+bool LoadGraphV2Exact(std::string_view data, DataGraph* graph,
+                      std::string* error) {
+  size_t pos = 0;
+  if (!LoadGraphV2(data, &pos, graph, error)) return false;
+  return pos == data.size() || Fail(error, "trailing bytes after graph");
 }
 
-std::optional<DkIndex> LoadDkIndexAny(std::string_view payload,
-                                      DataGraph* graph, std::string* error) {
-  if (LooksLikeGraphV2(payload)) {
-    size_t pos = 0;
-    auto dk = LoadDkIndexV2(payload, &pos, graph, error);
-    if (dk.has_value() && pos != payload.size()) {
-      Fail(error, "trailing bytes after v2 payload");
-      return std::nullopt;
-    }
-    return dk;
+std::optional<DkIndex> LoadDkIndexV2Exact(std::string_view data,
+                                          DataGraph* graph,
+                                          std::string* error) {
+  size_t pos = 0;
+  auto dk = LoadDkIndexV2(data, &pos, graph, error);
+  if (dk.has_value() && pos != data.size()) {
+    Fail(error, "trailing bytes after index");
+    return std::nullopt;
   }
-  std::istringstream in{std::string(payload)};
-  return LoadDkIndex(&in, graph, error);
+  return dk;
 }
 
 bool SaveGraphToFile(const DataGraph& graph, const std::string& path) {
-  std::ostringstream out;
-  if (!SaveGraph(graph, &out)) return false;
+  AtomicFileWriter file;
   std::string error;
-  return AtomicWriteFile(path, out.str(), &error);
+  return file.Open(path, &error) && SaveGraphV2(graph, &file) &&
+         file.Finish(&error);
 }
 
 bool LoadGraphFromFile(const std::string& path, DataGraph* graph,
                        std::string* error) {
-  std::ifstream in(path);
-  if (!in.is_open()) return Fail(error, "cannot open " + path);
-  return LoadGraph(&in, graph, error);
+  std::string data;
+  return ReadFileToString(path, &data, error) &&
+         LoadGraphV2Exact(data, graph, error);
 }
 
 bool SaveDkIndexToFile(const DkIndex& index, const std::string& path) {
-  std::ostringstream out;
-  if (!SaveDkIndex(index, &out)) return false;
+  AtomicFileWriter file;
   std::string error;
-  return AtomicWriteFile(path, out.str(), &error);
+  return file.Open(path, &error) &&
+         SaveDkIndexPartsV2(index.graph(), index.index(),
+                            index.effective_requirements(), &file) &&
+         file.Finish(&error);
 }
 
 std::optional<DkIndex> LoadDkIndexFromFile(const std::string& path,
                                            DataGraph* graph,
                                            std::string* error) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    Fail(error, "cannot open " + path);
-    return std::nullopt;
-  }
-  return LoadDkIndex(&in, graph, error);
+  std::string data;
+  if (!ReadFileToString(path, &data, error)) return std::nullopt;
+  return LoadDkIndexV2Exact(data, graph, error);
 }
 
 }  // namespace dki

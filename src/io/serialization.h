@@ -2,7 +2,6 @@
 #define DKINDEX_IO_SERIALIZATION_H_
 
 #include <cstddef>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -16,80 +15,59 @@
 namespace dki {
 
 // Persistence for graphs and indexes, so a built summary can be stored next
-// to the document and reattached without reconstruction. Two formats:
-//
-//   * v1 — line-oriented text ("dki-graph v1" / "dki-index v1"), retained
-//     for migration and debuggability;
-//   * v2 — binary ("dki-graph v2\n" magic line, then varint sections with
-//     delta-encoded adjacency/extent arrays — io/varint.h), typically 3-5×
-//     smaller; the checkpoint pipeline writes v2 and streams it through a
-//     ByteSink, so arbitrarily large states never get buffered whole.
-//
-// Loading either format validates structure and returns false + error on
-// any mismatch (never aborts). The index formats store extents and local
-// similarities; adjacency is re-derived on load (it is a function of the
-// partition and the graph).
-
-bool SaveGraph(const DataGraph& graph, std::ostream* out);
-bool LoadGraph(std::istream* in, DataGraph* graph, std::string* error);
-
-bool SaveIndex(const IndexGraph& index, std::ostream* out);
-// `graph` must be the data graph the index was built over (same node count
-// and labels); borrowed by the returned index.
-bool LoadIndex(std::istream* in, const DataGraph* graph, IndexGraph* index,
-               std::string* error);
-
-// DkIndex persistence stores graph + index + the effective per-label
-// requirements so promoting/demoting semantics survive the round trip. The
-// loaded graph is written into `*graph` (borrowed by the returned index,
-// so it must outlive it); returns nullopt + error on malformed input.
-bool SaveDkIndex(const DkIndex& index, std::ostream* out);
-std::optional<DkIndex> LoadDkIndex(std::istream* in, DataGraph* graph,
-                                   std::string* error);
-
-// SaveDkIndex from unbundled parts — the serving layer's checkpointer
-// (serve/checkpoint.cc) streams immutable IndexSnapshot state, which holds
-// the pieces but no DkIndex. `index.graph()` must be `graph`; `reqs` has one
-// entry per label id.
-bool SaveDkIndexParts(const DataGraph& graph, const IndexGraph& index,
-                      const std::vector<int>& reqs, std::ostream* out);
-
-// --- v2 binary format ------------------------------------------------------
+// to the document and reattached without reconstruction. One binary format
+// ("dki-graph v2\n" magic line, then varint sections with delta-encoded
+// adjacency/extent arrays — io/varint.h). Label names are length-prefixed,
+// so any byte sequence round-trips. The checkpoint pipeline streams it
+// through a ByteSink, so arbitrarily large states never get buffered whole.
 //
 // Encoders emit through a ByteSink (StringSink for in-memory buffers, or
 // AtomicFileWriter to stream to disk); they return false iff the sink
 // reported a write failure. Decoders are cursor-based: `*pos` is advanced
 // past the decoded section, so sections compose (graph + index + reqs in
-// one buffer, exactly like the v1 stream form).
+// one buffer). Loading validates structure and returns false + error on any
+// mismatch (never aborts). The index section stores extents and local
+// similarities; adjacency is re-derived on load (it is a function of the
+// partition and the graph).
 
 bool SaveGraphV2(const DataGraph& graph, ByteSink* sink);
 bool LoadGraphV2(std::string_view data, size_t* pos, DataGraph* graph,
                  std::string* error);
 
 bool SaveIndexV2(const IndexGraph& index, ByteSink* sink);
+// `graph` must be the data graph the index was built over (same node count
+// and labels); borrowed by the loaded index.
 bool LoadIndexV2(std::string_view data, size_t* pos, const DataGraph* graph,
                  IndexGraph* index, std::string* error);
 
+// DkIndex persistence stores graph + index + the effective per-label
+// requirements so promoting/demoting semantics survive the round trip. The
+// parts are unbundled because the serving layer's checkpointer
+// (serve/checkpoint.cc) streams immutable IndexSnapshot state, which holds
+// the pieces but no DkIndex: `index.graph()` must be `graph`, and `reqs`
+// has one entry per label id. The loaded graph is written into `*graph`
+// (borrowed by the returned index, so it must outlive it); returns nullopt
+// + error on malformed input.
 bool SaveDkIndexPartsV2(const DataGraph& graph, const IndexGraph& index,
                         const std::vector<int>& reqs, ByteSink* sink);
 std::optional<DkIndex> LoadDkIndexV2(std::string_view data, size_t* pos,
                                      DataGraph* graph, std::string* error);
 
-// True if `data` begins with the v2 binary magic line — the version sniff
-// the checkpoint loader uses to dispatch between text v1 and binary v2.
-bool LooksLikeGraphV2(std::string_view data);
+// Whole-buffer decoders for a payload that holds exactly one graph, or
+// exactly one graph + index + requirements: the cursor decoders above plus
+// the rule that trailing bytes are an error. The file loaders below, the
+// checkpoint loader and the WAL's subgraph records all decode through these.
+bool LoadGraphV2Exact(std::string_view data, DataGraph* graph,
+                      std::string* error);
+std::optional<DkIndex> LoadDkIndexV2Exact(std::string_view data,
+                                          DataGraph* graph,
+                                          std::string* error);
 
-// Loads a complete DkIndex payload in whichever format it is (v2 binary
-// when the magic matches, v1 text otherwise). For v2, trailing bytes after
-// the decoded sections are an error (a complete payload is exactly one
-// graph + index + requirements).
-std::optional<DkIndex> LoadDkIndexAny(std::string_view payload,
-                                      DataGraph* graph, std::string* error);
-
-// File-path conveniences. The Save* variants are crash-safe: the bytes are
-// written to `<path>.tmp` and atomically renamed over `path`
-// (io/fs_util.h), so an interrupted save never leaves a torn file shadowing
-// a previously good one at the canonical name.
+// File-path conveniences over the format above. The Save* variants are
+// crash-safe: the bytes are written to `<path>.tmp` and atomically renamed
+// over `path` (io/fs_util.h), so an interrupted save never leaves a torn
+// file shadowing a previously good one at the canonical name. The Load*
+// variants decode through the whole-buffer decoders above.
 bool SaveGraphToFile(const DataGraph& graph, const std::string& path);
 bool LoadGraphFromFile(const std::string& path, DataGraph* graph,
                        std::string* error);

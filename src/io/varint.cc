@@ -56,6 +56,11 @@ bool GetDeltaArray(std::string_view data, size_t* pos, size_t n,
   for (size_t i = 0; i < n; ++i) {
     int64_t delta = 0;
     if (!GetVarintSigned(data, pos, &delta)) return false;
+    // From an int32 `prev`, a |delta| past 2^32 leaves int32 anyway;
+    // rejecting it first keeps `prev + delta` from overflowing int64.
+    if (delta > (int64_t{1} << 32) || delta < -(int64_t{1} << 32)) {
+      return false;
+    }
     const int64_t value = prev + delta;
     if (value < std::numeric_limits<int32_t>::min() ||
         value > std::numeric_limits<int32_t>::max()) {

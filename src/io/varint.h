@@ -11,11 +11,9 @@
 namespace dki {
 
 // LEB128 variable-length integers plus zigzag mapping for signed values —
-// the byte-level vocabulary of the binary "v2" persistence formats
-// (io/serialization.cc) and the compressed CSR blocks of the budgeted
-// FrozenView (query/csr_codec.h). Sorted id arrays stored as zigzag deltas
-// land around one byte per value, which is where the 3-5× size win over the
-// v1 text format comes from.
+// the byte-level vocabulary of the binary "v2" persistence format
+// (io/serialization.cc). Sorted id arrays stored as zigzag deltas land
+// around one byte per value.
 
 // Maximum encoded size of one 64-bit varint (10 × 7-bit groups).
 inline constexpr size_t kMaxVarintBytes = 10;

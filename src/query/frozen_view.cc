@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <utility>
 
@@ -11,10 +10,6 @@
 
 namespace dki {
 namespace {
-
-// Per-view identity for scratch block-cache keying. Starts at 1 so the
-// derived array keys are never 0 (BlockCache's empty-slot sentinel).
-std::atomic<uint64_t> g_next_view_id{1};
 
 // Mirrors the EvalCounters of query/evaluator.cc under the frozen prefixes.
 struct FrozenCounters {
@@ -123,8 +118,7 @@ FrozenView::FrozenView(const IndexGraph& index,
                        const FrozenViewOptions& options)
     : epoch_(index.epoch()),
       num_labels_(static_cast<int32_t>(index.graph().labels().size())),
-      prefilter_(options.prefilter),
-      view_id_(g_next_view_id.fetch_add(1, std::memory_order_relaxed)) {
+      prefilter_(options.prefilter) {
   const DataGraph& g = index.graph();
   const int64_t n = g.NumNodes();
   const int64_t m = index.NumIndexNodes();
@@ -142,11 +136,11 @@ FrozenView::FrozenView(const IndexGraph& index,
     const auto& c = g.children(v);
     data_child_.insert(data_child_.end(), c.begin(), c.end());
     data_child_off_[static_cast<size_t>(v) + 1] =
-        static_cast<int32_t>(data_child_.size());
+        CheckedInt32(data_child_.size());
     const auto& p = g.parents(v);
     data_parent_.insert(data_parent_.end(), p.begin(), p.end());
     data_parent_off_[static_cast<size_t>(v) + 1] =
-        static_cast<int32_t>(data_parent_.size());
+        CheckedInt32(data_parent_.size());
   }
 
   // Label inverted indexes, flattened from the graphs' bucket form.
@@ -157,7 +151,7 @@ FrozenView::FrozenView(const IndexGraph& index,
     const auto& bucket = g.NodesWithLabel(l);
     data_bylabel_.insert(data_bylabel_.end(), bucket.begin(), bucket.end());
     data_bylabel_off_[static_cast<size_t>(l) + 1] =
-        static_cast<int32_t>(data_bylabel_.size());
+        CheckedInt32(data_bylabel_.size());
   }
 
   // Index graph: labels, k, both adjacency directions, extents CSR.
@@ -176,15 +170,14 @@ FrozenView::FrozenView(const IndexGraph& index,
     const auto& c = index.children(i);
     index_child_.insert(index_child_.end(), c.begin(), c.end());
     index_child_off_[static_cast<size_t>(i) + 1] =
-        static_cast<int32_t>(index_child_.size());
+        CheckedInt32(index_child_.size());
     const auto& p = index.parents(i);
     index_parent_.insert(index_parent_.end(), p.begin(), p.end());
     index_parent_off_[static_cast<size_t>(i) + 1] =
-        static_cast<int32_t>(index_parent_.size());
+        CheckedInt32(index_parent_.size());
     const auto& e = index.extent(i);
     extent_.insert(extent_.end(), e.begin(), e.end());
-    extent_off_[static_cast<size_t>(i) + 1] =
-        static_cast<int32_t>(extent_.size());
+    extent_off_[static_cast<size_t>(i) + 1] = CheckedInt32(extent_.size());
   }
 
   index_bylabel_off_.resize(static_cast<size_t>(num_labels_) + 1);
@@ -194,68 +187,11 @@ FrozenView::FrozenView(const IndexGraph& index,
     const auto& bucket = index.NodesWithLabel(l);
     index_bylabel_.insert(index_bylabel_.end(), bucket.begin(), bucket.end());
     index_bylabel_off_[static_cast<size_t>(l) + 1] =
-        static_cast<int32_t>(index_bylabel_.size());
+        CheckedInt32(index_bylabel_.size());
   }
-
-  memory_stats_.flat_bytes = ApproxBytes();
-  memory_stats_.resident_bytes = memory_stats_.flat_bytes;
-  if (options.memory_budget_bytes > 0) ApplyMemoryBudget(options);
-}
-
-void FrozenView::ApplyMemoryBudget(const FrozenViewOptions& options) {
-  budgeted_ = true;
-  const int64_t n = num_data_nodes();
-  const int64_t m = num_index_nodes();
-  comp_child_.Build(data_child_off_.data(), data_child_.data(), n);
-  comp_parent_.Build(data_parent_off_.data(), data_parent_.data(), n);
-  comp_extent_.Build(extent_off_.data(), extent_.data(), m);
-  // Release the flat copies the compressed arrays replace; the offset
-  // arrays go too — per-block degrees make them redundant.
-  for (std::vector<int32_t>* v :
-       {&data_child_off_, &data_child_, &data_parent_off_, &data_parent_,
-        &extent_off_, &extent_}) {
-    v->clear();
-    v->shrink_to_fit();
-  }
-
-  const int64_t compressed = comp_child_.encoded_bytes() +
-                             comp_parent_.encoded_bytes() +
-                             comp_extent_.encoded_bytes();
-  const int64_t hot_flat =
-      VectorBytes(data_label_) + VectorBytes(data_bylabel_off_) +
-      VectorBytes(data_bylabel_) + VectorBytes(index_label_) +
-      VectorBytes(index_k_) + VectorBytes(index_child_off_) +
-      VectorBytes(index_child_) + VectorBytes(index_parent_off_) +
-      VectorBytes(index_parent_) + VectorBytes(index_bylabel_off_) +
-      VectorBytes(index_bylabel_) + comp_child_.table_bytes() +
-      comp_parent_.table_bytes() + comp_extent_.table_bytes();
-  memory_stats_.compressed_bytes = compressed;
-  memory_stats_.resident_bytes = hot_flat + compressed;
-
-  if (hot_flat + compressed <= options.memory_budget_bytes) return;
-
-  // Still over budget: move the compressed payloads into an unlinked mmap'd
-  // temp file. The pages are clean and file-backed, so the kernel reclaims
-  // them under pressure and faults them back on access — the view's heap
-  // keeps only the hot arrays and the block tables.
-  std::string error;
-  if (!spill_.OpenTemp(options.spill_dir, &error)) {
-    DKI_CHECK(false && "FrozenView: cannot create spill file");
-  }
-  const long long child_at = spill_.Append(comp_child_.bytes());
-  const long long parent_at = spill_.Append(comp_parent_.bytes());
-  const long long extent_at = spill_.Append(comp_extent_.bytes());
-  DKI_CHECK(child_at >= 0 && parent_at >= 0 && extent_at >= 0);
-  DKI_CHECK(spill_.Seal(&error));
-  comp_child_.Rebase(spill_.data() + child_at);
-  comp_parent_.Rebase(spill_.data() + parent_at);
-  comp_extent_.Rebase(spill_.data() + extent_at);
-  memory_stats_.spilled_bytes = compressed;
-  memory_stats_.resident_bytes = hot_flat;
 }
 
 int64_t FrozenView::ApproxBytes() const {
-  if (budgeted_) return memory_stats_.flat_bytes;
   return VectorBytes(data_label_) + VectorBytes(data_child_off_) +
          VectorBytes(data_child_) + VectorBytes(data_parent_off_) +
          VectorBytes(data_parent_) + VectorBytes(data_bylabel_off_) +
@@ -265,40 +201,6 @@ int64_t FrozenView::ApproxBytes() const {
          VectorBytes(index_parent_) + VectorBytes(extent_off_) +
          VectorBytes(extent_) + VectorBytes(index_bylabel_off_) +
          VectorBytes(index_bylabel_);
-}
-
-// ---------------------------------------------------------------------------
-// Cold-array row access
-// ---------------------------------------------------------------------------
-
-std::pair<const int32_t*, const int32_t*> FrozenView::ChildRow(
-    FrozenScratch* scratch, int32_t node) const {
-  if (!budgeted_) {
-    const int32_t* base = data_child_.data();
-    return {base + data_child_off_[static_cast<size_t>(node)],
-            base + data_child_off_[static_cast<size_t>(node) + 1]};
-  }
-  return scratch->cache_.Row(comp_child_, view_id_ * 4 + 0, node);
-}
-
-std::pair<const int32_t*, const int32_t*> FrozenView::ParentRow(
-    FrozenScratch* scratch, int32_t node) const {
-  if (!budgeted_) {
-    const int32_t* base = data_parent_.data();
-    return {base + data_parent_off_[static_cast<size_t>(node)],
-            base + data_parent_off_[static_cast<size_t>(node) + 1]};
-  }
-  return scratch->cache_.Row(comp_parent_, view_id_ * 4 + 1, node);
-}
-
-std::pair<const int32_t*, const int32_t*> FrozenView::ExtentRow(
-    FrozenScratch* scratch, int32_t inode) const {
-  if (!budgeted_) {
-    const int32_t* base = extent_.data();
-    return {base + extent_off_[static_cast<size_t>(inode)],
-            base + extent_off_[static_cast<size_t>(inode) + 1]};
-  }
-  return scratch->cache_.Row(comp_extent_, view_id_ * 4 + 2, inode);
 }
 
 // ---------------------------------------------------------------------------
@@ -495,7 +397,7 @@ bool FrozenView::ValidateFrozenCandidate(FrozenScratch* s, NodeId node,
     for (const FrozenScratch::Frontier& f : s->cur_) {
       ++*visited_pairs;
       if (rev.accept[static_cast<size_t>(f.state)]) return true;
-      const auto [pb, pe] = ParentRow(s, f.node);
+      const auto [pb, pe] = ParentRow(f.node);
       for (const int32_t* e = pb; e != pe; ++e) {
         const NodeId p = *e;
         const LabelId plab = data_label_[static_cast<size_t>(p)];
@@ -543,7 +445,7 @@ std::vector<NodeId> FrozenView::Evaluate(const PathExpression& query,
   // --- Theorem 1 split: certain extents vs. candidates to validate -------
   for (IndexNodeId inode : s->matched_) {
     const size_t i = static_cast<size_t>(inode);
-    const auto [eb, ee] = ExtentRow(s, inode);
+    const auto [eb, ee] = ExtentRow(inode);
     if (s->accept_depth_[i] <= index_k_[i]) {
       result.insert(result.end(), eb, ee);
       continue;
@@ -616,7 +518,7 @@ std::vector<NodeId> FrozenView::EvaluateOnData(const PathExpression& query,
           s->matched_data_.push_back(f.node);
         }
       }
-      const auto [cb, ce] = ChildRow(s, f.node);
+      const auto [cb, ce] = ChildRow(f.node);
       for (const int32_t* e = cb; e != ce; ++e) {
         const NodeId c = *e;
         const LabelId clab = data_label_[static_cast<size_t>(c)];

@@ -2,39 +2,37 @@
 #define DKINDEX_QUERY_FROZEN_VIEW_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/thread_pool.h"
 #include "graph/data_graph.h"
 #include "index/index_graph.h"
-#include "io/mmap_file.h"
 #include "pathexpr/path_expression.h"
 #include "query/backend.h"
-#include "query/csr_codec.h"
 #include "query/evaluator.h"
 
 namespace dki {
 
 class FrozenScratch;
 
-// Construction knobs for FrozenView's storage tier.
+// Narrows a CSR array size to the view's int32 offset type, aborting past
+// INT32_MAX instead of wrapping.
+inline int32_t CheckedInt32(size_t n) {
+  DKI_CHECK_LE(n, static_cast<size_t>(std::numeric_limits<int32_t>::max()));
+  return static_cast<int32_t>(n);
+}
+
+// Construction knobs for FrozenView.
 struct FrozenViewOptions {
-  // 0 (default) freezes everything flat — the fastest representation.
-  // Positive: a resident-heap budget in bytes. The cold bulk arrays (data
-  // adjacency in both directions, extents) are stored block-compressed
-  // (query/csr_codec.h) and decoded through a per-scratch block cache; when
-  // hot flat arrays + compressed bytes still exceed the budget, the
-  // compressed bytes spill to an unlinked mmap'd temp file (io/mmap_file.h)
-  // so the kernel can page them in and out on demand. Query answers are
-  // bit-identical to the flat representation in every mode.
-  int64_t memory_budget_bytes = 0;
-  // Directory for the spill file ("" = /tmp). Unlinked at creation: the
-  // space is reclaimed automatically when the view dies, crash included.
-  std::string spill_dir;
+  // Always 0: the view is stored flat. Kept read-only for callers that
+  // still record it in their provenance.
+  static constexpr int64_t memory_budget_bytes = 0;
   // Whether PlanQuery may answer {} without traversal and seed the index
   // BFS through the required-label prefilter (query/backend.h). Results are
   // bit-identical either way. false is the pure reference NFA, whose
@@ -44,10 +42,7 @@ struct FrozenViewOptions {
 
 // Memory accounting of one frozen view (see FrozenView::memory_stats).
 struct FrozenMemoryStats {
-  int64_t flat_bytes = 0;        // what the unbudgeted representation costs
-  int64_t resident_bytes = 0;    // heap bytes this view actually holds
-  int64_t compressed_bytes = 0;  // encoded cold-array payload bytes
-  int64_t spilled_bytes = 0;     // of those, bytes living in the mmap spill
+  int64_t resident_bytes = 0;  // heap bytes the view holds (== ApproxBytes)
 };
 
 // The frozen read path: an immutable flat-memory snapshot of one
@@ -71,12 +66,6 @@ struct FrozenMemoryStats {
 // The view borrows nothing: every array is an owned copy, so the source
 // graphs may mutate (or die) freely afterwards. `epoch()` records the index
 // epoch at freeze time for result-cache keying.
-//
-// With FrozenViewOptions::memory_budget_bytes set, the bulk "cold" arrays
-// (data adjacency both ways, extents) live block-compressed instead of
-// flat, decoded on demand through a per-scratch BlockCache, and spill to an
-// mmap'd temp file when the budget is still exceeded — evaluation results
-// stay bit-identical, trading decode CPU for a ~3× smaller resident index.
 class FrozenView {
  public:
   // EvaluateBatch caps its lane count so each lane gets at least this many
@@ -84,9 +73,9 @@ class FrozenView {
   // latency than the parallelism returns.
   static constexpr int64_t kMinQueriesPerLane = 8;
 
-  // Freezes `index` and its data graph. O(|V| + |E|) flat copies; with a
-  // memory budget the cold arrays are then compressed (and spilled when
-  // still over budget) before the flat copies are dropped.
+  // Freezes `index` and its data graph. O(|V| + |E|) flat copies. Every
+  // CSR offset is int32: construction aborts if an edge, extent or label
+  // bucket count exceeds INT32_MAX.
   explicit FrozenView(const IndexGraph& index,
                       const FrozenViewOptions& options = {});
 
@@ -101,14 +90,9 @@ class FrozenView {
     return static_cast<int64_t>(index_label_.size());
   }
   int32_t num_labels() const { return num_labels_; }
-  // Bytes of the flat (unbudgeted) representation of this view — the
-  // baseline the budgeted storage tier is measured against. Equals the
-  // actual footprint when no budget is set.
+  // Heap bytes of the view's arrays (capacity, not size).
   int64_t ApproxBytes() const;
-  // Where the bytes actually live: flat baseline, resident heap,
-  // compressed payload, spilled-to-mmap share.
-  const FrozenMemoryStats& memory_stats() const { return memory_stats_; }
-  bool budgeted() const { return budgeted_; }
+  FrozenMemoryStats memory_stats() const { return {ApproxBytes()}; }
 
   // How many data nodes carry `label` in this view (0 for labels outside
   // the frozen universe, including kUnknownLabel). O(1), backed by the
@@ -196,28 +180,30 @@ class FrozenView {
   void ComputePrefilterSeeds(FrozenScratch* s, LabelId anchor,
                              int max_word_length) const;
 
-  // Row accessors over the three cold arrays, branching on storage mode:
-  // flat mode returns spans into the owned arrays; budgeted mode decodes
-  // through the scratch's block cache. The span is valid until the next
-  // accessor call on the same scratch (callers copy out or finish iterating
-  // before touching another row of the same cache slot's array).
-  std::pair<const int32_t*, const int32_t*> ChildRow(FrozenScratch* scratch,
-                                                     int32_t node) const;
-  std::pair<const int32_t*, const int32_t*> ParentRow(FrozenScratch* scratch,
-                                                      int32_t node) const;
-  std::pair<const int32_t*, const int32_t*> ExtentRow(FrozenScratch* scratch,
-                                                      int32_t inode) const;
-
-  // Budgeted-mode construction tail: compress the cold arrays, drop their
-  // flat copies, spill past the budget. Called at the end of the ctor.
-  void ApplyMemoryBudget(const FrozenViewOptions& options);
+  // Row spans of the data child/parent CSRs and the extent CSR.
+  std::pair<const int32_t*, const int32_t*> ChildRow(int32_t node) const {
+    return Row(data_child_off_, data_child_, node);
+  }
+  std::pair<const int32_t*, const int32_t*> ParentRow(int32_t node) const {
+    return Row(data_parent_off_, data_parent_, node);
+  }
+  std::pair<const int32_t*, const int32_t*> ExtentRow(int32_t inode) const {
+    return Row(extent_off_, extent_, inode);
+  }
+  static std::pair<const int32_t*, const int32_t*> Row(
+      const std::vector<int32_t>& off, const std::vector<int32_t>& values,
+      int32_t row) {
+    const int32_t* base = values.data();
+    return {base + off[static_cast<size_t>(row)],
+            base + off[static_cast<size_t>(row) + 1]};
+  }
 
   uint64_t epoch_ = 0;
   int32_t num_labels_ = 0;
   bool prefilter_ = true;
 
-  // Data graph, flattened. Offsets are int32 (NodeId itself is int32, so
-  // edge counts fit).
+  // Data graph, flattened. Offsets are int32, checked at construction
+  // (edge counts can pass 2^31 before node ids do).
   std::vector<LabelId> data_label_;
   std::vector<int32_t> data_child_off_;   // size N+1
   std::vector<NodeId> data_child_;
@@ -227,8 +213,7 @@ class FrozenView {
   std::vector<NodeId> data_bylabel_;       // node ids, ascending per bucket
 
   // Index graph, flattened. Parent adjacency exists for the prefilter's
-  // ancestor walk; like every index-side array it stays flat in budgeted
-  // mode (the index graph is the hot, small side).
+  // ancestor walk.
   std::vector<LabelId> index_label_;
   std::vector<int32_t> index_k_;
   std::vector<int32_t> index_child_off_;  // size M+1
@@ -239,19 +224,6 @@ class FrozenView {
   std::vector<NodeId> extent_;       // concatenated extents, size N
   std::vector<int32_t> index_bylabel_off_;  // size L+1
   std::vector<IndexNodeId> index_bylabel_;
-
-  // Budgeted storage tier. In budgeted mode the flat child/parent/extent
-  // arrays above are empty and these hold the state instead; everything
-  // else (labels, by-label buckets, the index-side arrays) stays flat — the
-  // hot label-pruned paths (DataNodesWithLabel, automaton seeding) keep
-  // their O(1) behavior.
-  bool budgeted_ = false;
-  uint64_t view_id_ = 0;  // unique per view: keys scratch block caches
-  CompressedCsr comp_child_;
-  CompressedCsr comp_parent_;
-  CompressedCsr comp_extent_;
-  SpillFile spill_;
-  FrozenMemoryStats memory_stats_;
 };
 
 // Reusable per-thread traversal state for FrozenView evaluation: the dense
@@ -385,13 +357,8 @@ class FrozenScratch {
   std::vector<int32_t> pf_next_;
 
   // Uncertain-extent candidates of the current query, collected before any
-  // is validated: on a budgeted view validation decodes rows into the same
-  // block cache that holds the extent row.
+  // is validated.
   std::vector<NodeId> candidates_;
-
-  // Decoded-block cache for budgeted views (keyed per view, so one scratch
-  // can serve successive snapshots without staleness).
-  BlockCache cache_;
 };
 
 }  // namespace dki

@@ -3,7 +3,6 @@
 #include <dirent.h>
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/crc32.h"
 #include "common/metrics.h"
@@ -93,52 +92,18 @@ std::optional<uint64_t> SeqFromName(const std::string& name) {
   return static_cast<uint64_t>(*seq);
 }
 
-// Validates one legacy v1 checkpoint: header-borne length + CRC lines, text
-// payload after the header.
-bool ReadCheckpointPayloadV1(const std::string& path,
-                             const std::string& contents, uint64_t* seq,
-                             std::string* payload, std::string* error) {
-  std::istringstream in(contents);
-  std::string magic, version;
-  if (!(in >> magic >> version) || magic != "dki-checkpoint" ||
-      version != "v1") {
+// Parses and validates one checkpoint file: "dki-checkpoint v2\nseq <n>\n"
+// header, binary payload, 16-byte footer carrying the payload length + CRC.
+// On success *payload holds the serialized DkIndex parts and *seq its
+// sequence number.
+bool ReadCheckpointPayload(const std::string& path, uint64_t* seq,
+                           std::string* payload, std::string* error) {
+  std::string contents;
+  if (!ReadFileToString(path, &contents, error)) return false;
+  constexpr std::string_view kMagicLine = "dki-checkpoint v2\n";
+  if (!StartsWith(contents, kMagicLine)) {
     return Fail(error, path + ": bad checkpoint header");
   }
-  std::string keyword;
-  int64_t seq_value = -1, payload_bytes = -1;
-  uint64_t crc = 0;
-  if (!(in >> keyword >> seq_value) || keyword != "seq" || seq_value < 0) {
-    return Fail(error, path + ": bad seq line");
-  }
-  if (!(in >> keyword >> payload_bytes) || keyword != "payload_bytes" ||
-      payload_bytes < 0) {
-    return Fail(error, path + ": bad payload_bytes line");
-  }
-  if (!(in >> keyword >> crc) || keyword != "payload_crc") {
-    return Fail(error, path + ": bad payload_crc line");
-  }
-  in.get();  // the newline terminating the header
-  if (!in.good()) return Fail(error, path + ": truncated header");
-  size_t offset = static_cast<size_t>(in.tellg());
-  if (contents.size() - offset != static_cast<size_t>(payload_bytes)) {
-    return Fail(error, path + ": payload length mismatch");
-  }
-  std::string_view body(contents.data() + offset,
-                        static_cast<size_t>(payload_bytes));
-  if (Crc32(body) != static_cast<uint32_t>(crc)) {
-    return Fail(error, path + ": payload CRC mismatch");
-  }
-  *seq = static_cast<uint64_t>(seq_value);
-  payload->assign(body);
-  return true;
-}
-
-// Validates one v2 checkpoint: "dki-checkpoint v2\nseq <n>\n" header,
-// binary payload, 16-byte footer carrying the payload length + CRC.
-bool ReadCheckpointPayloadV2(const std::string& path,
-                             const std::string& contents, uint64_t* seq,
-                             std::string* payload, std::string* error) {
-  constexpr std::string_view kMagicLine = "dki-checkpoint v2\n";
   std::string_view rest(contents);
   rest.remove_prefix(kMagicLine.size());
   constexpr std::string_view kSeqPrefix = "seq ";
@@ -174,19 +139,6 @@ bool ReadCheckpointPayloadV2(const std::string& path,
   *seq = static_cast<uint64_t>(*seq_value);
   payload->assign(body);
   return true;
-}
-
-// Parses and validates one checkpoint file of either version. On success
-// *payload holds the serialized DkIndex parts (text v1 or binary v2 —
-// LoadDkIndexAny sniffs which) and *seq its sequence number.
-bool ReadCheckpointPayload(const std::string& path, uint64_t* seq,
-                           std::string* payload, std::string* error) {
-  std::string contents;
-  if (!ReadFileToString(path, &contents, error)) return false;
-  if (StartsWith(contents, "dki-checkpoint v2\n")) {
-    return ReadCheckpointPayloadV2(path, contents, seq, payload, error);
-  }
-  return ReadCheckpointPayloadV1(path, contents, seq, payload, error);
 }
 
 }  // namespace
@@ -265,10 +217,9 @@ std::optional<DkIndex> CheckpointStore::LoadNewestValid(
     std::string attempt_error;
     if (ReadCheckpointPayload(all[i].path, &file_seq, &payload,
                               &attempt_error)) {
-      // Loads directly into the caller's graph (assigned only on success);
-      // the returned index borrows it. Payload format (text v1 / binary v2)
-      // is sniffed per file, so mixed retention directories recover fine.
-      auto dk = LoadDkIndexAny(payload, graph, &attempt_error);
+      // Loads directly into the caller's graph; the returned index borrows
+      // it.
+      auto dk = LoadDkIndexV2Exact(payload, graph, &attempt_error);
       if (dk.has_value()) {
         *seq = file_seq;
         if (i > 0) {

@@ -25,11 +25,6 @@ namespace dki {
 // a fixed-size buffer with an incremental CRC32, never materializing the
 // serialized state in memory (peak transient allocation is O(1) in the
 // state size; last_write_peak_buffer_bytes() exposes the high-water mark).
-// Loading still accepts the legacy text v1 layout (header-borne
-// payload_bytes/payload_crc lines, SaveDkIndexParts text payload) for
-// migration: version dispatch is by the first header line, and the payload
-// format is sniffed independently (LoadDkIndexAny), so mixed-version
-// retention directories recover fine.
 //
 // Files are named checkpoint-<seq>.dki and written via write-temp + fsync +
 // atomic-rename (io/fs_util.h), so a canonical checkpoint file is either

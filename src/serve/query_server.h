@@ -137,11 +137,8 @@ class QueryServer {
     // in-memory server. After a crash, recover with RecoverDkIndex(dir) and
     // pass RecoveryStats::last_seq back as durability.start_seq.
     DurabilityOptions durability;
-    // Storage tier of every published snapshot's frozen view
-    // (query/frozen_view.h): flat by default; set
-    // frozen.memory_budget_bytes to serve from compressed/out-of-core
-    // arrays with bit-identical answers at a fraction of the resident
-    // memory.
+    // Options of every published snapshot's frozen view
+    // (query/frozen_view.h).
     FrozenViewOptions frozen;
     // The adaptive loop: mines result-cache misses and retunes the index
     // through the update pipeline. period_ms = 0 pins the index.

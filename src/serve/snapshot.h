@@ -31,10 +31,8 @@ class IndexSnapshot {
   // `effective_requirements` and `seq` carry the durability metadata the
   // background checkpointer needs to persist this state without touching
   // the writer's master: the per-label requirements (part of the
-  // SaveDkIndex format) and the write-ahead-log sequence number of the last
-  // op the snapshot includes. `frozen_options` selects the frozen view's
-  // storage tier (flat by default; memory-budgeted/out-of-core when a
-  // budget is set).
+  // checkpoint format) and the write-ahead-log sequence number of the last
+  // op the snapshot includes. `frozen_options` configures the frozen view.
   IndexSnapshot(std::shared_ptr<const DataGraph> graph,
                 const IndexGraph& index,
                 std::vector<int> effective_requirements, uint64_t seq,

@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -63,8 +62,12 @@ bool ReadU64(std::string_view* in, uint64_t* v) {
 
 constexpr uint8_t kKindAddEdge = 0;
 constexpr uint8_t kKindRemoveEdge = 1;
-constexpr uint8_t kKindAddSubgraph = 2;
+// Retired: a subgraph as v1 text, which this build no longer decodes. Kind
+// bytes are never reused, so such a record fails loudly (ReadAll) instead of
+// being misread.
+constexpr uint8_t kKindAddSubgraphV1Text = 2;
 constexpr uint8_t kKindRetune = 3;
+constexpr uint8_t kKindAddSubgraph = 4;
 
 // Defensive bound on a single record's payload: no op this project can
 // produce is anywhere near it, so a larger length prefix means corruption.
@@ -105,12 +108,12 @@ std::string WriteAheadLog::EncodeRecord(const UpdateOp& op, uint64_t seq) {
       break;
     case UpdateOp::Kind::kAddSubgraph: {
       if (op.subgraph == nullptr) return std::string();
-      std::ostringstream body;
-      if (!SaveGraph(*op.subgraph, &body)) return std::string();
+      std::string body;
+      StringSink sink(&body);
+      if (!SaveGraphV2(*op.subgraph, &sink)) return std::string();
       payload.push_back(static_cast<char>(kKindAddSubgraph));
-      std::string text = body.str();
-      AppendU32(&payload, static_cast<uint32_t>(text.size()));
-      payload.append(text);
+      AppendU32(&payload, static_cast<uint32_t>(body.size()));
+      payload.append(body);
       break;
     }
     case UpdateOp::Kind::kRetune: {
@@ -136,9 +139,11 @@ std::string WriteAheadLog::EncodeRecord(const UpdateOp& op, uint64_t seq) {
   return record;
 }
 
-bool WriteAheadLog::DecodePayload(std::string_view payload, Record* out) {
-  if (!ReadU64(&payload, &out->seq)) return false;
-  if (payload.empty()) return false;
+bool WriteAheadLog::DecodePayload(std::string_view payload, Record* out,
+                                  std::string* error) {
+  if (!ReadU64(&payload, &out->seq) || payload.empty()) {
+    return Fail(error, "record shorter than its header");
+  }
   uint8_t kind = static_cast<uint8_t>(payload.front());
   payload.remove_prefix(1);
   switch (kind) {
@@ -147,7 +152,7 @@ bool WriteAheadLog::DecodePayload(std::string_view payload, Record* out) {
       uint32_t u = 0, v = 0;
       if (!ReadU32(&payload, &u) || !ReadU32(&payload, &v) ||
           !payload.empty()) {
-        return false;
+        return Fail(error, "malformed edge record");
       }
       out->op = kind == kKindAddEdge
                     ? UpdateOp::AddEdge(static_cast<NodeId>(u),
@@ -158,21 +163,30 @@ bool WriteAheadLog::DecodePayload(std::string_view payload, Record* out) {
     }
     case kKindAddSubgraph: {
       uint32_t len = 0;
-      if (!ReadU32(&payload, &len) || payload.size() != len) return false;
-      std::istringstream body{std::string(payload)};
+      if (!ReadU32(&payload, &len) || payload.size() != len) {
+        return Fail(error, "malformed subgraph record");
+      }
       DataGraph h;
-      std::string parse_error;
-      if (!LoadGraph(&body, &h, &parse_error)) return false;
+      std::string graph_error;
+      if (!LoadGraphV2Exact(payload, &h, &graph_error)) {
+        return Fail(error, "malformed subgraph record: " + graph_error);
+      }
       out->op = UpdateOp::AddSubgraph(std::move(h));
       return true;
     }
+    case kKindAddSubgraphV1Text:
+      return Fail(error,
+                  "v1 text subgraph record, which this build cannot read; "
+                  "recover the directory with a build that reads it and "
+                  "stop that server cleanly (final checkpoint, empty log) "
+                  "before upgrading");
     case kKindRetune: {
-      if (payload.empty()) return false;
+      if (payload.empty()) return Fail(error, "malformed retune record");
       const bool shrink = payload.front() != 0;
       payload.remove_prefix(1);
       uint32_t count = 0;
       if (!ReadU32(&payload, &count) || payload.size() != 8u * count) {
-        return false;
+        return Fail(error, "malformed retune record");
       }
       LabelRequirements targets;
       targets.reserve(count);
@@ -186,7 +200,7 @@ bool WriteAheadLog::DecodePayload(std::string_view payload, Record* out) {
       return true;
     }
     default:
-      return false;
+      return Fail(error, "unknown record kind " + std::to_string(kind));
   }
 }
 
@@ -199,7 +213,8 @@ bool WriteAheadLog::ReadAll(const std::string& path,
   std::string contents;
   if (!ReadFileToString(path, &contents, error)) return false;
 
-  std::string_view rest = contents;
+  const std::string_view all = contents;
+  std::string_view rest = all;
   while (!rest.empty()) {
     uint32_t len = 0, crc = 0;
     std::string_view header = rest;
@@ -213,10 +228,17 @@ bool WriteAheadLog::ReadAll(const std::string& path,
       if (clean != nullptr) *clean = false;  // corrupt record
       break;
     }
+    // A record whose CRC holds was written whole: if it does not decode, it
+    // is not a torn tail but a format this build cannot read. Fail instead
+    // of reporting a clean prefix, so neither recovery nor Open() drops it
+    // and every record after it.
     Record record;
-    if (!DecodePayload(payload, &record)) {
-      if (clean != nullptr) *clean = false;
-      break;
+    std::string decode_error;
+    if (!DecodePayload(payload, &record, &decode_error)) {
+      return Fail(error, "wal " + path + ": record at byte " +
+                             std::to_string(all.size() - rest.size()) +
+                             " has a valid CRC but cannot be decoded: " +
+                             decode_error);
     }
     records->push_back(std::move(record));
     rest = header.substr(len);
@@ -255,8 +277,7 @@ bool WriteAheadLog::Append(const UpdateOp& op, uint64_t seq,
                            std::string* error) {
   std::string record = EncodeRecord(op, seq);
   if (record.empty()) {
-    return Fail(error, "wal: unserializable op (subgraph labels cannot "
-                       "round-trip)");
+    return Fail(error, "wal: subgraph op without a graph");
   }
   std::lock_guard<std::mutex> lock(mu_);
   if (fd_ < 0) return Fail(error, "wal not open");

@@ -44,14 +44,18 @@ struct DurabilityOptions {
 //   u32 payload_len (LE)  u32 crc32(payload)  payload
 //   payload := u64 seq | u8 kind | kind-specific body
 //     kAddEdge/kRemoveEdge: i32 u | i32 v
-//     kAddSubgraph:         u32 graph_len | SaveGraph text
+//     kAddSubgraph:         u32 graph_len | SaveGraphV2 bytes
 //     kRetune:              u8 shrink | u32 count | count x (u32 label, u32 k)
 //                           (entries sorted by label id)
+//   kind bytes: kAddEdge 0, kRemoveEdge 1, kRetune 3, kAddSubgraph 4; 2 was
+//   the retired v1-text subgraph body and is rejected, never reused.
 //
 // The reader is truncation-safe by construction: it stops at the first
 // record whose length prefix overruns the file or whose CRC fails, and
 // reports the clean prefix. Open() physically truncates such a torn tail so
-// later appends never interleave with garbage.
+// later appends never interleave with garbage. A record whose CRC holds but
+// which does not decode (a retired or unknown format) is an error, not a
+// torn tail: the reader fails and Open() leaves the file untouched.
 //
 // Thread safety: Append/Sync/TruncateThrough/Reset are mutex-guarded — the
 // writer thread appends while the checkpointer truncates and time-syncs.
@@ -71,13 +75,13 @@ class WriteAheadLog {
 
   // Opens (creating if absent) the log for appending. An existing file is
   // scanned and its torn tail, if any, truncated away. False + error on I/O
-  // failure.
+  // failure or an undecodable record (see ReadAll).
   bool Open(std::string* error);
 
   // Appends one record (buffered in the OS; durability comes from Sync).
-  // False on I/O error or an unserializable op (a subgraph whose labels
-  // cannot round-trip) — the caller must then NOT apply the op, preserving
-  // the "logged before applied" invariant.
+  // False on I/O error or an unserializable op (a subgraph op without a
+  // graph) — the caller must then NOT apply the op, preserving the "logged
+  // before applied" invariant.
   bool Append(const UpdateOp& op, uint64_t seq, std::string* error);
 
   // fsyncs now if `force`, or if the group-commit policy says an fsync is
@@ -98,13 +102,15 @@ class WriteAheadLog {
   // Standalone reader used by recovery: decodes the clean record prefix of
   // the log at `path`. A missing file yields ok + zero records (an empty log
   // is a valid log). Torn/corrupt tails are not errors — `*clean` reports
-  // whether the whole file parsed. Only unreadable files fail.
+  // whether the whole file parsed. Unreadable files fail, and so does a
+  // CRC-valid record that does not decode.
   static bool ReadAll(const std::string& path, std::vector<Record>* records,
                       bool* clean, std::string* error);
 
   // Encoding helpers (exposed for tests and fault injection).
   static std::string EncodeRecord(const UpdateOp& op, uint64_t seq);
-  static bool DecodePayload(std::string_view payload, Record* out);
+  static bool DecodePayload(std::string_view payload, Record* out,
+                            std::string* error = nullptr);
 
  private:
   bool OpenLocked(std::string* error);

@@ -2,8 +2,7 @@
 // the required-label prefilter on (the default: empty short-circuit plus
 // prefiltered seeding) and off (the pure reference NFA) must return
 // bit-identical RESULTS to the reference evaluator, on random graphs, XMark
-// and NASA, through the budgeted storage tier, across epochs, and through
-// QueryServer configurations. (EvalStats are only defined to match the
+// and NASA, across epochs, and through QueryServer configurations. (EvalStats are only defined to match the
 // reference with the prefilter off — tests/frozen_view_test.cc pins that;
 // here only results are compared.)
 //
@@ -35,10 +34,9 @@ namespace {
 
 const bool kAllModes[] = {true, false};  // FrozenViewOptions::prefilter
 
-FrozenViewOptions ModeOptions(bool prefilter, int64_t budget = 0) {
+FrozenViewOptions ModeOptions(bool prefilter) {
   FrozenViewOptions options;
   options.prefilter = prefilter;
-  options.memory_budget_bytes = budget;
   return options;
 }
 
@@ -74,8 +72,7 @@ std::vector<std::string> BackendQueries(const DataGraph& g, uint64_t seed) {
 // flavors, two passes. All views share the parsed PathExpression objects,
 // as serving threads do.
 void ExpectAllModesMatchReference(const IndexGraph& index, const DataGraph& g,
-                                  const std::vector<std::string>& texts,
-                                  int64_t budget = 0) {
+                                  const std::vector<std::string>& texts) {
   std::vector<PathExpression> queries;
   for (const std::string& t : texts) {
     queries.push_back(testing_util::MustParse(t, g.labels()));
@@ -85,7 +82,7 @@ void ExpectAllModesMatchReference(const IndexGraph& index, const DataGraph& g,
   std::vector<std::unique_ptr<FrozenScratch>> scratches;
   for (bool prefilter : kAllModes) {
     views.push_back(
-        std::make_unique<FrozenView>(index, ModeOptions(prefilter, budget)));
+        std::make_unique<FrozenView>(index, ModeOptions(prefilter)));
     scratches.push_back(std::make_unique<FrozenScratch>());
     EXPECT_EQ(views.back()->epoch(), index.epoch());
   }
@@ -99,8 +96,7 @@ void ExpectAllModesMatchReference(const IndexGraph& index, const DataGraph& g,
           const std::vector<NodeId> got = views[vi]->Evaluate(
               queries[qi], nullptr, validate, scratches[vi].get());
           EXPECT_EQ(want, got)
-              << "prefilter=" << kAllModes[vi]
-              << " budget=" << budget << " pass=" << pass
+              << "prefilter=" << kAllModes[vi] << " pass=" << pass
               << " validate=" << validate << " query=" << texts[qi];
         }
       }
@@ -145,18 +141,6 @@ TEST(BackendDiffTest, NasaAllBackendsBitIdentical) {
   AkIndex a1 = AkIndex::Build(&g, 1);
   ExpectAllModesMatchReference(dk.index(), g, queries);
   ExpectAllModesMatchReference(a1.index(), g, queries);
-}
-
-TEST(BackendDiffTest, BudgetedTierAllBackendsBitIdentical) {
-  // The traversal over the compressed/spilled storage tier: the extent and
-  // data-parent rows the Theorem-1 split and validation decode must hold
-  // the same bytes the flat representation holds.
-  XmarkOptions opt;
-  opt.scale = 0.06;
-  DataGraph g = GenerateXmarkGraph(opt).graph;
-  DkIndex dk = DkIndex::Build(&g, {});
-  ExpectAllModesMatchReference(dk.index(), g, BackendQueries(g, 53),
-                               /*budget=*/1);
 }
 
 TEST(BackendDiffTest, BackendsAgreeAcrossEpochs) {

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -327,21 +329,18 @@ void RunThreadScratchPasses(
 }
 
 // Evaluation without an explicit scratch runs on a thread-local one that
-// only grows. Alternating it between a large and a small view, a flat and
-// a budgeted view, and a view before and after an AddSubgraph must give
-// exactly what a fresh explicit scratch gives — results and EvalStats, on
-// the index path (both validate modes) and the data path. The query mix
-// includes a >64-state automaton (two mask words) so the mask width
-// changes too, and more distinct texts than the compiled-query cache holds.
+// only grows. Alternating it between a large and a small view, and a view
+// before and after an AddSubgraph, must give exactly what a fresh explicit
+// scratch gives — results and EvalStats, on the index path (both validate
+// modes) and the data path. The query mix includes a >64-state automaton
+// (two mask words) so the mask width changes too, and more distinct texts
+// than the compiled-query cache holds.
 TEST(FrozenViewTest, ThreadScratchMatchesFreshScratchAcrossViews) {
   XmarkOptions xopt;
   xopt.scale = 0.08;
   DataGraph xmark = GenerateXmarkGraph(xopt).graph;
   AkIndex xmark_a1 = AkIndex::Build(&xmark, 1);
   FrozenView large(xmark_a1.index(), ReferenceBackend());
-  FrozenViewOptions budget = ReferenceBackend();
-  budget.memory_budget_bytes = 1;  // forces the compressed + spilled tier
-  FrozenView budgeted(xmark_a1.index(), budget);
 
   Rng rng(31);
   DataGraph small_graph = testing_util::RandomGraph(40, 4, 8, &rng);
@@ -378,7 +377,6 @@ TEST(FrozenViewTest, ThreadScratchMatchesFreshScratchAcrossViews) {
   cases.push_back(
       {"after-subgraph", &after, parse_all(grown, MixedQueries(grown, 47))});
   cases.push_back({"xmark", &large, parse_all(xmark, MixedQueries(xmark, 41))});
-  cases.push_back({"xmark-budgeted", &budgeted, cases.back().queries});
   ASSERT_LT(small.num_data_nodes(), before.num_data_nodes());
   ASSERT_LT(before.num_data_nodes(), after.num_data_nodes());
   ASSERT_LT(after.num_data_nodes(), large.num_data_nodes());
@@ -529,6 +527,17 @@ TEST(FrozenViewTest, NodesWithLabelSurvivesMutations) {
     }
     EXPECT_EQ(scan, index.NodesWithLabel(l)) << "after updates, label " << l;
   }
+}
+
+// The constructor narrows every CSR offset through CheckedInt32: edge counts
+// can pass 2^31 before node ids do, and a wrapped offset would index out of
+// bounds, so one past INT32_MAX must abort instead.
+TEST(FrozenViewDeathTest, CheckedInt32AbortsPastInt32Max) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
+  EXPECT_EQ(CheckedInt32(0), 0);
+  EXPECT_EQ(CheckedInt32(static_cast<size_t>(kMax)), kMax);
+  EXPECT_DEATH(CheckedInt32(static_cast<size_t>(kMax) + 1), "CHECK failed");
 }
 
 }  // namespace

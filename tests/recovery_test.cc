@@ -29,6 +29,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/crc32.h"
 #include "common/random.h"
 #include "datagen/nasa_generator.h"
 #include "datagen/xmark_generator.h"
@@ -608,6 +609,65 @@ TEST(CrashStateTest, SequenceGapStopsReplayAtConsistentPrefix) {
             f.AnswerAfter(8));
 }
 
+// A log written by a build that stored subgraph bodies as v1 text (record
+// kind 2): the record is whole and CRC-valid, so this build must refuse the
+// directory rather than treat it as a torn tail, which would drop it and
+// every record after it and let Open() rewrite the log without them.
+TEST(CrashStateTest, V1TextSubgraphRecordFailsRecoveryAndKeepsTheLog) {
+  CrashFixture f = CrashFixture::Make(7008);
+  std::string dir = FreshDir("crash_v1_subgraph");
+
+  DataGraph g = f.original;
+  DkIndex dk = DkIndex::Build(&g, f.reqs);
+  CheckpointStore store(dir);
+  std::string error;
+  ASSERT_TRUE(store.Write(g, dk.index(), dk.effective_requirements(), 0,
+                          &error))
+      << error;
+
+  auto append_le = [](std::string* out, uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    }
+  };
+  const std::string v1_text =
+      "dki-graph v1\nlabels 2\nROOT\nstudio\nnodes 2\n0\n1\nedges 1\n"
+      "0 1\n";
+  std::string payload;
+  append_le(&payload, 2, 8);  // seq
+  payload.push_back(2);       // kind: v1 text subgraph
+  append_le(&payload, v1_text.size(), 4);
+  payload += v1_text;
+  std::string v1_record;
+  append_le(&v1_record, payload.size(), 4);
+  append_le(&v1_record, Crc32(payload), 4);
+  v1_record += payload;
+
+  const std::string path = dir + "/wal.log";
+  const std::string bytes = WriteAheadLog::EncodeRecord(f.ops[0], 1) +
+                            v1_record +
+                            WriteAheadLog::EncodeRecord(f.ops[1], 3);
+  MustWriteRaw(path, bytes);
+
+  std::vector<WriteAheadLog::Record> records;
+  bool clean = true;
+  EXPECT_FALSE(WriteAheadLog::ReadAll(path, &records, &clean, &error));
+  EXPECT_NE(error.find("v1 text"), std::string::npos) << error;
+
+  DataGraph rg;
+  RecoveryStats stats;
+  error.clear();
+  EXPECT_FALSE(RecoverDkIndex(dir, &rg, &stats, &error).has_value());
+  EXPECT_NE(error.find("cannot be decoded"), std::string::npos) << error;
+  EXPECT_EQ(MustRead(path), bytes);
+
+  WriteAheadLog wal(path, 1, 1000);
+  error.clear();
+  EXPECT_FALSE(wal.Open(&error));
+  EXPECT_FALSE(error.empty());
+  EXPECT_EQ(MustRead(path), bytes);
+}
+
 // ---------------------------------------------------------------------------
 // Randomized fork+SIGKILL fault injection on the paper's two workloads.
 // ---------------------------------------------------------------------------
@@ -918,6 +978,59 @@ TEST(CrashStateTest, AutoRetunesReplayFromTheLog) {
         << texts[i];
     EXPECT_EQ(restarted.Evaluate(texts[i]).value(), served[i]) << texts[i];
   }
+}
+
+// A subgraph whose label holds a line break is logged and applied like any
+// other op, and replaying the log reproduces it.
+TEST(CrashStateTest, NewlineLabelSubgraphLogsAndReplays) {
+  const DataGraph original = testing_util::BuildMovieGraph();
+  const std::string label = "line\nbreak";
+  const std::string dir = FreshDir("newline_label");
+  const std::string crashed = FreshDir("newline_label_crashed");
+  DataGraph served_graph;
+  {
+    DataGraph g = original;
+    DkIndex dk = DkIndex::Build(&g, {});
+    QueryServer::Options options;
+    options.durability.dir = dir;
+    options.durability.sync_every_n = 1;
+    options.durability.checkpoint_interval_ms = 60000;  // keep it in the log
+    options.tuning.period_ms = 0;
+    QueryServer server(dk, options);
+    DataGraph h;
+    NodeId top = h.AddNode(label);
+    h.AddEdge(h.root(), top);
+    h.AddEdge(top, h.AddNode("title"));
+    ASSERT_TRUE(server.SubmitAddSubgraph(std::move(h)));
+    server.Flush();
+    const QueryServer::Stats stats = server.stats();
+    EXPECT_EQ(stats.ops_applied, 1);
+    EXPECT_EQ(stats.ops_logged, 1);
+    EXPECT_EQ(stats.ops_invalid, 0);
+    served_graph = server.snapshot()->index().graph();
+    ASSERT_EQ(served_graph.NumNodes(), original.NumNodes() + 2);
+    // The crash image: the initial checkpoint plus the logged subgraph.
+    namespace fs = std::filesystem;
+    fs::copy(dir, crashed,
+             fs::copy_options::recursive |
+                 fs::copy_options::overwrite_existing);
+  }
+
+  DataGraph rg;
+  RecoveryStats stats;
+  std::string error;
+  std::optional<DkIndex> recovered =
+      RecoverDkIndex(crashed, &rg, &stats, &error);
+  ASSERT_TRUE(recovered.has_value()) << error;
+  EXPECT_EQ(stats.checkpoint_seq, 0u);
+  EXPECT_EQ(stats.replayed_ops, 1);
+  EXPECT_EQ(stats.invalid_ops, 0);
+  ASSERT_EQ(rg.NumNodes(), served_graph.NumNodes());
+  for (NodeId n = 0; n < rg.NumNodes(); ++n) {
+    ASSERT_EQ(rg.label_name(n), served_graph.label_name(n)) << "node " << n;
+    ASSERT_EQ(rg.children(n), served_graph.children(n)) << "node " << n;
+  }
+  EXPECT_EQ(rg.NodesWithLabel(rg.labels().Find(label)).size(), 1u);
 }
 
 }  // namespace

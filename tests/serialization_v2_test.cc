@@ -1,9 +1,9 @@
-// Differential tests of the binary v2 persistence format against the text
-// v1 it replaces (io/serialization.h): random graphs plus the paper's two
-// workloads round-trip bit-identically through either format, the v2
-// checkpoint pipeline streams with O(1) transient memory, corruption
-// (truncation, byte flips) is always detected, and a SIGKILL landing
-// mid-checkpoint-write never damages recovery.
+// Tests of the binary v2 persistence format (io/serialization.h) and the
+// checkpoint pipeline built on it: random graphs plus the paper's two
+// workloads round-trip bit-identically, the checkpoint writer streams with
+// O(1) transient memory, corruption (truncation, byte flips, trailing
+// bytes) is always detected, and a SIGKILL landing mid-checkpoint-write
+// never damages recovery.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,7 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -63,7 +63,7 @@ void ExpectSameGraph(const DataGraph& got, const DataGraph& want) {
   for (NodeId n = 0; n < want.NumNodes(); ++n) {
     ASSERT_EQ(got.label_name(n), want.label_name(n)) << "node " << n;
     ASSERT_EQ(got.children(n), want.children(n)) << "node " << n;
-    // Both formats emit edges in ascending source-node order, so a loaded
+    // The format emits edges in ascending source-node order, so a loaded
     // graph's parent lists are canonicalized even when the original was
     // built with interleaved insertions. Parent order never affects
     // evaluation, so compare as multisets.
@@ -93,13 +93,6 @@ std::string V2Payload(const DkIndex& dk, const DataGraph& g) {
   return payload;
 }
 
-std::string V1Payload(const DkIndex& dk, const DataGraph& g) {
-  std::ostringstream out;
-  EXPECT_TRUE(
-      SaveDkIndexParts(g, dk.index(), dk.effective_requirements(), &out));
-  return out.str();
-}
-
 TEST(SerializationV2Test, GraphRoundTripsRandomGraphs) {
   Rng rng(71);
   for (int trial = 0; trial < 20; ++trial) {
@@ -110,18 +103,16 @@ TEST(SerializationV2Test, GraphRoundTripsRandomGraphs) {
     std::string buf;
     StringSink sink(&buf);
     ASSERT_TRUE(SaveGraphV2(g, &sink));
-    EXPECT_TRUE(LooksLikeGraphV2(buf));
+    EXPECT_EQ(buf.substr(0, 13), "dki-graph v2\n");
 
-    size_t pos = 0;
     DataGraph loaded;
     std::string error;
-    ASSERT_TRUE(LoadGraphV2(buf, &pos, &loaded, &error)) << error;
-    EXPECT_EQ(pos, buf.size());
+    ASSERT_TRUE(LoadGraphV2Exact(buf, &loaded, &error)) << error;
     ExpectSameGraph(loaded, g);
   }
 }
 
-TEST(SerializationV2Test, DkIndexDifferentialRandom) {
+TEST(SerializationV2Test, DkIndexRoundTripsRandom) {
   Rng rng(73);
   for (int trial = 0; trial < 10; ++trial) {
     DataGraph g = testing_util::RandomGraph(300, 6, 60, &rng);
@@ -134,20 +125,13 @@ TEST(SerializationV2Test, DkIndexDifferentialRandom) {
     }
     DkIndex dk = DkIndex::Build(&g, reqs);
 
-    const std::string v2 = V2Payload(dk, g);
-    const std::string v1 = V1Payload(dk, g);
-
-    // Both payloads decode through the sniffing entry point to one state.
-    DataGraph g_v2, g_v1;
+    DataGraph g_v2;
     std::string error;
-    auto dk_v2 = LoadDkIndexAny(v2, &g_v2, &error);
+    auto dk_v2 = LoadDkIndexV2Exact(V2Payload(dk, g), &g_v2, &error);
     ASSERT_TRUE(dk_v2.has_value()) << error;
-    auto dk_v1 = LoadDkIndexAny(v1, &g_v1, &error);
-    ASSERT_TRUE(dk_v1.has_value()) << error;
 
     ExpectSameGraph(g_v2, g);
     ExpectSameIndex(dk_v2->index(), dk.index());
-    ExpectSameIndex(dk_v2->index(), dk_v1->index());
     EXPECT_EQ(dk_v2->effective_requirements(),
               dk.effective_requirements());
     std::string invariant;
@@ -155,47 +139,29 @@ TEST(SerializationV2Test, DkIndexDifferentialRandom) {
   }
 }
 
-// The paper's workloads: identical recovered state through either format,
-// and the acceptance-criterion size win (v2 <= 1/3 of v1) on both.
-void RunWorkloadDifferential(DataGraph g, const std::string& name) {
+// The paper's workloads: the recovered state is identical to the source.
+void RunWorkloadRoundTrip(DataGraph g, const std::string& name) {
   LabelRequirements reqs;  // defaults: a 1-index-style baseline
   DkIndex dk = DkIndex::Build(&g, reqs);
 
-  const std::string v2 = V2Payload(dk, g);
-  const std::string v1 = V1Payload(dk, g);
-  EXPECT_LE(v2.size() * 3, v1.size())
-      << name << ": v2 " << v2.size() << "B vs v1 " << v1.size() << "B";
-
   DataGraph g_v2;
   std::string error;
-  auto dk_v2 = LoadDkIndexAny(v2, &g_v2, &error);
+  auto dk_v2 = LoadDkIndexV2Exact(V2Payload(dk, g), &g_v2, &error);
   ASSERT_TRUE(dk_v2.has_value()) << name << ": " << error;
   ExpectSameGraph(g_v2, g);
   ExpectSameIndex(dk_v2->index(), dk.index());
 }
 
-TEST(SerializationV2Test, XmarkDifferentialAndSizeWin) {
+TEST(SerializationV2Test, XmarkRoundTrip) {
   XmarkOptions options;
   options.scale = 0.25;
-  RunWorkloadDifferential(GenerateXmarkGraph(options).graph, "xmark");
+  RunWorkloadRoundTrip(GenerateXmarkGraph(options).graph, "xmark");
 }
 
-TEST(SerializationV2Test, NasaDifferentialAndSizeWin) {
+TEST(SerializationV2Test, NasaRoundTrip) {
   NasaOptions options;
   options.scale = 0.25;
-  RunWorkloadDifferential(GenerateNasaGraph(options).graph, "nasa");
-}
-
-TEST(SerializationV2Test, TrailingBytesAfterV2PayloadRejected) {
-  Rng rng(79);
-  DataGraph g = testing_util::RandomGraph(50, 4, 10, &rng);
-  DkIndex dk = DkIndex::Build(&g, {});
-  std::string payload = V2Payload(dk, g);
-  payload.push_back('\0');
-  DataGraph out;
-  std::string error;
-  EXPECT_FALSE(LoadDkIndexAny(payload, &out, &error).has_value());
-  EXPECT_NE(error.find("trailing"), std::string::npos) << error;
+  RunWorkloadRoundTrip(GenerateNasaGraph(options).graph, "nasa");
 }
 
 TEST(SerializationV2Test, TruncationSweepNeverLoads) {
@@ -208,9 +174,10 @@ TEST(SerializationV2Test, TruncationSweepNeverLoads) {
   for (size_t cut = 0; cut < payload.size();
        cut += (cut < 64 || cut + 64 > payload.size()) ? 1 : 37) {
     DataGraph out;
+    size_t pos = 0;
     std::string error;
-    EXPECT_FALSE(
-        LoadDkIndexAny(payload.substr(0, cut), &out, &error).has_value())
+    EXPECT_FALSE(LoadDkIndexV2(payload.substr(0, cut), &pos, &out, &error)
+                     .has_value())
         << "prefix of " << cut << " bytes unexpectedly loaded";
   }
 }
@@ -250,42 +217,47 @@ TEST(CheckpointV2Test, WritesV2AndRoundTrips) {
   ExpectSameIndex(recovered->index(), dk.index());
 }
 
-TEST(CheckpointV2Test, LoadsLegacyV1Checkpoints) {
-  std::string dir = FreshDir("v1compat");
+// A checkpoint whose CRC-valid payload carries bytes past the DkIndex
+// sections is damaged, not a longer valid state: the loader rejects it and
+// falls back to the previous checkpoint.
+TEST(CheckpointV2Test, TrailingPayloadBytesRejected) {
+  std::string dir = FreshDir("trailing");
   DataGraph g = testing_util::BuildMovieGraph();
   DkIndex dk = DkIndex::Build(&g, {});
-
-  // A v1 file as the previous release wrote it.
-  std::ostringstream body;
-  ASSERT_TRUE(
-      SaveDkIndexParts(g, dk.index(), dk.effective_requirements(), &body));
-  std::string payload = body.str();
-  std::ostringstream out;
-  out << "dki-checkpoint v1\n"
-      << "seq 9\n"
-      << "payload_bytes " << payload.size() << "\n"
-      << "payload_crc " << Crc32(payload) << "\n"
-      << payload;
+  CheckpointStore store(dir);
   std::string error;
-  ASSERT_TRUE(AtomicWriteFile(dir + "/checkpoint-9.dki", out.str(), &error))
+  ASSERT_TRUE(
+      store.Write(g, dk.index(), dk.effective_requirements(), 4, &error))
       << error;
 
-  CheckpointStore store(dir);
+  // checkpoint-9 in the writer's layout, with one extra payload byte that
+  // the footer's length and CRC both cover.
+  std::string payload = V2Payload(dk, g);
+  payload.push_back('\0');
+  std::string file = "dki-checkpoint v2\nseq 9\n" + payload + "DKCK";
+  for (int i = 0; i < 8; ++i) {
+    file.push_back(static_cast<char>((payload.size() >> (8 * i)) & 0xFF));
+  }
+  const uint32_t crc = Crc32(payload);
+  for (int i = 0; i < 4; ++i) {
+    file.push_back(static_cast<char>((crc >> (8 * i)) & 0xFF));
+  }
+  ASSERT_TRUE(AtomicWriteFile(dir + "/checkpoint-9.dki", file, &error))
+      << error;
+
   DataGraph loaded;
   uint64_t seq = 0;
-  bool fallback = true;
+  bool fallback = false;
   auto recovered = store.LoadNewestValid(&loaded, &seq, &fallback, &error);
   ASSERT_TRUE(recovered.has_value()) << error;
-  EXPECT_EQ(seq, 9u);
-  ExpectSameIndex(recovered->index(), dk.index());
+  EXPECT_EQ(seq, 4u);
+  EXPECT_TRUE(fallback);
 
-  // A newer v2 write coexists with it: mixed retention recovers newest.
-  ASSERT_TRUE(
-      store.Write(g, dk.index(), dk.effective_requirements(), 12, &error))
-      << error;
-  auto newest = store.LoadNewestValid(&loaded, &seq, &fallback, &error);
-  ASSERT_TRUE(newest.has_value()) << error;
-  EXPECT_EQ(seq, 12u);
+  // Without the fallback, the error names the trailing bytes.
+  ASSERT_TRUE(RemoveFileIfExists(store.List()[1].path, &error)) << error;
+  EXPECT_FALSE(
+      store.LoadNewestValid(&loaded, &seq, &fallback, &error).has_value());
+  EXPECT_NE(error.find("trailing"), std::string::npos) << error;
 }
 
 TEST(CheckpointV2Test, StreamingWriteHasBoundedTransientMemory) {
@@ -364,8 +336,8 @@ TEST(CheckpointV2Test, ByteFlipSweepNeverValidates) {
   ASSERT_TRUE(ReadFileToString(path, &good, &error)) << error;
 
   // Flip one bit at a time from the payload start through the footer (the
-  // CRC's coverage; the seq header line is consciously outside it, as in
-  // v1). Every flip must be caught.
+  // CRC's coverage; the seq header line is consciously outside it). Every
+  // flip must be caught.
   const size_t header_end = good.find('\n', good.find('\n') + 1) + 1;
   ASSERT_GT(header_end, 18u);  // past "dki-checkpoint v2\nseq ...\n"
   Rng rng(89);

@@ -1,6 +1,5 @@
-// Unit tests for the LEB128/zigzag byte-level codec (io/varint.h) and the
-// block-compressed CSR built on it (query/csr_codec.h) — the vocabulary of
-// the binary v2 persistence formats and the budgeted FrozenView.
+// Unit tests for the LEB128/zigzag byte-level codec (io/varint.h) — the
+// vocabulary of the binary v2 persistence format.
 
 #include "io/varint.h"
 
@@ -12,7 +11,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "query/csr_codec.h"
 
 namespace dki {
 namespace {
@@ -141,6 +139,21 @@ TEST(VarintTest, DeltaArrayRoundTripsUnsortedRuns) {
   }
 }
 
+// Hostile deltas decode to values outside int32 and are rejected, without
+// the running sum overflowing on the way (UBSan catches that overflow).
+TEST(VarintTest, DeltaArrayRejectsHugeDeltas) {
+  for (int64_t delta : {std::numeric_limits<int64_t>::max(),
+                        std::numeric_limits<int64_t>::min(),
+                        int64_t{1} << 40}) {
+    std::string buf;
+    AppendVarintSigned(std::numeric_limits<int32_t>::max(), &buf);
+    AppendVarintSigned(delta, &buf);
+    size_t pos = 0;
+    int32_t decoded[2];
+    EXPECT_FALSE(GetDeltaArray(buf, &pos, 2, decoded)) << delta;
+  }
+}
+
 TEST(VarintTest, SortedIdsEncodeNearOneBytePerValue) {
   // The claim the v2 size win rests on: dense sorted id runs cost ~1
   // byte/value as deltas.
@@ -149,149 +162,6 @@ TEST(VarintTest, SortedIdsEncodeNearOneBytePerValue) {
   std::string buf;
   AppendDeltaArray(ids.data(), ids.size(), &buf);
   EXPECT_EQ(buf.size(), ids.size());  // delta 3 zigzags to 6: one byte each
-}
-
-// ---------------------------------------------------------------------------
-// CompressedCsr + BlockCache
-// ---------------------------------------------------------------------------
-
-// Flat CSR fixture with adversarial degree mix: empty rows, degree-1 rows,
-// and occasional huge rows crossing block-decode buffer sizes.
-struct FlatCsr {
-  std::vector<int32_t> off;
-  std::vector<int32_t> values;
-};
-
-FlatCsr RandomCsr(int64_t rows, Rng* rng) {
-  FlatCsr csr;
-  csr.off.push_back(0);
-  for (int64_t r = 0; r < rows; ++r) {
-    int degree = 0;
-    const int64_t kind = rng->UniformInt(0, 9);
-    if (kind < 4) {
-      degree = 0;
-    } else if (kind < 8) {
-      degree = static_cast<int>(rng->UniformInt(1, 8));
-    } else {
-      degree = static_cast<int>(rng->UniformInt(50, 400));
-    }
-    int32_t v = static_cast<int32_t>(rng->UniformInt(0, 100));
-    for (int i = 0; i < degree; ++i) {
-      // Mostly ascending with occasional back-jumps: realistic adjacency.
-      v += static_cast<int32_t>(rng->UniformInt(-30, 200));
-      csr.values.push_back(v);
-    }
-    csr.off.push_back(static_cast<int32_t>(csr.values.size()));
-  }
-  return csr;
-}
-
-TEST(CompressedCsrTest, EveryRowRoundTripsThroughCache) {
-  Rng rng(47);
-  for (int64_t rows : {0, 1, 63, 64, 65, 500}) {
-    FlatCsr flat = RandomCsr(rows, &rng);
-    CompressedCsr csr;
-    csr.Build(flat.off.data(), flat.values.data(), rows);
-    EXPECT_EQ(csr.num_rows(), rows);
-
-    BlockCache cache;
-    for (int64_t r = 0; r < rows; ++r) {
-      auto [begin, end] = cache.Row(csr, /*array_key=*/1, r);
-      const int32_t db = flat.off[static_cast<size_t>(r)];
-      const int32_t de = flat.off[static_cast<size_t>(r) + 1];
-      ASSERT_EQ(end - begin, de - db) << "row " << r;
-      for (int32_t i = 0; i < de - db; ++i) {
-        ASSERT_EQ(begin[i], flat.values[static_cast<size_t>(db + i)])
-            << "row " << r << " entry " << i;
-      }
-    }
-  }
-}
-
-TEST(CompressedCsrTest, RandomAccessPatternMatchesFlat) {
-  Rng rng(53);
-  FlatCsr flat = RandomCsr(1000, &rng);
-  CompressedCsr csr;
-  csr.Build(flat.off.data(), flat.values.data(), 1000);
-
-  BlockCache cache;
-  for (int probe = 0; probe < 5000; ++probe) {
-    const int64_t r = rng.UniformInt(0, 999);
-    auto [begin, end] = cache.Row(csr, /*array_key=*/7, r);
-    const int32_t db = flat.off[static_cast<size_t>(r)];
-    const int32_t de = flat.off[static_cast<size_t>(r) + 1];
-    ASSERT_EQ(end - begin, de - db);
-    if (de > db) {
-      const int32_t i = static_cast<int32_t>(rng.UniformInt(0, de - db - 1));
-      ASSERT_EQ(begin[i], flat.values[static_cast<size_t>(db + i)]);
-    }
-  }
-}
-
-TEST(CompressedCsrTest, DistinctArrayKeysDoNotAlias) {
-  Rng rng(59);
-  FlatCsr a = RandomCsr(200, &rng);
-  FlatCsr b = RandomCsr(200, &rng);
-  CompressedCsr ca, cb;
-  ca.Build(a.off.data(), a.values.data(), 200);
-  cb.Build(b.off.data(), b.values.data(), 200);
-
-  // Interleave accesses under two keys through ONE cache; a keying bug
-  // would serve one array's block for the other.
-  BlockCache cache;
-  for (int64_t r = 0; r < 200; ++r) {
-    auto [ab, ae] = cache.Row(ca, /*array_key=*/11, r);
-    ASSERT_EQ(ae - ab,
-              a.off[static_cast<size_t>(r) + 1] - a.off[static_cast<size_t>(r)]);
-    auto [bb, be] = cache.Row(cb, /*array_key=*/12, r);
-    ASSERT_EQ(be - bb,
-              b.off[static_cast<size_t>(r) + 1] - b.off[static_cast<size_t>(r)]);
-    for (const int32_t* p = bb; p != be; ++p) {
-      ASSERT_EQ(*p, b.values[static_cast<size_t>(
-                        b.off[static_cast<size_t>(r)] + (p - bb))]);
-    }
-  }
-}
-
-TEST(CompressedCsrTest, RebaseDecodesFromExternalBytes) {
-  Rng rng(61);
-  FlatCsr flat = RandomCsr(300, &rng);
-  CompressedCsr csr;
-  csr.Build(flat.off.data(), flat.values.data(), 300);
-
-  // Copy the payload elsewhere (standing in for the mmap'd spill file) and
-  // re-base; decoding must be unaffected and the owned buffer released.
-  std::string external = csr.bytes();
-  csr.Rebase(external.data());
-  EXPECT_TRUE(csr.bytes().empty());
-
-  BlockCache cache;
-  for (int64_t r = 0; r < 300; ++r) {
-    auto [begin, end] = cache.Row(csr, /*array_key=*/3, r);
-    const int32_t db = flat.off[static_cast<size_t>(r)];
-    const int32_t de = flat.off[static_cast<size_t>(r) + 1];
-    ASSERT_EQ(end - begin, de - db);
-    for (int32_t i = 0; i < de - db; ++i) {
-      ASSERT_EQ(begin[i], flat.values[static_cast<size_t>(db + i)]);
-    }
-  }
-}
-
-TEST(CompressedCsrTest, SortedAdjacencyCompressesWell) {
-  // 64k rows of sorted neighbours ~ what FrozenView feeds it; expect well
-  // under 4 bytes/value (the flat cost) plus the flat offset array gone.
-  std::vector<int32_t> off = {0};
-  std::vector<int32_t> values;
-  int32_t next = 0;
-  for (int r = 0; r < 65536; ++r) {
-    for (int i = 0; i < 4; ++i) values.push_back(next += 2);
-    if (next > 1 << 20) next = 0;
-    off.push_back(static_cast<int32_t>(values.size()));
-  }
-  CompressedCsr csr;
-  csr.Build(off.data(), values.data(), 65536);
-  EXPECT_LT(csr.encoded_bytes(),
-            static_cast<int64_t>(values.size()) * 2);  // vs 4 flat
 }
 
 }  // namespace
