@@ -23,7 +23,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <system_error>
 
 #include "bench/bench_common.h"
 #include "bench/traffic_lib.h"
@@ -101,6 +103,12 @@ int Main(int argc, char** argv) {
       opts.num_shards);
 
   bench::TrafficResult result = bench::RunTraffic(dataset, opts);
+  // The server is stopped by now; its WAL and checkpoints were only there
+  // to make the durability numbers real.
+  if (!opts.durability_dir.empty()) {
+    std::error_code ignored;
+    std::filesystem::remove_all(opts.durability_dir, ignored);
+  }
   bench::PrintTrafficResult(result);
 
   bench::Json json = bench::TrafficResultToJson(result, opts);

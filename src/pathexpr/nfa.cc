@@ -69,12 +69,6 @@ void Automaton::PrecomputeStartMoves() {
   for (auto& [label, moves] : start_moves_by_label_) {
     moves = StartMove(label);
   }
-  start_labels_.clear();
-  start_labels_.reserve(start_moves_by_label_.size());
-  for (const auto& [label, moves] : start_moves_by_label_) {
-    start_labels_.push_back(label);
-  }
-  std::sort(start_labels_.begin(), start_labels_.end());
   start_moves_ready_ = true;
 }
 
@@ -115,6 +109,7 @@ Automaton Automaton::Reverse() const {
   for (int q = 0; q < num_states(); ++q) {
     if (is_accept(q)) rev.SetStart(q, true);
   }
+  rev.PrecomputeStartMoves();
   return rev;
 }
 

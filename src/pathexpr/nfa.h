@@ -48,29 +48,13 @@ class Automaton {
 
   // Precomputes StartMove for every label with a dedicated transition out of
   // the start set, plus the shared wildcard-only set every other label maps
-  // to. PathExpression::Parse calls this once per compiled automaton; the
+  // to. PathExpression::Parse calls this once per parsed automaton; the
   // table is immutable afterwards, so concurrent evaluations share it
   // without re-hashing labels (any later AddTransition/SetStart discards
   // it). StartMovesFor then answers by reference in O(1).
   void PrecomputeStartMoves();
-  bool start_moves_ready() const { return start_moves_ready_; }
-  // Precomputed StartMove(label). Requires start_moves_ready().
+  // Precomputed StartMove(label). Requires PrecomputeStartMoves().
   const std::vector<int>& StartMovesFor(LabelId label) const;
-
-  // Labels with a dedicated (non-wildcard) transition out of the start set,
-  // sorted ascending. Together with wildcard_start_width() this lets the
-  // evaluation planner estimate seed-set sizes from label populations
-  // without scanning the whole label universe. Requires start_moves_ready().
-  const std::vector<LabelId>& start_labels() const {
-    DKI_DCHECK(start_moves_ready_);
-    return start_labels_;
-  }
-  // Number of states reachable from the start set on a wildcard edge (0 when
-  // no wildcard leaves a start state). Requires start_moves_ready().
-  int wildcard_start_width() const {
-    DKI_DCHECK(start_moves_ready_);
-    return static_cast<int>(wildcard_start_moves_.size());
-  }
 
   // True if some start state can consume `label` (or has a wildcard edge).
   // Used to seed the product search only with plausible nodes.
@@ -78,7 +62,8 @@ class Automaton {
   // True if a wildcard edge leaves some start state.
   bool AnyFromStart() const;
 
-  // The automaton recognizing the reversed language.
+  // The automaton recognizing the reversed language, start moves
+  // precomputed.
   Automaton Reverse() const;
 
   // Length (in symbols) of the longest word in the language restricted to
@@ -105,7 +90,6 @@ class Automaton {
   // PrecomputeStartMoves output (see above).
   bool start_moves_ready_ = false;
   std::vector<int> wildcard_start_moves_;
-  std::vector<LabelId> start_labels_;
   std::unordered_map<LabelId, std::vector<int>> start_moves_by_label_;
 };
 

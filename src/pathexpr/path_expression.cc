@@ -13,13 +13,12 @@ std::optional<PathExpression> PathExpression::Parse(std::string_view text,
   PathExpression expr;
   expr.text_ = std::string(text);
   expr.forward_ = CompileAst(*ast, labels);
-  expr.reverse_ = expr.forward_.Reverse();
   expr.max_word_length_ = expr.forward_.MaxWordLength();
-  // The expression is immutable after parse, so the per-label start-move
-  // tables are computed exactly once here; every later evaluation (forward
-  // seeding, reverse validation) reads them by reference.
+  // The expression is immutable after parse, so its start-move table and
+  // its compiled tables are built exactly once here; every later
+  // evaluation reads them by reference.
   expr.forward_.PrecomputeStartMoves();
-  expr.reverse_.PrecomputeStartMoves();
+  expr.compiled_ = CompiledQuery(expr.forward_);
 
   std::vector<std::string> chain;
   if (IsLabelChain(*ast, &chain)) {

@@ -7,14 +7,17 @@
 #include <vector>
 
 #include "graph/label_table.h"
+#include "pathexpr/compiled_query.h"
 #include "pathexpr/nfa.h"
 
 namespace dki {
 
 // A parsed and compiled regular path expression: the user-facing query
-// object. Holds the forward automaton (for top-down evaluation over child
-// edges) and the reversed automaton (for bottom-up validation over parent
-// edges), plus metadata the index layer uses:
+// object. Holds the forward automaton (what the reference evaluators and
+// twig predicates run; Automaton::Reverse gives the bottom-up validator
+// its reversed form) and the same automaton compiled into label-class move
+// tables for both directions (what the frozen read path runs — see
+// pathexpr/compiled_query.h), plus metadata the index layer uses:
 //   * chain_labels(): the label sequence if the query is a plain chain;
 //   * max_word_length(): longest word in the language (-1 if unbounded) —
 //     a query is answerable soundly by an index node n iff the matched path
@@ -34,7 +37,7 @@ class PathExpression {
 
   const std::string& text() const { return text_; }
   const Automaton& forward() const { return forward_; }
-  const Automaton& reverse() const { return reverse_; }
+  const CompiledQuery& compiled() const { return compiled_; }
 
   // True when the expression is a plain chain l1.l2...lp.
   bool is_chain() const { return is_chain_; }
@@ -59,7 +62,7 @@ class PathExpression {
 
   std::string text_;
   Automaton forward_;
-  Automaton reverse_;
+  CompiledQuery compiled_;
   bool is_chain_ = false;
   std::vector<LabelId> chain_labels_;
   std::vector<LabelId> required_labels_;

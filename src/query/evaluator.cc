@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -164,16 +165,14 @@ bool ValidationScratch::Insert(int32_t node, int state) {
       .second;
 }
 
-bool ValidateCandidate(const DataGraph& g, const PathExpression& query,
+bool ValidateCandidate(const DataGraph& g, const Automaton& reverse,
                        NodeId node, int64_t* visited_pairs) {
   ValidationScratch scratch;
-  return ValidateCandidate(g, query, node, visited_pairs, &scratch);
+  return ValidateCandidate(g, reverse, node, visited_pairs, &scratch);
 }
 
-bool ValidateCandidate(const DataGraph& g, const PathExpression& query,
-                       NodeId node, int64_t* visited_pairs,
-                       ValidationScratch* scratch) {
-  const Automaton& rev = query.reverse();
+bool ValidateCandidate(const DataGraph& g, const Automaton& rev, NodeId node,
+                       int64_t* visited_pairs, ValidationScratch* scratch) {
   scratch->Prepare(g.NumNodes(), rev.num_states());
   scratch->BeginCandidate();
   auto& queue = scratch->queue_;
@@ -239,9 +238,11 @@ std::vector<NodeId> EvaluateOnIndex(const IndexGraph& index,
   }
 
   // Theorem 1: depth <= k(n) makes the whole extent a certain answer.
-  // Uncertain extents share one validation scratch: its generation-stamped
-  // visited set costs O(touched) per candidate, not O(|V|) zeroing.
+  // Uncertain extents share one validation scratch (its generation-stamped
+  // visited set costs O(touched) per candidate, not O(|V|) zeroing) and one
+  // reversed automaton, built on the first uncertain extent.
   ValidationScratch scratch;
+  std::optional<Automaton> rev;
   std::vector<NodeId> result;
   for (const auto& [inode, depth] : accept_depth) {
     const std::vector<NodeId>& extent = index.extent(inode);
@@ -255,9 +256,10 @@ std::vector<NodeId> EvaluateOnIndex(const IndexGraph& index,
       result.insert(result.end(), extent.begin(), extent.end());
       continue;
     }
+    if (!rev.has_value()) rev = a.Reverse();
     for (NodeId member : extent) {
       ++local.validated_candidates;
-      if (ValidateCandidate(g, query, member, &local.data_nodes_visited,
+      if (ValidateCandidate(g, *rev, member, &local.data_nodes_visited,
                             &scratch)) {
         result.push_back(member);
       }

@@ -63,12 +63,13 @@ std::vector<NodeId> EvaluateOnIndex(const IndexGraph& index,
 class ValidationScratch;
 
 // The validation primitive: true iff some node path ending in `node`
-// matches a word of `query` (reverse-automaton BFS over parent edges).
-// Visited (node, state) pairs are added to *visited_pairs.
+// matches a word of the query whose reversed automaton is `reverse`
+// (query.forward().Reverse(), built once per query) — a BFS over parent
+// edges. Visited (node, state) pairs are added to *visited_pairs.
 //
 // This form allocates fresh O(|V|) traversal state per call; validating many
 // candidates of one query should share a ValidationScratch (below).
-bool ValidateCandidate(const DataGraph& g, const PathExpression& query,
+bool ValidateCandidate(const DataGraph& g, const Automaton& reverse,
                        NodeId node, int64_t* visited_pairs);
 
 // Same, reusing `scratch` across candidates: the visited set is
@@ -76,7 +77,7 @@ bool ValidateCandidate(const DataGraph& g, const PathExpression& query,
 // O(|V|) zeroing each. EvaluateOnIndex validates every member of an
 // uncertain extent through one scratch. The scratch may be reused across
 // queries and graphs; it re-sizes itself as needed.
-bool ValidateCandidate(const DataGraph& g, const PathExpression& query,
+bool ValidateCandidate(const DataGraph& g, const Automaton& reverse,
                        NodeId node, int64_t* visited_pairs,
                        ValidationScratch* scratch);
 
@@ -92,8 +93,8 @@ class ValidationScratch {
   ValidationScratch& operator=(const ValidationScratch&) = delete;
 
  private:
-  friend bool ValidateCandidate(const DataGraph&, const PathExpression&,
-                                NodeId, int64_t*, ValidationScratch*);
+  friend bool ValidateCandidate(const DataGraph&, const Automaton&, NodeId,
+                                int64_t*, ValidationScratch*);
 
   // Sizes the visited structures for a (graph, automaton) pair; cheap when
   // the sizes are unchanged from the previous call.

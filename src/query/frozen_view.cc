@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <chrono>
 #include <utility>
 
@@ -45,7 +46,7 @@ struct FrozenCounters {
 int MaskWords(int num_states) { return (num_states + 63) / 64; }
 
 // The scratch of evaluations given none: one per thread, for the thread's
-// life, so a call pays no O(|V| + |M|) set-up or repeat table compilation.
+// life, so a call pays no O(|V| + |M|) set-up.
 FrozenScratch& ThreadScratch() {
   thread_local FrozenScratch scratch;
   return scratch;
@@ -56,26 +57,6 @@ FrozenScratch& ThreadScratch() {
 template <typename T>
 void GrowTo(std::vector<T>* v, size_t n) {
   if (v->size() < n) v->resize(n);
-}
-
-// FNV-1a over an automaton's full structure (states, transitions in order,
-// accepts, starts). Used by the scratch's compiled-query cache to detect the
-// rare case of one query text compiled against two different label tables.
-uint64_t HashAutomaton(uint64_t h, const Automaton& a) {
-  auto mix = [&h](uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(static_cast<uint64_t>(a.num_states()));
-  for (int q = 0; q < a.num_states(); ++q) {
-    mix(static_cast<uint64_t>(a.is_accept(q)) | 2u);
-    for (const Automaton::Transition& t : a.transitions(q)) {
-      mix((static_cast<uint64_t>(static_cast<uint32_t>(t.symbol)) << 32) |
-          static_cast<uint32_t>(t.to));
-    }
-  }
-  for (int q : a.start_states()) mix(static_cast<uint64_t>(q) | (1ull << 40));
-  return h;
 }
 
 template <typename T>
@@ -207,118 +188,12 @@ int64_t FrozenView::ApproxBytes() const {
 // FrozenScratch
 // ---------------------------------------------------------------------------
 
-void FrozenScratch::DenseAutomaton::Compile(const Automaton& a,
-                                            int32_t labels) {
-  num_states = a.num_states();
-  num_labels = labels;
-  const size_t s = static_cast<size_t>(num_states);
-  const size_t l = static_cast<size_t>(num_labels);
-
-  accept.assign(s, 0);
-  for (int q = 0; q < num_states; ++q) {
-    if (a.is_accept(q)) accept[static_cast<size_t>(q)] = 1;
-  }
-
-  // Dense move table. Entry (q, l) lists the successors Automaton::Move
-  // would append, deduplicated keeping the FIRST appearance — Move appends
-  // duplicates and the caller's visited set keeps the first, so preserving
-  // first-appearance order makes frozen traversal pop order identical to the
-  // reference (which validation early-exit counts depend on). Labels without
-  // an explicit edge out of `q` share the state's wildcard sequence.
-  move_off.clear();
-  move_off.reserve(s * l + 1);
-  move_to.clear();
-  seen_state_.assign(s, 0);
-  if (label_mark_.size() < l) label_mark_.assign(l, 0);
-  move_off.push_back(0);
-  for (int q = 0; q < num_states; ++q) {
-    const auto& ts = a.transitions(q);
-    wild_seq_.clear();
-    for (const Automaton::Transition& t : ts) {
-      if (t.symbol == kAnySymbol && !seen_state_[static_cast<size_t>(t.to)]) {
-        seen_state_[static_cast<size_t>(t.to)] = 1;
-        wild_seq_.push_back(t.to);
-      }
-    }
-    for (int32_t to : wild_seq_) seen_state_[static_cast<size_t>(to)] = 0;
-    touched_labels_.clear();
-    for (const Automaton::Transition& t : ts) {
-      if (t.symbol >= 0 && t.symbol < num_labels &&
-          !label_mark_[static_cast<size_t>(t.symbol)]) {
-        label_mark_[static_cast<size_t>(t.symbol)] = 1;
-        touched_labels_.push_back(t.symbol);
-      }
-    }
-    for (LabelId lab = 0; lab < num_labels; ++lab) {
-      if (label_mark_[static_cast<size_t>(lab)]) {
-        // Explicit edge(s) on this label: merge wildcard + explicit targets
-        // in transition-scan order, first appearance wins.
-        size_t entry_begin = move_to.size();
-        for (const Automaton::Transition& t : ts) {
-          if ((t.symbol == kAnySymbol || t.symbol == lab) &&
-              !seen_state_[static_cast<size_t>(t.to)]) {
-            seen_state_[static_cast<size_t>(t.to)] = 1;
-            move_to.push_back(t.to);
-          }
-        }
-        for (size_t i = entry_begin; i < move_to.size(); ++i) {
-          seen_state_[static_cast<size_t>(move_to[i])] = 0;
-        }
-      } else {
-        move_to.insert(move_to.end(), wild_seq_.begin(), wild_seq_.end());
-      }
-      move_off.push_back(static_cast<int32_t>(move_to.size()));
-    }
-    for (LabelId lab : touched_labels_) {
-      label_mark_[static_cast<size_t>(lab)] = 0;
-    }
-  }
-
-  // Start table: StartMovesFor is sorted-unique per label, exactly what the
-  // reference evaluators consume, so copying it keeps seeding identical.
-  DKI_DCHECK(a.start_moves_ready());
-  start_off.clear();
-  start_off.reserve(l + 1);
-  start_to.clear();
-  seed_labels.clear();
-  start_off.push_back(0);
-  for (LabelId lab = 0; lab < num_labels; ++lab) {
-    const std::vector<int>& moves = a.StartMovesFor(lab);
-    start_to.insert(start_to.end(), moves.begin(), moves.end());
-    start_off.push_back(static_cast<int32_t>(start_to.size()));
-    if (!moves.empty()) seed_labels.push_back(lab);
-  }
-}
-
-void FrozenScratch::PrepareForQuery(const FrozenView& view,
-                                    const PathExpression& query) {
-  uint64_t fp = 1469598103934665603ull;  // FNV offset basis
-  fp = HashAutomaton(fp, query.forward());
-  fp = HashAutomaton(fp, query.reverse());
-  fp ^= static_cast<uint64_t>(view.num_labels()) * 1099511628211ull;
-  if (fp == 0) fp = 1;  // 0 is the never-compiled sentinel
-
-  auto it = compiled_.find(query.text());
-  if (it == compiled_.end()) {
-    if (compiled_.size() >= kMaxCompiledQueries) compiled_.clear();
-    it = compiled_.emplace(query.text(), std::make_unique<CompiledQuery>())
-             .first;
-  }
-  CompiledQuery& entry = *it->second;
-  if (entry.fingerprint != fp) {
-    entry.fwd.Compile(query.forward(), view.num_labels());
-    entry.rev.Compile(query.reverse(), view.num_labels());
-    entry.fingerprint = fp;
-  }
-  fwd_ = &entry.fwd;
-  rev_ = &entry.rev;
-}
-
-void FrozenScratch::BeginIndexTraversal(int64_t num_index_nodes) {
+void FrozenScratch::BeginIndexTraversal(int64_t num_index_nodes,
+                                        int num_states) {
   const size_t m = static_cast<size_t>(num_index_nodes);
   // Mask words are zeroed on a node's first visit per generation, so a new
   // mask width needs room, never a wipe.
-  index_words_ = MaskWords(fwd_->num_states);
+  index_words_ = MaskWords(num_states);
   GrowTo(&index_masks_, m * static_cast<size_t>(index_words_));
   GrowTo(&index_mask_gen_, m);
   GrowTo(&accept_depth_, m);
@@ -376,17 +251,48 @@ bool FrozenScratch::InsertDataVisit(int32_t node, int32_t state) {
 // Evaluation
 // ---------------------------------------------------------------------------
 
-bool FrozenView::ValidateFrozenCandidate(FrozenScratch* s, NodeId node,
+void RadixSortNodeIds(std::vector<NodeId>* ids, int64_t id_bound,
+                      std::vector<NodeId>* buffer) {
+  constexpr int kMaxDigitBits = 11;
+  const size_t n = ids->size();
+  if (n < 64) {
+    std::sort(ids->begin(), ids->end());
+    return;
+  }
+  const uint64_t largest =
+      static_cast<uint64_t>(std::max<int64_t>(id_bound - 1, 1));
+  const int bits = static_cast<int>(std::bit_width(largest));
+  const int passes = (bits + kMaxDigitBits - 1) / kMaxDigitBits;
+  const int digit_bits = (bits + passes - 1) / passes;
+  const uint32_t mask = (uint32_t{1} << digit_bits) - 1;
+  GrowTo(buffer, n);
+  std::array<uint32_t, (1 << kMaxDigitBits) + 1> count;
+  NodeId* from = ids->data();
+  NodeId* to = buffer->data();
+  for (int pass = 0; pass < passes; ++pass) {
+    const int shift = pass * digit_bits;
+    auto digit = [&](NodeId id) {
+      return (static_cast<uint32_t>(id) >> shift) & mask;
+    };
+    std::fill_n(count.begin(), mask + 2, 0u);
+    for (size_t i = 0; i < n; ++i) ++count[digit(from[i]) + 1];
+    for (uint32_t d = 0; d <= mask; ++d) count[d + 1] += count[d];
+    for (size_t i = 0; i < n; ++i) to[count[digit(from[i])]++] = from[i];
+    std::swap(from, to);
+  }
+  if (from != ids->data()) std::copy(from, from + n, ids->data());
+}
+
+bool FrozenView::ValidateFrozenCandidate(FrozenScratch* s,
+                                         const CompiledQuery& query,
+                                         NodeId node,
                                          int64_t* visited_pairs) const {
-  const FrozenScratch::DenseAutomaton& rev = *s->rev_;
-  s->BeginDataTraversal(num_data_nodes(), rev.num_states);
+  const CompiledQuery::Tables rev = query.reverse();
+  s->BeginDataTraversal(num_data_nodes(), rev.num_states());
   {
-    const LabelId lab = data_label_[static_cast<size_t>(node)];
-    const int32_t* qb =
-        rev.start_to.data() + rev.start_off[static_cast<size_t>(lab)];
-    const int32_t* qe =
-        rev.start_to.data() + rev.start_off[static_cast<size_t>(lab) + 1];
-    for (const int32_t* q = qb; q != qe; ++q) {
+    const int32_t cls = query.ClassOf(data_label_[static_cast<size_t>(node)]);
+    for (const int32_t* q = rev.starts_begin(cls); q != rev.starts_end(cls);
+         ++q) {
       if (s->InsertDataVisit(node, *q)) s->cur_.push_back({node, *q});
     }
   }
@@ -396,14 +302,13 @@ bool FrozenView::ValidateFrozenCandidate(FrozenScratch* s, NodeId node,
   while (!s->cur_.empty()) {
     for (const FrozenScratch::Frontier& f : s->cur_) {
       ++*visited_pairs;
-      if (rev.accept[static_cast<size_t>(f.state)]) return true;
+      if (rev.accepts(f.state)) return true;
       const auto [pb, pe] = ParentRow(f.node);
       for (const int32_t* e = pb; e != pe; ++e) {
         const NodeId p = *e;
-        const LabelId plab = data_label_[static_cast<size_t>(p)];
-        const int32_t* mb = rev.moves_begin(f.state, plab);
-        const int32_t* me = rev.moves_end(f.state, plab);
-        for (const int32_t* q = mb; q != me; ++q) {
+        const int32_t cls = query.ClassOf(data_label_[static_cast<size_t>(p)]);
+        const int32_t* me = rev.moves_end(f.state, cls);
+        for (const int32_t* q = rev.moves_begin(f.state, cls); q != me; ++q) {
           if (s->InsertDataVisit(p, *q)) s->next_.push_back({p, *q});
         }
       }
@@ -418,7 +323,7 @@ std::vector<NodeId> FrozenView::Evaluate(const PathExpression& query,
                                          EvalStats* stats, bool validate,
                                          FrozenScratch* scratch) const {
   FrozenScratch* s = scratch != nullptr ? scratch : &ThreadScratch();
-  s->PrepareForQuery(*this, query);
+  const CompiledQuery& compiled = query.compiled();
   EvalStats local;
 
   // --- plan + run the index-side traversal -------------------------------
@@ -439,7 +344,7 @@ std::vector<NodeId> FrozenView::Evaluate(const PathExpression& query,
     if (use_prefilter) {
       ComputePrefilterSeeds(s, plan.anchor_label, query.max_word_length());
     }
-    RunNfaIndexBfs(s, use_prefilter, &local);
+    RunNfaIndexBfs(s, compiled, use_prefilter, &local);
   }
 
   // --- Theorem 1 split: certain extents vs. candidates to validate -------
@@ -462,12 +367,13 @@ std::vector<NodeId> FrozenView::Evaluate(const PathExpression& query,
   // --- validation -------------------------------------------------------
   local.validated_candidates += static_cast<int64_t>(s->candidates_.size());
   for (NodeId member : s->candidates_) {
-    if (ValidateFrozenCandidate(s, member, &local.data_nodes_visited)) {
+    if (ValidateFrozenCandidate(s, compiled, member,
+                                &local.data_nodes_visited)) {
       result.push_back(member);
     }
   }
 
-  std::sort(result.begin(), result.end());
+  RadixSortNodeIds(&result, num_data_nodes(), &s->sort_buffer_);
   // Extents partition the data nodes; duplicates would mean a broken freeze.
   DKI_DCHECK(std::adjacent_find(result.begin(), result.end()) ==
              result.end());
@@ -487,31 +393,28 @@ std::vector<NodeId> FrozenView::EvaluateOnData(const PathExpression& query,
                                                EvalStats* stats,
                                                FrozenScratch* scratch) const {
   FrozenScratch* s = scratch != nullptr ? scratch : &ThreadScratch();
-  s->PrepareForQuery(*this, query);
+  const CompiledQuery& compiled = query.compiled();
+  const CompiledQuery::Tables fwd = compiled.forward();
   EvalStats local;
 
-  const FrozenScratch::DenseAutomaton& fwd = *s->fwd_;
-  s->BeginDataTraversal(num_data_nodes(), fwd.num_states);
+  s->BeginDataTraversal(num_data_nodes(), fwd.num_states());
   GrowTo(&s->result_gen_, static_cast<size_t>(num_data_nodes()));
   s->matched_data_.clear();
-  for (LabelId lab : fwd.seed_labels) {
-    const int32_t nb = data_bylabel_off_[static_cast<size_t>(lab)];
+  compiled.ForEachStartLabel(num_labels_, [&](LabelId lab, int32_t cls) {
     const int32_t ne = data_bylabel_off_[static_cast<size_t>(lab) + 1];
-    const int32_t* qb =
-        fwd.start_to.data() + fwd.start_off[static_cast<size_t>(lab)];
-    const int32_t* qe =
-        fwd.start_to.data() + fwd.start_off[static_cast<size_t>(lab) + 1];
-    for (int32_t e = nb; e != ne; ++e) {
+    for (int32_t e = data_bylabel_off_[static_cast<size_t>(lab)]; e != ne;
+         ++e) {
       const NodeId node = data_bylabel_[static_cast<size_t>(e)];
-      for (const int32_t* q = qb; q != qe; ++q) {
+      for (const int32_t* q = fwd.starts_begin(cls); q != fwd.starts_end(cls);
+           ++q) {
         if (s->InsertDataVisit(node, *q)) s->cur_.push_back({node, *q});
       }
     }
-  }
+  });
   while (!s->cur_.empty()) {
     for (const FrozenScratch::Frontier& f : s->cur_) {
       ++local.data_nodes_visited;
-      if (fwd.accept[static_cast<size_t>(f.state)]) {
+      if (fwd.accepts(f.state)) {
         const size_t i = static_cast<size_t>(f.node);
         if (s->result_gen_[i] != s->data_gen_) {
           s->result_gen_[i] = s->data_gen_;
@@ -521,10 +424,10 @@ std::vector<NodeId> FrozenView::EvaluateOnData(const PathExpression& query,
       const auto [cb, ce] = ChildRow(f.node);
       for (const int32_t* e = cb; e != ce; ++e) {
         const NodeId c = *e;
-        const LabelId clab = data_label_[static_cast<size_t>(c)];
-        const int32_t* mb = fwd.moves_begin(f.state, clab);
-        const int32_t* me = fwd.moves_end(f.state, clab);
-        for (const int32_t* q = mb; q != me; ++q) {
+        const int32_t cls =
+            compiled.ClassOf(data_label_[static_cast<size_t>(c)]);
+        const int32_t* me = fwd.moves_end(f.state, cls);
+        for (const int32_t* q = fwd.moves_begin(f.state, cls); q != me; ++q) {
           if (s->InsertDataVisit(c, *q)) s->next_.push_back({c, *q});
         }
       }
@@ -535,7 +438,8 @@ std::vector<NodeId> FrozenView::EvaluateOnData(const PathExpression& query,
 
   std::vector<NodeId> result(s->matched_data_.begin(),
                              s->matched_data_.end());
-  std::sort(result.begin(), result.end());  // reference emits in id order
+  // The reference emits in id order.
+  RadixSortNodeIds(&result, num_data_nodes(), &s->sort_buffer_);
   local.result_size = static_cast<int64_t>(result.size());
   static FrozenCounters& counters = *new FrozenCounters("eval.frozen.data");
   counters.Record(local);

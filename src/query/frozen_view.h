@@ -3,9 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
-#include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -57,9 +54,9 @@ struct FrozenMemoryStats {
 //   * extents as one CSR over the data nodes;
 //   * a label -> nodes inverted index on both graphs, so automaton start
 //     states are seeded by label bucket instead of an O(|V|) full scan;
-//   * per-query dense state×label transition tables (FrozenScratch), so the
-//     BFS inner loop is pure array indexing — no hashing, no per-move
-//     allocation;
+//   * the query's own label-class move tables, compiled once at parse time
+//     (PathExpression::compiled), so the BFS inner loop is pure array
+//     indexing — no hashing, no per-move allocation, no per-call compile;
 //   * flat two-vector BFS frontiers and a generation-stamped dense
 //     accept-depth array instead of deque + unordered_map.
 //
@@ -128,9 +125,9 @@ class FrozenView {
   // PlanQuery (query/backend.h); EvalStats counters match the reference
   // exactly with the view's prefilter off, and count the prefiltered BFS's
   // smaller work otherwise. Without a `scratch` the calling thread's own
-  // thread-local scratch is used, so traversal state and compiled tables
-  // are reused across calls and views; pass one only to isolate a caller's
-  // state (one scratch serves one thread).
+  // thread-local scratch is used, so traversal state is reused across
+  // calls and views; pass one only to isolate a caller's state (one scratch
+  // serves one thread).
   std::vector<NodeId> Evaluate(const PathExpression& query,
                                EvalStats* stats = nullptr,
                                bool validate = true,
@@ -165,15 +162,16 @@ class FrozenView {
  private:
   friend class FrozenScratch;
 
-  bool ValidateFrozenCandidate(FrozenScratch* scratch, NodeId node,
+  bool ValidateFrozenCandidate(FrozenScratch* scratch,
+                               const CompiledQuery& query, NodeId node,
                                int64_t* visited_pairs) const;
 
   // The index traversal (query/index_traversal.cc, next to PlanQuery):
   // fills the scratch's matched_/accept_depth_ state for the Theorem-1 +
   // validation tail in Evaluate. With `use_prefilter`, seeds outside the
   // ComputePrefilterSeeds marks are skipped.
-  void RunNfaIndexBfs(FrozenScratch* s, bool use_prefilter,
-                      EvalStats* local) const;
+  void RunNfaIndexBfs(FrozenScratch* s, const CompiledQuery& query,
+                      bool use_prefilter, EvalStats* local) const;
   // Marks (in the scratch's prefilter stamp array) every index node that is
   // an ancestor-or-self, within the query's word-length bound, of a node
   // carrying `anchor` — a superset of the nodes that can start a match.
@@ -226,12 +224,14 @@ class FrozenView {
   std::vector<IndexNodeId> index_bylabel_;
 };
 
-// Reusable per-thread traversal state for FrozenView evaluation: the dense
-// per-query transition tables, the two-vector BFS frontiers, and the
-// generation-stamped visited / accept-depth arrays (invalidated in O(1) per
-// query; generations never reset, so the arrays only grow and switching
-// views never re-zeroes them). One instance serves one thread; evaluation
-// without an explicit scratch uses a thread-local one.
+// Reusable per-thread traversal state for FrozenView evaluation: the
+// two-vector BFS frontiers, the generation-stamped visited / accept-depth
+// arrays (invalidated in O(1) per query; generations never reset, so the
+// arrays only grow and switching views never re-zeroes them) and the result
+// sort's buffer. The move tables are not here: each PathExpression carries
+// its own, compiled once at parse time (pathexpr/compiled_query.h), so a
+// scratch holds no per-query state between calls. One instance serves one
+// thread; evaluation without an explicit scratch uses a thread-local one.
 class FrozenScratch {
  public:
   FrozenScratch() = default;
@@ -239,76 +239,18 @@ class FrozenScratch {
   FrozenScratch(const FrozenScratch&) = delete;
   FrozenScratch& operator=(const FrozenScratch&) = delete;
 
-  // Serving workloads cycle a bounded query set; past this many distinct
-  // texts the whole cache is dropped (simple and O(1) amortized — an LRU
-  // would buy little for a scratch-local cache). Small: a thread keeps its
-  // scratch for life.
-  static constexpr size_t kMaxCompiledQueries = 16;
-
  private:
   friend class FrozenView;
-
-  // A query automaton compiled against a fixed label universe: for every
-  // (state, label), the dense CSR span of successor states, in the exact
-  // first-appearance order Automaton::Move produces (so frozen traversals
-  // visit pairs in the reference order); for every label, the sorted-unique
-  // start-move span; and the labels whose start span is non-empty (the BFS
-  // seed set — with a wildcard start edge this is every label).
-  struct DenseAutomaton {
-    int num_states = 0;
-    int32_t num_labels = 0;
-    std::vector<uint8_t> accept;       // size S
-    std::vector<int32_t> move_off;     // size S*L+1, row-major by state
-    std::vector<int32_t> move_to;
-    std::vector<int32_t> start_off;    // size L+1
-    std::vector<int32_t> start_to;
-    std::vector<LabelId> seed_labels;  // labels with a non-empty start span
-
-    void Compile(const Automaton& a, int32_t num_labels);
-
-    const int32_t* moves_begin(int state, LabelId label) const {
-      return move_to.data() +
-             move_off[static_cast<size_t>(state) *
-                          static_cast<size_t>(num_labels) +
-                      static_cast<size_t>(label)];
-    }
-    const int32_t* moves_end(int state, LabelId label) const {
-      return move_to.data() +
-             move_off[static_cast<size_t>(state) *
-                          static_cast<size_t>(num_labels) +
-                      static_cast<size_t>(label) + 1];
-    }
-
-   private:
-    // Compile-time scratch (reused across queries).
-    std::vector<uint8_t> seen_state_;
-    std::vector<uint8_t> label_mark_;
-    std::vector<LabelId> touched_labels_;
-    std::vector<int32_t> wild_seq_;
-  };
 
   struct Frontier {
     int32_t node;
     int32_t state;
   };
 
-  // One query's compiled tables plus a fingerprint of (both automata,
-  // label-universe size): the cache below is keyed by query text, and the
-  // fingerprint catches the pathological aliasing cases (same text compiled
-  // against a different label table) without storing the automata.
-  struct CompiledQuery {
-    uint64_t fingerprint = 0;  // 0 = never compiled
-    DenseAutomaton fwd;
-    DenseAutomaton rev;
-  };
-
-  // Looks up (or compiles) the query's dense tables and points fwd_/rev_ at
-  // them. Repeat evaluations of a cycling workload hit the text-keyed cache
-  // and pay one string hash + fingerprint check, no recompilation.
-  void PrepareForQuery(const FrozenView& view, const PathExpression& query);
-  // Grows the index-side traversal arrays (visited masks, accept depth) if
-  // needed and clears the frontiers. O(1) amortized via generations.
-  void BeginIndexTraversal(int64_t num_index_nodes);
+  // Grows the index-side traversal arrays (visited masks, accept depth) for
+  // an automaton with `num_states` states and clears the frontiers. O(1)
+  // amortized via generations.
+  void BeginIndexTraversal(int64_t num_index_nodes, int num_states);
   // Same for the data-side arrays (validation and EvaluateOnData), for an
   // automaton with `num_states` states (result_gen_ is grown by
   // EvaluateOnData, its only reader).
@@ -321,11 +263,6 @@ class FrozenScratch {
   bool PfContains(int32_t node) const {
     return pf_mark_gen_[static_cast<size_t>(node)] == pf_gen_;
   }
-
-  // Compiled-query cache (see PrepareForQuery); fwd_/rev_ point into it.
-  std::unordered_map<std::string, std::unique_ptr<CompiledQuery>> compiled_;
-  const DenseAutomaton* fwd_ = nullptr;
-  const DenseAutomaton* rev_ = nullptr;
 
   // Index-side traversal state (words_ = ceil(states/64) mask words/node).
   int index_words_ = 0;
@@ -359,7 +296,18 @@ class FrozenScratch {
   // Uncertain-extent candidates of the current query, collected before any
   // is validated.
   std::vector<NodeId> candidates_;
+
+  // The result sort's second buffer (see RadixSortNodeIds).
+  std::vector<NodeId> sort_buffer_;
 };
+
+// Sorts node ids drawn from [0, id_bound) ascending, without comparisons:
+// an LSD radix sort in ceil(bits / 11) passes of equal-width digits, where
+// bits is the width of id_bound - 1 (two 9-bit passes for a 69k-node
+// graph). `buffer` is the second array; it only grows. Inputs under 64 ids
+// go to std::sort, which beats clearing the digit counts.
+void RadixSortNodeIds(std::vector<NodeId>* ids, int64_t id_bound,
+                      std::vector<NodeId>* buffer);
 
 }  // namespace dki
 

@@ -46,8 +46,7 @@ EvalPlan FrozenView::PlanQuery(const PathExpression& query,
                                bool /*validate*/) const {
   EvalPlan plan;
   if (!prefilter_) return plan;
-  const Automaton& fwd = query.forward();
-  const Automaton& rev = query.reverse();
+  const CompiledQuery& compiled = query.compiled();
 
   // Required-label scan: emptiness plus the anchor (rarest required label
   // by index population). kUnknownLabel entries (tags absent from the label
@@ -71,14 +70,18 @@ EvalPlan FrozenView::PlanQuery(const PathExpression& query,
   // being non-zero is necessary for a non-empty answer: a matched index
   // node needs an accepting run, whose first and last symbols are real
   // index-node labels (so this holds in raw mode too).
-  auto population = [this](const Automaton& a) {
-    if (a.wildcard_start_width() > 0) return num_index_nodes();
+  auto population = [&](const CompiledQuery::Tables& t) {
+    if (t.HasStarts(compiled.other_class())) return num_index_nodes();
     int64_t nodes = 0;
-    for (LabelId lab : a.start_labels()) nodes += IndexNodesWithLabel(lab);
+    for (int32_t cls = 0; cls < compiled.other_class(); ++cls) {
+      if (t.HasStarts(cls)) {
+        nodes += IndexNodesWithLabel(compiled.ClassLabel(cls));
+      }
+    }
     return nodes;
   };
-  const int64_t seed_nodes = population(fwd);
-  if (empty || seed_nodes == 0 || population(rev) == 0) {
+  const int64_t seed_nodes = population(compiled.forward());
+  if (empty || seed_nodes == 0 || population(compiled.reverse()) == 0) {
     plan.backend = EvalBackend::kNfaPrefilter;
     plan.empty = true;
     EmptyShortcircuits().Increment();
@@ -142,30 +145,27 @@ void FrozenView::ComputePrefilterSeeds(FrozenScratch* s, LabelId anchor,
 // prefilter EvalStats match the reference exactly (the property
 // tests/frozen_view_test.cc pins). With `use_prefilter` the seed set is
 // intersected with the marks ComputePrefilterSeeds left in the scratch.
-void FrozenView::RunNfaIndexBfs(FrozenScratch* s, bool use_prefilter,
-                                EvalStats* local) const {
-  const FrozenScratch::DenseAutomaton& fwd = *s->fwd_;
-  s->BeginIndexTraversal(num_index_nodes());
-  for (LabelId lab : fwd.seed_labels) {
-    const int32_t nb = index_bylabel_off_[static_cast<size_t>(lab)];
+void FrozenView::RunNfaIndexBfs(FrozenScratch* s, const CompiledQuery& query,
+                                bool use_prefilter, EvalStats* local) const {
+  const CompiledQuery::Tables fwd = query.forward();
+  s->BeginIndexTraversal(num_index_nodes(), fwd.num_states());
+  query.ForEachStartLabel(num_labels_, [&](LabelId lab, int32_t cls) {
     const int32_t ne = index_bylabel_off_[static_cast<size_t>(lab) + 1];
-    const int32_t* qb =
-        fwd.start_to.data() + fwd.start_off[static_cast<size_t>(lab)];
-    const int32_t* qe =
-        fwd.start_to.data() + fwd.start_off[static_cast<size_t>(lab) + 1];
-    for (int32_t e = nb; e != ne; ++e) {
+    for (int32_t e = index_bylabel_off_[static_cast<size_t>(lab)]; e != ne;
+         ++e) {
       const IndexNodeId node = index_bylabel_[static_cast<size_t>(e)];
       if (use_prefilter && !s->PfContains(node)) continue;
-      for (const int32_t* q = qb; q != qe; ++q) {
+      for (const int32_t* q = fwd.starts_begin(cls); q != fwd.starts_end(cls);
+           ++q) {
         if (s->InsertIndexVisit(node, *q)) s->cur_.push_back({node, *q});
       }
     }
-  }
+  });
   int32_t depth = 0;
   while (!s->cur_.empty()) {
     for (const FrozenScratch::Frontier& f : s->cur_) {
       ++local->index_nodes_visited;
-      if (fwd.accept[static_cast<size_t>(f.state)]) {
+      if (fwd.accepts(f.state)) {
         const size_t i = static_cast<size_t>(f.node);
         if (s->accept_gen_[i] != s->index_gen_) {
           s->accept_gen_[i] = s->index_gen_;
@@ -179,10 +179,9 @@ void FrozenView::RunNfaIndexBfs(FrozenScratch* s, bool use_prefilter,
       const int32_t ce = index_child_off_[static_cast<size_t>(f.node) + 1];
       for (int32_t e = cb; e != ce; ++e) {
         const IndexNodeId c = index_child_[static_cast<size_t>(e)];
-        const LabelId clab = index_label_[static_cast<size_t>(c)];
-        const int32_t* mb = fwd.moves_begin(f.state, clab);
-        const int32_t* me = fwd.moves_end(f.state, clab);
-        for (const int32_t* q = mb; q != me; ++q) {
+        const int32_t cls = query.ClassOf(index_label_[static_cast<size_t>(c)]);
+        const int32_t* me = fwd.moves_end(f.state, cls);
+        for (const int32_t* q = fwd.moves_begin(f.state, cls); q != me; ++q) {
           if (s->InsertIndexVisit(c, *q)) s->next_.push_back({c, *q});
         }
       }

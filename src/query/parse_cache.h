@@ -1,6 +1,7 @@
 #ifndef DKINDEX_QUERY_PARSE_CACHE_H_
 #define DKINDEX_QUERY_PARSE_CACHE_H_
 
+#include <array>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -18,15 +19,18 @@ namespace dki {
 // A thread-safe LRU cache of compiled path expressions, keyed by query
 // text, shared by every read path that parses user queries (QueryServer's
 // single-query and batch paths, ShardedQueryServer's scatter-gather
-// pruning). Entries are evicted one at a time from the LRU tail once
-// `max_entries` is reached — a wholesale clear() used to stall every
-// in-flight working set the moment the (max+1)-th distinct text arrived,
-// the same bug class as the ResultCache full-wipe fixed in PR 3.
+// pruning). Like ResultCache it is split into kShards cache-line-aligned
+// shards by text hash, each with its own mutex, LRU list and map, so
+// concurrent misses on different texts rarely share a lock. Each shard
+// holds max_entries / shards entries (shards = min(kShards, max_entries))
+// and evicts one at a time from its LRU tail, so the cache never holds more
+// than `max_entries`; eviction is LRU within a shard.
 //
 // The compiled expression is shared_ptr-held, so an eviction can never
-// invalidate a pointer a concurrent caller already collected. A cached
-// parse is revalidated against the label-table SIZE — sound within one
-// serving pipeline because its label table only ever appends, so equal
+// invalidate a pointer a concurrent caller already collected; an evicted or
+// replaced expression is destroyed after the shard lock is released. A
+// cached parse is revalidated against the label-table SIZE — sound within
+// one serving pipeline because its label table only ever appends, so equal
 // size means identical contents. Parse FAILURES are cached too (expr ==
 // null + message): a hot mistyped query costs one map lookup, not a
 // re-parse.
@@ -35,14 +39,10 @@ namespace dki {
 //   <prefix>.hits / <prefix>.misses / <prefix>.evictions
 class ParseCache {
  public:
+  static constexpr size_t kShards = 16;
+
   explicit ParseCache(const std::string& metric_prefix,
-                      size_t max_entries = 4096)
-      : max_entries_(max_entries < 2 ? 2 : max_entries),
-        hits_(MetricsRegistry::Global().GetCounter(metric_prefix + ".hits")),
-        misses_(
-            MetricsRegistry::Global().GetCounter(metric_prefix + ".misses")),
-        evictions_(MetricsRegistry::Global().GetCounter(metric_prefix +
-                                                        ".evictions")) {}
+                      size_t max_entries = 4096);
 
   ParseCache(const ParseCache&) = delete;
   ParseCache& operator=(const ParseCache&) = delete;
@@ -58,6 +58,9 @@ class ParseCache {
                                             const LabelTable& labels,
                                             std::string* parse_error);
 
+  // Resident entries, summed over the shards one lock at a time.
+  size_t size() const;
+
  private:
   struct Entry {
     int64_t label_version = -1;
@@ -66,14 +69,18 @@ class ParseCache {
   };
   using LruList = std::list<std::pair<std::string, Entry>>;
 
-  const size_t max_entries_;
+  struct alignas(64) Shard {
+    mutable std::mutex mu;
+    LruList lru;  // front = most recently used
+    std::unordered_map<std::string, LruList::iterator> index;
+  };
+
+  const size_t num_shards_;
+  const size_t shard_capacity_;
   Counter& hits_;
   Counter& misses_;
   Counter& evictions_;
-
-  std::mutex mu_;
-  LruList lru_;  // front = most recently used
-  std::unordered_map<std::string, LruList::iterator> index_;
+  std::array<Shard, kShards> shards_;
 };
 
 }  // namespace dki

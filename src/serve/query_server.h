@@ -324,11 +324,11 @@ class QueryServer {
 
   // Parse cache (query/parse_cache.h): query text -> compiled
   // PathExpression, shared by the single-query and batch read paths (which
-  // consult it only on a result-cache miss), with
-  // per-entry LRU eviction at kMaxParsedQueries. Cached parses revalidate
-  // against the snapshot's label-table size — sound because the writer only
-  // ever appends to the label table, so equal size means identical
-  // contents. (Like the epoch-keyed result cache, this assumes
+  // consult it only on a result-cache miss), holding at most
+  // kMaxParsedQueries entries with per-shard LRU eviction. Cached parses
+  // revalidate against the snapshot's label-table size — sound because the
+  // writer only ever appends to the label table, so equal size means
+  // identical contents. (Like the epoch-keyed result cache, this assumes
   // EvaluateOn/EvaluateBatchOn are fed snapshots from this server's
   // pipeline.) Counters: serve.parse_cache.{hits,misses,evictions}.
   static constexpr size_t kMaxParsedQueries = 4096;

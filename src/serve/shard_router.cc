@@ -313,13 +313,15 @@ bool ShardRouter::SaveManifest(const std::string& path,
   std::ostringstream out;
   {
     std::shared_lock<std::shared_mutex> lock(*mu_);
-    out << "dkrouter v1\n";
+    out << "dkrouter v2\n";
     out << "num_shards " << num_shards_ << "\n";
     out << "labels_diverged " << (labels_diverged_ ? 1 : 0) << "\n";
     out << "next_global " << global_shard_.size() << "\n";
     out << "base_labels " << base_labels_.size() << "\n";
+    // Length-prefixed, so a name may hold any byte, newlines included.
     for (LabelId l = 0; l < base_labels_.size(); ++l) {
-      out << base_labels_.Name(l) << "\n";
+      const std::string& name = base_labels_.Name(l);
+      out << name.size() << ' ' << name << '\n';
     }
     for (int s = 0; s < num_shards_; ++s) {
       const std::vector<NodeId>& locals =
@@ -342,9 +344,15 @@ bool ShardRouter::LoadManifest(const std::string& path, ShardRouter* out,
     return false;
   };
   std::string line;
-  if (!std::getline(in, line) || line != "dkrouter v1") {
-    return fail("bad header");
+  if (!std::getline(in, line)) return fail("bad header");
+  if (line == "dkrouter v1") {
+    // v1 wrote one label name per line, which a name holding '\n' broke.
+    return fail(
+        "unsupported manifest version: dkrouter v1 (newline-delimited label "
+        "names), which this build cannot read; rewrite it as dkrouter v2 by "
+        "prefixing each label-name line with its byte length and a space");
   }
+  if (line != "dkrouter v2") return fail("bad header");
   ShardRouter r;
   std::string key;
   int64_t next_global = 0;
@@ -364,12 +372,20 @@ bool ShardRouter::LoadManifest(const std::string& path, ShardRouter* out,
   if (!(in >> key >> num_labels) || key != "base_labels" || num_labels < 2) {
     return fail("bad base_labels");
   }
-  in.ignore();  // trailing newline before the label-name lines
   for (int64_t l = 0; l < num_labels; ++l) {
-    if (!std::getline(in, line)) return fail("truncated label names");
-    const LabelId got = r.base_labels_.Intern(line);
+    // "<length> <bytes>\n"; `>>` skips the previous line's newline.
+    size_t length = 0;
+    if (!(in >> length) || in.get() != ' ' || length > contents.size()) {
+      return fail("bad label name length");
+    }
+    std::string name(length, '\0');
+    if (!in.read(name.data(), static_cast<std::streamsize>(length)) ||
+        in.get() != '\n') {
+      return fail("truncated label names");
+    }
+    const LabelId got = r.base_labels_.Intern(name);
     if (got != static_cast<LabelId>(l)) {
-      return fail("label names out of order (got '" + line + "')");
+      return fail("label names out of order (got '" + name + "')");
     }
   }
   r.global_shard_.assign(static_cast<size_t>(next_global), kHole);

@@ -86,9 +86,10 @@ TEST_F(EvaluatorTest, ValidateCandidateAgreesWithForwardEvaluation) {
       testing_util::MustParse("actor.movie.title", g_.labels());
   auto truth = EvaluateOnDataGraph(g_, q);
   std::set<NodeId> truth_set(truth.begin(), truth.end());
+  const Automaton rev = q.forward().Reverse();
   int64_t visits = 0;
   for (NodeId n = 0; n < g_.NumNodes(); ++n) {
-    EXPECT_EQ(ValidateCandidate(g_, q, n, &visits),
+    EXPECT_EQ(ValidateCandidate(g_, rev, n, &visits),
               truth_set.count(n) > 0)
         << "node " << n;
   }
@@ -105,10 +106,11 @@ TEST_F(EvaluatorTest, SharedScratchValidationMatchesFreshState) {
   for (int qi = 0; qi < 5; ++qi) {
     PathExpression q = testing_util::MustParse(
         testing_util::RandomChainQuery(g, 3, &rng), g.labels());
+    const Automaton rev = q.forward().Reverse();
     for (NodeId n = 0; n < g.NumNodes(); ++n) {
       int64_t fresh_visits = 0, scratch_visits = 0;
-      bool fresh = ValidateCandidate(g, q, n, &fresh_visits);
-      bool reused = ValidateCandidate(g, q, n, &scratch_visits, &scratch);
+      bool fresh = ValidateCandidate(g, rev, n, &fresh_visits);
+      bool reused = ValidateCandidate(g, rev, n, &scratch_visits, &scratch);
       EXPECT_EQ(fresh, reused) << "query " << q.text() << " node " << n;
       EXPECT_EQ(fresh_visits, scratch_visits)
           << "query " << q.text() << " node " << n;

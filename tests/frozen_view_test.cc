@@ -333,8 +333,8 @@ void RunThreadScratchPasses(
 // before and after an AddSubgraph, must give exactly what a fresh explicit
 // scratch gives — results and EvalStats, on the index path (both validate
 // modes) and the data path. The query mix includes a >64-state automaton
-// (two mask words) so the mask width changes too, and more distinct texts
-// than the compiled-query cache holds.
+// (two mask words) so the mask width changes too, and at least 30 distinct
+// texts per view.
 TEST(FrozenViewTest, ThreadScratchMatchesFreshScratchAcrossViews) {
   XmarkOptions xopt;
   xopt.scale = 0.08;
@@ -380,7 +380,7 @@ TEST(FrozenViewTest, ThreadScratchMatchesFreshScratchAcrossViews) {
   ASSERT_LT(small.num_data_nodes(), before.num_data_nodes());
   ASSERT_LT(before.num_data_nodes(), after.num_data_nodes());
   ASSERT_LT(after.num_data_nodes(), large.num_data_nodes());
-  ASSERT_GT(cases.back().queries.size(), FrozenScratch::kMaxCompiledQueries);
+  ASSERT_GE(cases.back().queries.size(), 30u);
 
   std::vector<std::vector<std::vector<Outcome>>> want(cases.size());
   for (size_t v = 0; v < cases.size(); ++v) {
@@ -402,6 +402,94 @@ TEST(FrozenViewTest, ThreadScratchMatchesFreshScratchAcrossViews) {
     threads.emplace_back([&] { RunThreadScratchPasses(cases, want); });
   }
   for (std::thread& t : threads) t.join();
+}
+
+// An expression's move tables are compiled once, against the label table
+// it was parsed with. Labels a graph appends later fall into the tables'
+// "other" class, so evaluating the SAME expression on a view of the grown
+// graph must still match the reference on that graph — and, for queries
+// naming only labels that existed at parse time, a fresh parse too.
+TEST(FrozenViewTest, ExpressionParsedBeforeLabelAppendsMatchesOnGrownView) {
+  Rng rng(53);
+  DataGraph g = testing_util::RandomGraph(200, 4, 30, &rng);  // labels a..d
+  LabelRequirements reqs;
+  reqs[g.labels().Find("b")] = 2;
+  DkIndex dk = DkIndex::Build(&g, reqs);
+  const LabelId labels_before = g.labels().size();
+  const std::vector<std::string> texts = {
+      "_.b",      "_._.c",   "_*.a",    "_*",  "_*.b._",
+      "a.b",      "b.c.d",   "a.(b|c)", "_",   "(a|_).d",
+      "a.h",  // h is appended below: unknown at parse time
+  };
+  std::vector<PathExpression> parsed;
+  for (const std::string& t : texts) {
+    parsed.push_back(testing_util::MustParse(t, g.labels()));
+  }
+
+  dk.AddSubgraph(testing_util::RandomGraph(300, 9, 40, &rng));  // a..i
+  ASSERT_GT(g.labels().size(), labels_before);
+  const LabelId appended = g.labels().Find("h");
+  ASSERT_GE(appended, labels_before);
+  ASSERT_GT(g.NodesWithLabel(appended).size(), 0u);
+
+  FrozenView reference_view(dk.index(), ReferenceBackend());
+  FrozenView default_view(dk.index());
+  for (size_t i = 0; i < parsed.size(); ++i) {
+    const PathExpression& old_parse = parsed[i];
+    ExpectFrozenMatchesReference(dk.index(), reference_view, old_parse,
+                                 nullptr);
+    if (texts[i] == "a.h") continue;  // a fresh parse resolves h
+    const PathExpression fresh = testing_util::MustParse(texts[i], g.labels());
+    for (const FrozenView* view : {&reference_view, &default_view}) {
+      for (bool validate : {true, false}) {
+        EvalStats old_stats, fresh_stats;
+        EXPECT_EQ(view->Evaluate(old_parse, &old_stats, validate),
+                  view->Evaluate(fresh, &fresh_stats, validate))
+            << texts[i];
+        ExpectStatsEq(fresh_stats, old_stats, texts[i]);
+      }
+      EvalStats old_stats, fresh_stats;
+      EXPECT_EQ(view->EvaluateOnData(old_parse, &old_stats),
+                view->EvaluateOnData(fresh, &fresh_stats))
+          << texts[i];
+      ExpectStatsEq(fresh_stats, old_stats, texts[i] + " (data path)");
+    }
+  }
+}
+
+// Past 65,536 data nodes the result sort needs more than one 11-bit digit,
+// so every radix pass runs; answers must still be the reference's.
+TEST(FrozenViewTest, LargeIdResultsMatchReference) {
+  Rng rng(59);
+  DataGraph g = testing_util::RandomGraph(70000, 6, 5000, &rng);
+  ASSERT_GT(g.NumNodes(), 65536);
+  AkIndex a1 = AkIndex::Build(&g, 1);
+  FrozenView view(a1.index(), ReferenceBackend());
+  for (const char* text : {"_", "_.a", "_*.b.c", "a.b.c", "(c|d)._"}) {
+    const PathExpression q = testing_util::MustParse(text, g.labels());
+    ExpectFrozenMatchesReference(a1.index(), view, q, nullptr);
+    EXPECT_EQ(view.Evaluate(q), EvaluateOnDataGraph(g, q)) << text;
+  }
+}
+
+TEST(FrozenViewTest, RadixSortMatchesStdSortAtEveryWidth) {
+  Rng rng(61);
+  std::vector<NodeId> buffer;
+  // Bounds giving 1, 2 and 3 digit passes; sizes on both sides of the
+  // std::sort cutoff.
+  for (int64_t bound : {int64_t{2}, int64_t{1000}, int64_t{70000},
+                        int64_t{1} << 22, (int64_t{1} << 31) - 1}) {
+    for (int size : {0, 1, 63, 64, 5000}) {
+      std::vector<NodeId> ids;
+      for (int i = 0; i < size; ++i) {
+        ids.push_back(static_cast<NodeId>(rng.UniformInt(0, bound - 1)));
+      }
+      std::vector<NodeId> want = ids;
+      std::sort(want.begin(), want.end());
+      RadixSortNodeIds(&ids, bound, &buffer);
+      EXPECT_EQ(ids, want) << "bound " << bound << " size " << size;
+    }
+  }
 }
 
 // The plan depends only on (view, query), so repeated evaluations of one

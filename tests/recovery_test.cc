@@ -18,7 +18,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <string_view>
@@ -56,17 +55,11 @@
 namespace dki {
 namespace {
 
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "dki_recovery_" + name + "_" +
-                    std::to_string(::getpid());
-  // Start clean: remove any leftovers from a previous run of this test.
-  if (PathExists(dir)) {
-    std::string cmd = "rm -rf '" + dir + "'";
-    EXPECT_EQ(std::system(cmd.c_str()), 0);
-  }
-  std::string error;
-  EXPECT_TRUE(EnsureDir(dir, &error)) << error;
-  return dir;
+// A fresh directory for one test, removed when the test ends.
+testing_util::ScopedTempDir FreshDir(const std::string& name) {
+  return testing_util::ScopedTempDir(::testing::TempDir() + "dki_recovery_" +
+                                     name + "_" +
+                                     std::to_string(::getpid()));
 }
 
 std::string MustRead(const std::string& path) {
@@ -112,7 +105,7 @@ TEST(WalTest, EncodeDecodeRoundTripsAllKinds) {
 }
 
 TEST(WalTest, AppendReadAllRoundTrip) {
-  std::string dir = FreshDir("wal_roundtrip");
+  const auto dir = FreshDir("wal_roundtrip");
   WriteAheadLog wal(dir + "/wal.log", /*sync_every_n=*/2,
                     /*sync_interval_ms=*/1000);
   std::string error;
@@ -138,7 +131,7 @@ TEST(WalTest, AppendReadAllRoundTrip) {
 }
 
 TEST(WalTest, MissingFileIsAnEmptyLog) {
-  std::string dir = FreshDir("wal_missing");
+  const auto dir = FreshDir("wal_missing");
   std::vector<WriteAheadLog::Record> records;
   bool clean = false;
   std::string error;
@@ -149,7 +142,7 @@ TEST(WalTest, MissingFileIsAnEmptyLog) {
 }
 
 TEST(WalTest, TornTailYieldsCleanPrefixAndOpenRepairsIt) {
-  std::string dir = FreshDir("wal_torn");
+  const auto dir = FreshDir("wal_torn");
   const std::string path = dir + "/wal.log";
   std::string bytes;
   for (uint64_t seq = 1; seq <= 3; ++seq) {
@@ -187,7 +180,7 @@ TEST(WalTest, TornTailYieldsCleanPrefixAndOpenRepairsIt) {
 }
 
 TEST(WalTest, CorruptMiddleRecordStopsTheCleanPrefix) {
-  std::string dir = FreshDir("wal_corrupt");
+  const auto dir = FreshDir("wal_corrupt");
   const std::string path = dir + "/wal.log";
   std::string r1 = WriteAheadLog::EncodeRecord(UpdateOp::AddEdge(1, 2), 1);
   std::string r2 = WriteAheadLog::EncodeRecord(UpdateOp::AddEdge(3, 4), 2);
@@ -206,7 +199,7 @@ TEST(WalTest, CorruptMiddleRecordStopsTheCleanPrefix) {
 }
 
 TEST(WalTest, TruncateThroughKeepsOnlyNewerRecords) {
-  std::string dir = FreshDir("wal_trunc");
+  const auto dir = FreshDir("wal_trunc");
   WriteAheadLog wal(dir + "/wal.log", 1, 1000);
   std::string error;
   ASSERT_TRUE(wal.Open(&error)) << error;
@@ -241,7 +234,7 @@ DkIndex BuildMovieIndex(DataGraph* g) {
 }
 
 TEST(CheckpointTest, WriteLoadRoundTrip) {
-  std::string dir = FreshDir("ckpt_roundtrip");
+  const auto dir = FreshDir("ckpt_roundtrip");
   DataGraph g = testing_util::BuildMovieGraph();
   DkIndex dk = BuildMovieIndex(&g);
 
@@ -264,7 +257,7 @@ TEST(CheckpointTest, WriteLoadRoundTrip) {
 }
 
 TEST(CheckpointTest, RetainsNewestTwoAndExposesSafeTruncationSeq) {
-  std::string dir = FreshDir("ckpt_retention");
+  const auto dir = FreshDir("ckpt_retention");
   DataGraph g = testing_util::BuildMovieGraph();
   DkIndex dk = BuildMovieIndex(&g);
   CheckpointStore store(dir);
@@ -285,7 +278,7 @@ TEST(CheckpointTest, RetainsNewestTwoAndExposesSafeTruncationSeq) {
 }
 
 TEST(CheckpointTest, CorruptNewestFallsBackToPrevious) {
-  std::string dir = FreshDir("ckpt_fallback");
+  const auto dir = FreshDir("ckpt_fallback");
   DataGraph g = testing_util::BuildMovieGraph();
   DkIndex dk = BuildMovieIndex(&g);
   CheckpointStore store(dir);
@@ -398,7 +391,7 @@ struct CrashFixture {
 
 TEST(CrashStateTest, CleanShutdownRecoversWithNoReplay) {
   CrashFixture f = CrashFixture::Make(7001);
-  std::string dir = FreshDir("crash_clean");
+  const auto dir = FreshDir("crash_clean");
   std::vector<NodeId> served =
       RunDurableSession(dir, f.original, f.reqs, f.ops, f.probe);
 
@@ -423,7 +416,7 @@ TEST(CrashStateTest, CleanShutdownRecoversWithNoReplay) {
 // the clean prefix.
 TEST(CrashStateTest, TornLogTailRecoversThePrefix) {
   CrashFixture f = CrashFixture::Make(7002);
-  std::string dir = FreshDir("crash_torn_log");
+  const auto dir = FreshDir("crash_torn_log");
 
   // Build a crash state by hand: checkpoint at seq 0, then a log holding
   // ops 1..20 with a torn 21st record.
@@ -457,7 +450,7 @@ TEST(CrashStateTest, TornLogTailRecoversThePrefix) {
 // Kill point: mid-checkpoint-write. The torn temp file must be ignored.
 TEST(CrashStateTest, PartialCheckpointTempIsIgnored) {
   CrashFixture f = CrashFixture::Make(7003);
-  std::string dir = FreshDir("crash_ckpt_tmp");
+  const auto dir = FreshDir("crash_ckpt_tmp");
   std::vector<NodeId> served =
       RunDurableSession(dir, f.original, f.reqs, f.ops, f.probe);
 
@@ -480,7 +473,7 @@ TEST(CrashStateTest, PartialCheckpointTempIsIgnored) {
 // Same outcome: the .tmp name is not a checkpoint.
 TEST(CrashStateTest, UnrenamedCompleteCheckpointIsIgnored) {
   CrashFixture f = CrashFixture::Make(7004);
-  std::string dir = FreshDir("crash_ckpt_unrenamed");
+  const auto dir = FreshDir("crash_ckpt_unrenamed");
   std::vector<NodeId> served =
       RunDurableSession(dir, f.original, f.reqs, f.ops, f.probe);
 
@@ -504,7 +497,7 @@ TEST(CrashStateTest, UnrenamedCompleteCheckpointIsIgnored) {
 // applying the remainder must land on the same state.
 TEST(CrashStateTest, StaleLogRecordsBelowCheckpointAreSkipped) {
   CrashFixture f = CrashFixture::Make(7005);
-  std::string dir = FreshDir("crash_stale_log");
+  const auto dir = FreshDir("crash_stale_log");
 
   DataGraph g = f.original;
   DkIndex dk = DkIndex::Build(&g, f.reqs);
@@ -538,7 +531,7 @@ TEST(CrashStateTest, StaleLogRecordsBelowCheckpointAreSkipped) {
 // must land on the same state the newest checkpoint would have given.
 TEST(CrashStateTest, CorruptNewestCheckpointFallsBackAndReplays) {
   CrashFixture f = CrashFixture::Make(7006);
-  std::string dir = FreshDir("crash_ckpt_corrupt");
+  const auto dir = FreshDir("crash_ckpt_corrupt");
 
   DataGraph g = f.original;
   DkIndex dk = DkIndex::Build(&g, f.reqs);
@@ -583,7 +576,7 @@ TEST(CrashStateTest, CorruptNewestCheckpointFallsBackAndReplays) {
 // prefix rather than apply later ops to the wrong state.
 TEST(CrashStateTest, SequenceGapStopsReplayAtConsistentPrefix) {
   CrashFixture f = CrashFixture::Make(7007);
-  std::string dir = FreshDir("crash_gap");
+  const auto dir = FreshDir("crash_gap");
 
   DataGraph g = f.original;
   DkIndex dk = DkIndex::Build(&g, f.reqs);
@@ -615,7 +608,7 @@ TEST(CrashStateTest, SequenceGapStopsReplayAtConsistentPrefix) {
 // every record after it and let Open() rewrite the log without them.
 TEST(CrashStateTest, V1TextSubgraphRecordFailsRecoveryAndKeepsTheLog) {
   CrashFixture f = CrashFixture::Make(7008);
-  std::string dir = FreshDir("crash_v1_subgraph");
+  const auto dir = FreshDir("crash_v1_subgraph");
 
   DataGraph g = f.original;
   DkIndex dk = DkIndex::Build(&g, f.reqs);
@@ -799,7 +792,7 @@ TEST_F(FaultInjectionTest, XmarkKillsRecoverBitIdentical) {
                             8101, 150);
   Rng rng(8102);
   for (int trial = 0; trial < 4; ++trial) {
-    std::string dir = FreshDir("xmark_kill_" + std::to_string(trial));
+    const auto dir = FreshDir("xmark_kill_" + std::to_string(trial));
     RunKillTrial(w, dir, rng.UniformInt(1000, 30000));
     if (HasFatalFailure()) return;
   }
@@ -812,7 +805,7 @@ TEST_F(FaultInjectionTest, NasaKillsRecoverBitIdentical) {
                             8201, 150);
   Rng rng(8202);
   for (int trial = 0; trial < 4; ++trial) {
-    std::string dir = FreshDir("nasa_kill_" + std::to_string(trial));
+    const auto dir = FreshDir("nasa_kill_" + std::to_string(trial));
     RunKillTrial(w, dir, rng.UniformInt(1000, 30000));
     if (HasFatalFailure()) return;
   }
@@ -846,7 +839,7 @@ TEST(DurableServerRaceTest, ReadersWriterAndCheckpointerRace) {
     }
   }
 
-  std::string dir = FreshDir("race");
+  const auto dir = FreshDir("race");
   DataGraph g = original;
   DkIndex dk = DkIndex::Build(&g, reqs);
   QueryServer::Options options;
@@ -918,8 +911,8 @@ TEST(CrashStateTest, AutoRetunesReplayFromTheLog) {
   const DataGraph original = testing_util::BuildMovieGraph();
   const std::vector<std::string> texts = {"director.movie.title",
                                           "actor.movie.title"};
-  const std::string dir = FreshDir("auto_retune");
-  const std::string crashed = FreshDir("auto_retune_crashed");
+  const auto dir = FreshDir("auto_retune");
+  const auto crashed = FreshDir("auto_retune_crashed");
   std::vector<std::vector<NodeId>> served;
   {
     DataGraph g = original;
@@ -945,8 +938,9 @@ TEST(CrashStateTest, AutoRetunesReplayFromTheLog) {
     // The crash image: the initial checkpoint plus a log whose records were
     // each fsynced before they were applied. Stop would checkpoint them.
     namespace fs = std::filesystem;
-    fs::copy(dir, crashed,
-             fs::copy_options::recursive | fs::copy_options::overwrite_existing);
+    fs::copy(dir.path(), crashed.path(),
+             fs::copy_options::recursive |
+                 fs::copy_options::overwrite_existing);
   }
 
   DataGraph rg;
@@ -985,8 +979,8 @@ TEST(CrashStateTest, AutoRetunesReplayFromTheLog) {
 TEST(CrashStateTest, NewlineLabelSubgraphLogsAndReplays) {
   const DataGraph original = testing_util::BuildMovieGraph();
   const std::string label = "line\nbreak";
-  const std::string dir = FreshDir("newline_label");
-  const std::string crashed = FreshDir("newline_label_crashed");
+  const auto dir = FreshDir("newline_label");
+  const auto crashed = FreshDir("newline_label_crashed");
   DataGraph served_graph;
   {
     DataGraph g = original;
@@ -1011,7 +1005,7 @@ TEST(CrashStateTest, NewlineLabelSubgraphLogsAndReplays) {
     ASSERT_EQ(served_graph.NumNodes(), original.NumNodes() + 2);
     // The crash image: the initial checkpoint plus the logged subgraph.
     namespace fs = std::filesystem;
-    fs::copy(dir, crashed,
+    fs::copy(dir.path(), crashed.path(),
              fs::copy_options::recursive |
                  fs::copy_options::overwrite_existing);
   }

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdint>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -45,16 +44,11 @@
 namespace dki {
 namespace {
 
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "dki_v2_" + name + "_" +
-                    std::to_string(::getpid());
-  if (PathExists(dir)) {
-    std::string cmd = "rm -rf '" + dir + "'";
-    EXPECT_EQ(std::system(cmd.c_str()), 0);
-  }
-  std::string error;
-  EXPECT_TRUE(EnsureDir(dir, &error)) << error;
-  return dir;
+// A fresh directory for one test, removed when the test ends.
+testing_util::ScopedTempDir FreshDir(const std::string& name) {
+  return testing_util::ScopedTempDir(::testing::TempDir() + "dki_v2_" +
+                                     name + "_" +
+                                     std::to_string(::getpid()));
 }
 
 void ExpectSameGraph(const DataGraph& got, const DataGraph& want) {
@@ -187,7 +181,7 @@ TEST(SerializationV2Test, TruncationSweepNeverLoads) {
 // ---------------------------------------------------------------------------
 
 TEST(CheckpointV2Test, WritesV2AndRoundTrips) {
-  std::string dir = FreshDir("roundtrip");
+  const auto dir = FreshDir("roundtrip");
   DataGraph g = testing_util::BuildMovieGraph();
   LabelRequirements reqs;
   reqs[g.labels().Find("title")] = 2;
@@ -221,7 +215,7 @@ TEST(CheckpointV2Test, WritesV2AndRoundTrips) {
 // sections is damaged, not a longer valid state: the loader rejects it and
 // falls back to the previous checkpoint.
 TEST(CheckpointV2Test, TrailingPayloadBytesRejected) {
-  std::string dir = FreshDir("trailing");
+  const auto dir = FreshDir("trailing");
   DataGraph g = testing_util::BuildMovieGraph();
   DkIndex dk = DkIndex::Build(&g, {});
   CheckpointStore store(dir);
@@ -261,7 +255,7 @@ TEST(CheckpointV2Test, TrailingPayloadBytesRejected) {
 }
 
 TEST(CheckpointV2Test, StreamingWriteHasBoundedTransientMemory) {
-  std::string dir = FreshDir("o1peak");
+  const auto dir = FreshDir("o1peak");
   // Large enough that the encoded checkpoint spans many buffer-fulls even
   // after varint/delta compression (scale 4 encodes to ~350 KB).
   XmarkOptions options;
@@ -290,7 +284,7 @@ TEST(CheckpointV2Test, StreamingWriteHasBoundedTransientMemory) {
 }
 
 TEST(CheckpointV2Test, TruncationSweepNeverValidates) {
-  std::string dir = FreshDir("trunc");
+  const auto dir = FreshDir("trunc");
   DataGraph g = testing_util::BuildMovieGraph();
   DkIndex dk = DkIndex::Build(&g, {});
   CheckpointStore store(dir);
@@ -323,7 +317,7 @@ TEST(CheckpointV2Test, TruncationSweepNeverValidates) {
 }
 
 TEST(CheckpointV2Test, ByteFlipSweepNeverValidates) {
-  std::string dir = FreshDir("flip");
+  const auto dir = FreshDir("flip");
   DataGraph g = testing_util::BuildMovieGraph();
   DkIndex dk = DkIndex::Build(&g, {});
   CheckpointStore store(dir);
@@ -361,7 +355,7 @@ TEST(CheckpointV2Test, KillMidWriteNeverCorruptsRecovery) {
 #ifdef DKI_UNDER_TSAN
   GTEST_SKIP() << "fork-based fault injection is not TSan-compatible";
 #endif
-  std::string dir = FreshDir("midwrite");
+  const auto dir = FreshDir("midwrite");
   XmarkOptions options;
   options.scale = 0.25;
   DataGraph g = GenerateXmarkGraph(options).graph;

@@ -15,7 +15,6 @@
 #include "index/dk_index.h"
 #include "query/evaluator.h"
 #include "query/load_tracker.h"
-#include "query/parse_cache.h"
 #include "serve/snapshot.h"
 #include "serve/update_queue.h"
 #include "serve/wal.h"
@@ -801,8 +800,8 @@ TEST(QueryServerTunerTest, StopJoinsTheTunerBeforeClosingTheQueue) {
 }
 
 // ---------------------------------------------------------------------------
-// ParseCache (query/parse_cache.h): incremental LRU eviction, label-version
-// revalidation, cached parse failures.
+// The parse cache behind the server's read path (its own suite:
+// tests/parse_cache_test.cc).
 // ---------------------------------------------------------------------------
 
 Counter& TestCounter(const std::string& name) {
@@ -811,104 +810,11 @@ Counter& TestCounter(const std::string& name) {
   return c;
 }
 
-TEST(ParseCacheTest, HotEntrySurvivesColdCycling) {
-  // The regression this guards: the old cache dropped EVERYTHING when it
-  // hit its cap, so a cycling cold stream forced the hot query to re-parse
-  // once per wipe. With per-entry LRU eviction the hot query — touched
-  // every iteration — parses exactly once, and total re-parses equal the
-  // distinct texts seen: misses are O(evictions), not O(traffic).
-  Counter& hits = TestCounter("test.parse_cache.cycling.hits");
-  Counter& misses = TestCounter("test.parse_cache.cycling.misses");
-  Counter& evictions = TestCounter("test.parse_cache.cycling.evictions");
-
-  LabelTable labels;
-  constexpr size_t kCap = 64;
-  ParseCache cache("test.parse_cache.cycling", kCap);
-  const std::string hot = "movieDB.director.movie";
-  const int kCold = 200;  // distinct cold texts, far above capacity
-  for (int i = 0; i < kCold; ++i) {
-    ASSERT_NE(cache.Get(hot, labels, nullptr), nullptr);
-    ASSERT_NE(cache.Get("cold" + std::to_string(i), labels, nullptr),
-              nullptr);
-  }
-  EXPECT_EQ(misses.value(), kCold + 1);  // each distinct text parsed once
-  EXPECT_EQ(hits.value(), kCold - 1);    // every later hot access hits
-  EXPECT_EQ(evictions.value(), kCold + 1 - static_cast<int64_t>(kCap));
-}
-
-TEST(ParseCacheTest, StaleLabelVersionReparsesInPlace) {
-  Counter& misses = TestCounter("test.parse_cache.stale.misses");
-  Counter& evictions = TestCounter("test.parse_cache.stale.evictions");
-  LabelTable labels;
-  ParseCache cache("test.parse_cache.stale", 64);
-  auto first = cache.Get("studio.film", labels, nullptr);
-  ASSERT_NE(first, nullptr);
-  // Same label version: the exact compiled object comes back.
-  EXPECT_EQ(cache.Get("studio.film", labels, nullptr).get(), first.get());
-  EXPECT_EQ(misses.value(), 1);
-  // The label table grew: the entry revalidates by re-parsing in place —
-  // one miss, no eviction — and the caller's old shared_ptr stays valid.
-  labels.Intern("studio");
-  auto second = cache.Get("studio.film", labels, nullptr);
-  ASSERT_NE(second, nullptr);
-  EXPECT_NE(second.get(), first.get());
-  EXPECT_EQ(misses.value(), 2);
-  EXPECT_EQ(evictions.value(), 0);
-}
-
-TEST(ParseCacheTest, ParseFailuresAreCachedWithTheirError) {
-  Counter& hits = TestCounter("test.parse_cache.fail.hits");
-  Counter& misses = TestCounter("test.parse_cache.fail.misses");
-  LabelTable labels;
-  ParseCache cache("test.parse_cache.fail", 64);
-  std::string error;
-  EXPECT_EQ(cache.Get("movie..", labels, &error), nullptr);
-  ASSERT_FALSE(error.empty());
-  const std::string first_error = error;
-  error.clear();
-  // The second lookup is a HIT that replays the cached failure.
-  EXPECT_EQ(cache.Get("movie..", labels, &error), nullptr);
-  EXPECT_EQ(error, first_error);
-  EXPECT_EQ(misses.value(), 1);
-  EXPECT_EQ(hits.value(), 1);
-}
-
-TEST(ParseCacheTest, ConcurrentMissesOnOneTextAgree) {
-  // Misses parse outside the lock, so racing callers may parse the same
-  // text twice; the first insert wins, every caller gets an equal
-  // expression, and each call counts exactly once.
-  Counter& hits = TestCounter("test.parse_cache.race.hits");
-  Counter& misses = TestCounter("test.parse_cache.race.misses");
-  DataGraph g = testing_util::BuildMovieGraph();
-  ParseCache cache("test.parse_cache.race", 16);
-  const std::string text = "movieDB.director.movie.title";
-  constexpr int kThreads = 8;
-  constexpr int kCalls = 200;
-  std::vector<std::shared_ptr<const PathExpression>> got(kThreads * kCalls);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kCalls; ++i) {
-        got[static_cast<size_t>(t * kCalls + i)] =
-            cache.Get(text, g.labels(), nullptr);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  const PathExpression want = testing_util::MustParse(text, g.labels());
-  for (const auto& expr : got) {
-    ASSERT_NE(expr, nullptr);
-    EXPECT_EQ(expr->text(), want.text());
-    EXPECT_EQ(expr->chain_labels(), want.chain_labels());
-  }
-  EXPECT_GE(misses.value(), 1);
-  EXPECT_EQ(hits.value() + misses.value(), kThreads * kCalls);
-}
-
 TEST(QueryServerTest, ColdQueryCyclingEvictsIncrementally) {
-  // Same property end-to-end through the server's read path, at the real
-  // capacity: cycling 5000 distinct cold queries past a hot one costs
-  // exactly one parse per distinct text, with evictions = overflow.
+  // The parse cache's eviction property (tests/parse_cache_test.cc) end to
+  // end through the server's read path, at the real capacity: cycling 5000
+  // distinct cold queries past a hot one costs exactly one parse per
+  // distinct text, with evictions = overflow.
   Counter& hits = TestCounter("serve.parse_cache.hits");
   Counter& misses = TestCounter("serve.parse_cache.misses");
   Counter& evictions = TestCounter("serve.parse_cache.evictions");

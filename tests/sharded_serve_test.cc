@@ -44,16 +44,11 @@
 namespace dki {
 namespace {
 
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "dki_sharded_" + name + "_" +
-                    std::to_string(::getpid());
-  if (PathExists(dir)) {
-    std::string cmd = "rm -rf '" + dir + "'";
-    EXPECT_EQ(std::system(cmd.c_str()), 0);
-  }
-  std::string error;
-  EXPECT_TRUE(EnsureDir(dir, &error)) << error;
-  return dir;
+// A fresh directory for one test, removed when the test ends.
+testing_util::ScopedTempDir FreshDir(const std::string& name) {
+  return testing_util::ScopedTempDir(::testing::TempDir() + "dki_sharded_" +
+                                     name + "_" +
+                                     std::to_string(::getpid()));
 }
 
 // A graph the partitioner can actually spread: `subtrees` independent
@@ -219,7 +214,7 @@ TEST(ShardRouterTest, ManifestRoundTripsAndReconcilesLostReservations) {
   EXPECT_EQ(reserved->first_global, g.NumNodes());
   EXPECT_GT(reserved->new_nodes, 0);
 
-  std::string dir = FreshDir("manifest");
+  const auto dir = FreshDir("manifest");
   std::string path = dir + "/router.manifest";
   std::string error;
   ASSERT_TRUE(router.SaveManifest(path, &error)) << error;
@@ -244,6 +239,46 @@ TEST(ShardRouterTest, ManifestRoundTripsAndReconcilesLostReservations) {
   EXPECT_TRUE(still.has_value());
   // Holes are never reused: the high-water mark survives reconciliation.
   EXPECT_EQ(loaded.next_global(), router.next_global());
+}
+
+TEST(ShardRouterTest, ManifestKeepsLabelsHoldingNewlines) {
+  // Manifest v1 wrote one label name per line, so a base label holding
+  // '\n' saved fine and then failed to load. v2 length-prefixes names.
+  DataGraph g;
+  GraphBuilder b(&g);
+  b.Open("root");
+  b.Open("line\nbreak");
+  b.ValueLeaf("x");
+  b.Close();
+  b.Open("plain");
+  b.ValueLeaf("y");
+  b.Close();
+  b.Close();
+  ASSERT_NE(g.labels().Find("line\nbreak"), kInvalidLabel);
+  ShardRouter router = ShardRouter::Partition(g, 2);
+
+  const auto dir = FreshDir("manifest_newline");
+  const std::string path = dir + "/router.manifest";
+  std::string error;
+  ASSERT_TRUE(router.SaveManifest(path, &error)) << error;
+  ShardRouter loaded;
+  ASSERT_TRUE(ShardRouter::LoadManifest(path, &loaded, &error)) << error;
+  EXPECT_EQ(loaded.num_shards(), router.num_shards());
+  EXPECT_EQ(loaded.next_global(), router.next_global());
+  EXPECT_EQ(loaded.base_label_count(), router.base_label_count());
+  for (NodeId id = 0; id < g.NumNodes(); ++id) {
+    EXPECT_EQ(loaded.ShardOfNode(id), router.ShardOfNode(id)) << id;
+  }
+
+  // A v1 manifest is refused by version, not misparsed.
+  std::string contents;
+  ASSERT_TRUE(ReadFileToString(path, &contents, &error)) << error;
+  ASSERT_EQ(contents.rfind("dkrouter v2\n", 0), 0u);
+  contents.replace(0, std::string("dkrouter v2").size(), "dkrouter v1");
+  ASSERT_TRUE(AtomicWriteFile(path, contents, &error)) << error;
+  EXPECT_FALSE(ShardRouter::LoadManifest(path, &loaded, &error));
+  EXPECT_NE(error.find("unsupported manifest version"), std::string::npos)
+      << error;
 }
 
 // ---------------------------------------------------------------------------
@@ -648,7 +683,7 @@ TEST_F(ShardedFaultInjectionTest, KillsRecoverDurablePrefixAcrossShardCounts) {
   Rng rng(43002);
   int trial = 0;
   for (int num_shards : {1, 2, 2, 4}) {
-    std::string dir = FreshDir("kill_n" + std::to_string(num_shards) + "_" +
+    const auto dir = FreshDir("kill_n" + std::to_string(num_shards) + "_" +
                                std::to_string(trial++));
     RunShardedKillTrial(f, num_shards, dir, rng.UniformInt(2000, 25000));
     if (HasFatalFailure()) return;
@@ -658,7 +693,7 @@ TEST_F(ShardedFaultInjectionTest, KillsRecoverDurablePrefixAcrossShardCounts) {
 // A clean stop must recover to the full stream on every shard.
 TEST(ShardedServeTest, CleanShutdownRecoversEveryShardCompletely) {
   ShardedCrashFixture f = ShardedCrashFixture::Make(43003);
-  std::string dir = FreshDir("clean_shutdown");
+  const auto dir = FreshDir("clean_shutdown");
   ShardedQueryServer::Options opts;
   opts.num_shards = 2;
   opts.server.durability.dir = dir;

@@ -1,7 +1,11 @@
 #ifndef DKINDEX_TESTS_TEST_UTIL_H_
 #define DKINDEX_TESTS_TEST_UTIL_H_
 
+#include <filesystem>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -11,6 +15,33 @@
 
 namespace dki {
 namespace testing_util {
+
+// A fresh, empty directory at `path` (leftovers of an earlier run are wiped
+// first), removed with everything in it when the object dies — at the end
+// of the test that made it. It stands in for its path string.
+class ScopedTempDir {
+ public:
+  explicit ScopedTempDir(std::string path) : path_(std::move(path)) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScopedTempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+  operator const std::string&() const { return path_; }
+  friend std::string operator+(const ScopedTempDir& dir,
+                               std::string_view suffix) {
+    return dir.path_ + std::string(suffix);
+  }
+
+ private:
+  std::string path_;
+};
 
 // Builds a small movie database in the spirit of the paper's Figure 1:
 // movieDB contains directors and actors; both contain movies (directors'
