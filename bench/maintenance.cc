@@ -5,9 +5,11 @@
 // update stream (Section 6.2 edge toggles interleaved with shrink/grow
 // retune waves) is driven through a QueryServer, and the end-to-end
 // writer latency (`serve.writer.publish.latency`: batch apply + snapshot
-// republish) is reported as p50/p99. The sweep spans 10x in graph size —
-// the acceptance bar is incremental p99 staying ~flat (<= 1.5x) across it
-// while full-rebuild p99 grows with the graph.
+// republish) is reported as p50/p99, alongside its split: the batch apply
+// (`serve.writer.batch.latency`) and the snapshot republish
+// (`serve.writer.republish.latency`), each as count/p50/p99. The sweep
+// spans 10x in graph size — the acceptance bar is incremental p99 staying
+// ~flat (<= 1.5x) across it while full-rebuild p99 grows with the graph.
 //
 // The binary is also the exactness guard used by CI: after each stream it
 // evaluates the mined workload on the final snapshot and hashes results +
@@ -31,12 +33,29 @@
 namespace dki {
 namespace {
 
+// Count, p50 and p99 (ms) of one latency histogram.
+struct LatencySummary {
+  int64_t count = 0;
+  double p50_ms = 0.0;
+  double p99_ms = 0.0;
+};
+
+LatencySummary Summarize(const std::string& histogram) {
+  const HistogramSnapshot s =
+      MetricsRegistry::Global().GetHistogram(histogram).snapshot();
+  return {s.count, s.p50() / 1e6, s.p99() / 1e6};
+}
+
 struct ModeResult {
   std::string mode;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   double rebuild_p50_ms = 0.0;
   double rebuild_p99_ms = 0.0;
+  // The writer's split of each batch: apply (serve.writer.batch.latency)
+  // vs snapshot republish (serve.writer.republish.latency).
+  LatencySummary apply;
+  LatencySummary republish;
   int64_t publishes = 0;
   int64_t ops_applied = 0;
   int64_t coalesced = 0;
@@ -148,15 +167,20 @@ ModeResult RunStream(const bench::Dataset& dataset,
       m.GetHistogram("index.dk.rebuild.latency").snapshot();
   out.rebuild_p50_ms = rebuild.ValueAtQuantile(0.5) / 1e6;
   out.rebuild_p99_ms = rebuild.p99() / 1e6;
-  out.incremental_calls =
-      m.GetCounter("index.dk.incremental_rebuild.calls").value();
+  out.apply = Summarize("serve.writer.batch.latency");
+  out.republish = Summarize("serve.writer.republish.latency");
   out.incremental_fallbacks =
       m.GetCounter("index.dk.incremental_rebuild.fallback_full").value();
+  // A fallback records full_rebuild.latency, not incremental_rebuild's.
+  out.incremental_calls =
+      m.GetHistogram("index.dk.incremental_rebuild.latency").snapshot().count +
+      out.incremental_fallbacks;
   out.projected_nodes =
       m.GetCounter("index.dk.incremental_rebuild.projected_nodes").value();
   out.recomputed_nodes =
       m.GetCounter("index.dk.incremental_rebuild.recomputed_nodes").value();
-  out.full_calls = m.GetCounter("index.dk.full_rebuild.calls").value();
+  out.full_calls =
+      m.GetHistogram("index.dk.full_rebuild.latency").snapshot().count;
   return out;
 }
 
@@ -167,6 +191,12 @@ bench::Json ModeJson(const ModeResult& r) {
   j.Set("p99_ms", bench::Json::Num(r.p99_ms));
   j.Set("rebuild_p50_ms", bench::Json::Num(r.rebuild_p50_ms));
   j.Set("rebuild_p99_ms", bench::Json::Num(r.rebuild_p99_ms));
+  for (const auto& [prefix, l] : {std::pair{"apply", r.apply},
+                                   std::pair{"republish", r.republish}}) {
+    j.Set(std::string(prefix) + "_count", bench::Json::Int(l.count));
+    j.Set(std::string(prefix) + "_p50_ms", bench::Json::Num(l.p50_ms));
+    j.Set(std::string(prefix) + "_p99_ms", bench::Json::Num(l.p99_ms));
+  }
   j.Set("publishes", bench::Json::Int(r.publishes));
   j.Set("ops_applied", bench::Json::Int(r.ops_applied));
   j.Set("ops_coalesced", bench::Json::Int(r.coalesced));
@@ -202,9 +232,11 @@ int Main(int argc, char** argv) {
   bench::Json rows = bench::Json::Array();
   bool hashes_match = true;
 
-  std::printf("%-6s %-6s %9s %9s | %-12s %9s %9s %9s %9s %6s %6s %6s\n",
+  std::printf("%-6s %-6s %9s %9s | %-12s %9s %9s %9s %9s %6s %6s %6s | "
+              "%6s %9s %9s %6s %9s %9s\n",
               "data", "scale", "nodes", "edges", "mode", "p50(ms)", "p99(ms)",
-              "rb50(ms)", "rb99(ms)", "pub", "coal", "fall");
+              "rb50(ms)", "rb99(ms)", "pub", "coal", "fall", "apply",
+              "ap50(ms)", "ap99(ms)", "repub", "rp50(ms)", "rp99(ms)");
   for (const char* which : {"xmark", "nasa"}) {
     for (double scale : scales) {
       bench::Dataset dataset = std::string(which) == "xmark"
@@ -227,14 +259,18 @@ int Main(int argc, char** argv) {
                                     mode, waves, toggles_per_wave));
         const ModeResult& r = results.back();
         std::printf("%-6s %-6.2f %9lld %9lld | %-12s %9.3f %9.3f %9.3f "
-                    "%9.3f %6lld %6lld %6lld\n",
+                    "%9.3f %6lld %6lld %6lld | %6lld %9.3f %9.3f %6lld %9.3f "
+                    "%9.3f\n",
                     which, scale,
                     static_cast<long long>(dataset.graph.NumNodes()),
                     static_cast<long long>(dataset.graph.NumEdges()),
                     r.mode.c_str(), r.p50_ms, r.p99_ms, r.rebuild_p50_ms,
                     r.rebuild_p99_ms, static_cast<long long>(r.publishes),
                     static_cast<long long>(r.coalesced),
-                    static_cast<long long>(r.incremental_fallbacks));
+                    static_cast<long long>(r.incremental_fallbacks),
+                    static_cast<long long>(r.apply.count), r.apply.p50_ms,
+                    r.apply.p99_ms, static_cast<long long>(r.republish.count),
+                    r.republish.p50_ms, r.republish.p99_ms);
       }
       bool match = results[0].result_hash == results[1].result_hash &&
                    results[0].index_nodes == results[1].index_nodes;

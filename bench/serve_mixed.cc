@@ -105,12 +105,11 @@ ConfigResult RunConfig(const DkIndex& source,
   QueryServer::Stats stats = server.stats();
   out.ops_applied = stats.ops_applied;
   out.publishes = stats.publishes;
-  const TimerMetric& republish =
-      MetricsRegistry::Global().GetTimer("serve.writer.republish");
-  if (republish.count() > 0) {
-    out.republish_mean_ms = static_cast<double>(republish.total_nanos()) /
-                            static_cast<double>(republish.count()) / 1e6;
-  }
+  out.republish_mean_ms = MetricsRegistry::Global()
+                              .GetHistogram("serve.writer.republish.latency")
+                              .snapshot()
+                              .mean() /
+                          1e6;
   ResultCache::Stats cs = server.cache_stats();
   if (cs.hits + cs.misses > 0) {
     out.cache_hit_rate = static_cast<double>(cs.hits) /

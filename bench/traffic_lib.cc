@@ -185,8 +185,9 @@ struct MetricPoint {
     p.wal_appends = reg.GetCounter("wal.appends").value();
     p.retunes = reg.GetCounter("serve.retune.submitted").value();
     p.promote_label_calls =
-        reg.GetCounter("index.dk.promote_label.calls").value();
-    p.demote_calls = reg.GetCounter("index.dk.demote.calls").value();
+        reg.GetHistogram("index.dk.promote_label.latency").snapshot().count;
+    p.demote_calls =
+        reg.GetHistogram("index.dk.demote.latency").snapshot().count;
     p.publishes = server.publishes();
     ResultCache::Stats cs = server.cache_stats();
     p.cache_hits = cs.hits;

@@ -24,28 +24,11 @@ int NextStripe() {
 
 }  // namespace metrics_internal
 
-ScopedTimer::ScopedTimer(TimerMetric* metric)
-    : metric_(metric), start_nanos_(NowNanos()) {}
-
-ScopedTimer::~ScopedTimer() {
-  metric_->RecordNanos(NowNanos() - start_nanos_);
-}
-
 ScopedLatency::ScopedLatency(Histogram* histogram)
     : histogram_(histogram), start_nanos_(NowNanos()) {}
 
 ScopedLatency::~ScopedLatency() {
   histogram_->Record(NowNanos() - start_nanos_);
-}
-
-size_t Histogram::BucketIndex(uint64_t v) {
-  if (v < static_cast<uint64_t>(kSubBuckets)) return static_cast<size_t>(v);
-  int msb = 63;
-  while ((v >> msb) == 0) --msb;  // v >= kSubBuckets, so msb >= kSubBucketBits
-  const uint64_t sub = (v >> (msb - kSubBucketBits)) &
-                       static_cast<uint64_t>(kSubBuckets - 1);
-  return static_cast<size_t>((msb - kSubBucketBits + 1) * kSubBuckets +
-                             static_cast<int>(sub));
 }
 
 int64_t Histogram::BucketLowerBound(size_t index) {
@@ -133,15 +116,6 @@ Counter& MetricsRegistry::GetCounter(const std::string& name) {
   return *counters_.back();
 }
 
-TimerMetric& MetricsRegistry::GetTimer(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& t : timers_) {
-    if (t->name() == name) return *t;
-  }
-  timers_.push_back(std::make_unique<TimerMetric>(name));
-  return *timers_.back();
-}
-
 Histogram& MetricsRegistry::GetHistogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& h : histograms_) {
@@ -155,13 +129,8 @@ std::vector<MetricSample> MetricsRegistry::Snapshot() const {
   std::vector<MetricSample> out;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    out.reserve(counters_.size() + timers_.size());
-    for (const auto& c : counters_) {
-      out.push_back({c->name(), c->value(), -1});
-    }
-    for (const auto& t : timers_) {
-      out.push_back({t->name(), t->total_nanos(), t->count()});
-    }
+    out.reserve(counters_.size());
+    for (const auto& c : counters_) out.push_back({c->name(), c->value()});
   }
   std::sort(out.begin(), out.end(),
             [](const MetricSample& a, const MetricSample& b) {
@@ -188,19 +157,12 @@ std::vector<HistogramSample> MetricsRegistry::SnapshotHistograms() const {
 
 void MetricsRegistry::Dump(std::ostream* out) const {
   for (const MetricSample& s : Snapshot()) {
-    if (s.count < 0) {
-      *out << s.name << " " << s.value << "\n";
-    } else {
-      const double mean_ms =
-          s.count == 0 ? 0.0
-                       : static_cast<double>(s.value) / s.count / 1e6;
-      *out << s.name << " " << static_cast<double>(s.value) / 1e6
-           << "ms count=" << s.count << " mean=" << mean_ms << "ms\n";
-    }
+    *out << s.name << " " << s.value << "\n";
   }
   for (const HistogramSample& h : SnapshotHistograms()) {
     const HistogramSnapshot& snap = h.snapshot;
-    *out << h.name << " count=" << snap.count << " p50=" << snap.p50() / 1e6
+    *out << h.name << " count=" << snap.count
+         << " mean=" << snap.mean() / 1e6 << "ms p50=" << snap.p50() / 1e6
          << "ms p95=" << snap.p95() / 1e6 << "ms p99=" << snap.p99() / 1e6
          << "ms max=" << static_cast<double>(snap.max) / 1e6 << "ms\n";
   }
@@ -209,7 +171,6 @@ void MetricsRegistry::Dump(std::ostream* out) const {
 void MetricsRegistry::ResetAll() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& c : counters_) c->Reset();
-  for (const auto& t : timers_) t->Reset();
   for (const auto& h : histograms_) h->Reset();
 }
 

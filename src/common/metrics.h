@@ -3,6 +3,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -12,18 +13,22 @@
 
 namespace dki {
 
-// Process-wide observability for the serving path: named monotonic counters,
-// accumulating timers, and latency histograms, registered on first use and
-// kept for the process lifetime. Increments are lock-free (relaxed atomics —
-// the values are statistics, not synchronization). Every metric keeps
-// kMetricStripes cache-line-aligned copies of its cells and a thread records
-// into the stripe of its per-thread index, so readers on different cores
-// never bounce one line between them; reads, snapshots and resets visit all
+// Process-wide observability for the serving path: named monotonic counters
+// and latency histograms, registered on first use and kept for the process
+// lifetime. Increments are lock-free (relaxed atomics — the values are
+// statistics, not synchronization). Every metric keeps kMetricStripes
+// cache-line-aligned copies of its cells and a thread records into the
+// stripe of its per-thread index, so readers on different cores never
+// bounce one line between them; reads, snapshots and resets visit all
 // stripes. Registration takes a mutex but happens once per name; call sites
 // cache the returned reference (see DKI_METRIC_COUNTER).
 //
 // Naming convention: dotted lowercase paths grouped by subsystem, e.g.
-// "eval.index.calls", "cache.result.hits", "index.dk.add_edge.calls".
+// "eval.index.calls", "wal.append_bytes", "index.dk.add_edge.latency". One
+// instrument per measurement: a timed scope records one Histogram named
+// "<scope>.latency", whose count is the call count — no ".calls" counter
+// beside it. Counters count what a histogram cannot: successes only,
+// failures, bytes, nodes.
 
 // Stripes per metric. Threads take indexes round-robin on their first
 // record, so threads that start recording one after another share a cell
@@ -67,53 +72,6 @@ class Counter {
  private:
   struct alignas(metrics_internal::kCacheLine) Cell {
     std::atomic<int64_t> value{0};
-  };
-  const std::string name_;
-  std::array<Cell, kMetricStripes> cells_{};
-};
-
-// Accumulated wall time plus invocation count; records are lock-free.
-// Totals alone hide tail behavior — pair with a Histogram (below) where the
-// distribution matters (the serving path does both).
-class TimerMetric {
- public:
-  explicit TimerMetric(std::string name) : name_(std::move(name)) {}
-
-  void RecordNanos(int64_t nanos) {
-    Cell& c = cells_[metrics_internal::ThisThreadStripe()];
-    c.total_nanos.fetch_add(nanos, std::memory_order_relaxed);
-    c.count.fetch_add(1, std::memory_order_relaxed);
-  }
-  int64_t total_nanos() const {
-    int64_t sum = 0;
-    for (const Cell& c : cells_) {
-      sum += c.total_nanos.load(std::memory_order_relaxed);
-    }
-    return sum;
-  }
-  int64_t count() const {
-    int64_t sum = 0;
-    for (const Cell& c : cells_) sum += c.count.load(std::memory_order_relaxed);
-    return sum;
-  }
-  // Mean nanoseconds per invocation; 0 before the first record.
-  int64_t avg_nanos() const {
-    const int64_t n = count();
-    return n == 0 ? 0 : total_nanos() / n;
-  }
-  const std::string& name() const { return name_; }
-
-  void Reset() {
-    for (Cell& c : cells_) {
-      c.total_nanos.store(0, std::memory_order_relaxed);
-      c.count.store(0, std::memory_order_relaxed);
-    }
-  }
-
- private:
-  struct alignas(metrics_internal::kCacheLine) Cell {
-    std::atomic<int64_t> total_nanos{0};
-    std::atomic<int64_t> count{0};
   };
   const std::string name_;
   std::array<Cell, kMetricStripes> cells_{};
@@ -173,7 +131,14 @@ class Histogram {
   void Reset();
 
   // Bucket geometry (shared with HistogramSnapshot::ValueAtQuantile).
-  static size_t BucketIndex(uint64_t v);
+  static size_t BucketIndex(uint64_t v) {
+    if (v < static_cast<uint64_t>(kSubBuckets)) return static_cast<size_t>(v);
+    const int msb = std::bit_width(v) - 1;  // >= kSubBucketBits here
+    const uint64_t sub = (v >> (msb - kSubBucketBits)) &
+                         static_cast<uint64_t>(kSubBuckets - 1);
+    return static_cast<size_t>((msb - kSubBucketBits + 1) * kSubBuckets +
+                               static_cast<int>(sub));
+  }
   static int64_t BucketLowerBound(size_t index);
   static int64_t BucketWidth(size_t index);
 
@@ -201,25 +166,10 @@ class ScopedLatency {
   int64_t start_nanos_;
 };
 
-// RAII scope timer feeding a TimerMetric.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(TimerMetric* metric);
-  ~ScopedTimer();
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  TimerMetric* metric_;
-  int64_t start_nanos_;
-};
-
 // One row of MetricsRegistry::Snapshot().
 struct MetricSample {
   std::string name;
-  int64_t value = 0;        // counter value, or timer total in nanoseconds
-  int64_t count = -1;       // -1 for counters; invocation count for timers
+  int64_t value = 0;  // counter value
 };
 
 // One row of MetricsRegistry::SnapshotHistograms().
@@ -235,21 +185,20 @@ class MetricsRegistry {
  public:
   static MetricsRegistry& Global();
 
-  // Returns the counter/timer/histogram registered under `name`, creating it
-  // if new.
+  // Returns the counter/histogram registered under `name`, creating it if
+  // new.
   Counter& GetCounter(const std::string& name);
-  TimerMetric& GetTimer(const std::string& name);
   Histogram& GetHistogram(const std::string& name);
 
-  // A consistent-enough view for reporting: every metric that existed at the
-  // call, with relaxed-loaded values, sorted by name. Histograms have their
-  // own snapshot call (their sample shape differs).
+  // A consistent-enough view for reporting: every counter that existed at
+  // the call, with relaxed-loaded values, sorted by name. Histograms have
+  // their own snapshot call (their sample shape differs).
   std::vector<MetricSample> Snapshot() const;
   std::vector<HistogramSample> SnapshotHistograms() const;
 
   // Human-readable dump of Snapshot() + SnapshotHistograms() (one
-  // "name value" line per metric; timers as total milliseconds + count +
-  // mean; histograms as p50/p95/p99/max milliseconds).
+  // "name value" line per counter; histograms as count plus
+  // mean/p50/p95/p99/max milliseconds).
   void Dump(std::ostream* out) const;
 
   // Zeroes every registered metric (tests and bench phase boundaries).
@@ -261,7 +210,6 @@ class MetricsRegistry {
   mutable std::mutex mutex_;  // guards the maps, not the metric values
   // Stable addresses: the registry hands out references into these.
   std::vector<std::unique_ptr<Counter>> counters_;
-  std::vector<std::unique_ptr<TimerMetric>> timers_;
   std::vector<std::unique_ptr<Histogram>> histograms_;
 };
 
@@ -272,13 +220,6 @@ class MetricsRegistry {
     static ::dki::Counter& counter =                                    \
         ::dki::MetricsRegistry::Global().GetCounter(name);              \
     return counter;                                                     \
-  }())
-
-#define DKI_METRIC_TIMER(name)                                          \
-  ([]() -> ::dki::TimerMetric& {                                        \
-    static ::dki::TimerMetric& timer =                                  \
-        ::dki::MetricsRegistry::Global().GetTimer(name);                \
-    return timer;                                                       \
   }())
 
 #define DKI_METRIC_HISTOGRAM(name)                                     \

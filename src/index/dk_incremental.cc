@@ -63,13 +63,11 @@ void DkIndex::Rebuild(const std::vector<int>& effective_req) {
     FullRebuild(effective_req);
     return;
   }
-  DKI_METRIC_COUNTER("index.dk.incremental_rebuild.calls").Increment();
   IncrementalRebuild(effective_req);
 }
 
 void DkIndex::FullRebuild(const std::vector<int>& effective_req) {
-  DKI_METRIC_COUNTER("index.dk.full_rebuild.calls").Increment();
-  ScopedTimer timer(&DKI_METRIC_TIMER("index.dk.full_rebuild"));
+  ScopedLatency latency(&DKI_METRIC_HISTOGRAM("index.dk.full_rebuild.latency"));
   // The rebuilt IndexGraph starts life with a fresh epoch; carry the old one
   // forward (plus one for the rebuild itself) so the epoch never revisits a
   // value a cached result may still be stamped with.
@@ -103,7 +101,8 @@ void DkIndex::IncrementalRebuild(const std::vector<int>& effective_req) {
     FullRebuild(effective_req);
     return;
   }
-  ScopedTimer timer(&DKI_METRIC_TIMER("index.dk.incremental_rebuild"));
+  ScopedLatency latency(
+      &DKI_METRIC_HISTOGRAM("index.dk.incremental_rebuild.latency"));
   const uint64_t old_epoch = index_.epoch();
   auto next_trace = std::make_shared<RefinementTrace>();
 

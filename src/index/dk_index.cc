@@ -69,8 +69,7 @@ std::vector<int> DkIndex::EffectiveRequirements(const DataGraph& g,
 DkIndex DkIndex::Build(DataGraph* graph, const LabelRequirements& reqs,
                        const BuildOptions& options) {
   DKI_CHECK(graph != nullptr);
-  DKI_METRIC_COUNTER("index.dk.build.calls").Increment();
-  ScopedTimer timer(&DKI_METRIC_TIMER("index.dk.build"));
+  ScopedLatency latency(&DKI_METRIC_HISTOGRAM("index.dk.build.latency"));
   std::vector<int> effective = EffectiveRequirements(*graph, reqs);
   std::vector<int> block_k;
   int num_threads = options.ResolvedNumThreads();

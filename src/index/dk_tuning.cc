@@ -70,8 +70,8 @@ void DkIndex::Promote(IndexNodeId v, int k_target) {
 }
 
 void DkIndex::PromoteLabel(LabelId label, int k_target) {
-  DKI_METRIC_COUNTER("index.dk.promote_label.calls").Increment();
-  ScopedTimer timer(&DKI_METRIC_TIMER("index.dk.promote_label"));
+  ScopedLatency latency(
+      &DKI_METRIC_HISTOGRAM("index.dk.promote_label.latency"));
   // Promotions split nodes of this label into further nodes of the same
   // label, and SplitOff appends every new node to the label's bucket in id
   // order — so one growing-cursor pass over the bucket visits every node of
@@ -104,8 +104,7 @@ void DkIndex::PromoteBatch(const LabelRequirements& targets) {
 }
 
 void DkIndex::Demote(const LabelRequirements& new_reqs) {
-  DKI_METRIC_COUNTER("index.dk.demote.calls").Increment();
-  ScopedTimer timer(&DKI_METRIC_TIMER("index.dk.demote"));
+  ScopedLatency latency(&DKI_METRIC_HISTOGRAM("index.dk.demote.latency"));
   std::vector<int> initial(static_cast<size_t>(graph_->labels().size()), 0);
   for (const auto& [label, k] : new_reqs) {
     DKI_CHECK_GE(label, 0);

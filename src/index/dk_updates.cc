@@ -134,8 +134,7 @@ int64_t DkIndex::DemotionWave(IndexNodeId start) {
 }
 
 DkIndex::EdgeUpdateStats DkIndex::AddEdge(NodeId u, NodeId v) {
-  DKI_METRIC_COUNTER("index.dk.add_edge.calls").Increment();
-  ScopedTimer timer(&DKI_METRIC_TIMER("index.dk.add_edge"));
+  ScopedLatency latency(&DKI_METRIC_HISTOGRAM("index.dk.add_edge.latency"));
   EdgeUpdateStats stats;
   if (graph_->HasEdge(u, v)) {
     stats.new_local_similarity = index_.k(index_.index_of(v));
@@ -216,8 +215,7 @@ int DkIndex::RemovalLocalSimilarity(IndexNodeId u_node, NodeId v, int k_old,
 bool DkIndex::RemoveEdge(NodeId u, NodeId v) {
   if (!graph_->RemoveEdge(u, v)) return false;
   dirty_.push_back(v);  // v's parent set changed: re-refine it next rebuild
-  DKI_METRIC_COUNTER("index.dk.remove_edge.calls").Increment();
-  ScopedTimer timer(&DKI_METRIC_TIMER("index.dk.remove_edge"));
+  ScopedLatency latency(&DKI_METRIC_HISTOGRAM("index.dk.remove_edge.latency"));
   IndexNodeId u_node = index_.index_of(u);
   IndexNodeId v_node = index_.index_of(v);
   // Drop the derived index edge iff no other data edge supports it.
@@ -237,8 +235,7 @@ bool DkIndex::RemoveEdge(NodeId u, NodeId v) {
 }
 
 std::vector<NodeId> DkIndex::AddSubgraph(const DataGraph& h) {
-  DKI_METRIC_COUNTER("index.dk.add_subgraph.calls").Increment();
-  ScopedTimer timer(&DKI_METRIC_TIMER("index.dk.add_subgraph"));
+  ScopedLatency latency(&DKI_METRIC_HISTOGRAM("index.dk.add_subgraph.latency"));
   // --- copy H into the data graph (H's root is identified with our root).
   std::vector<LabelId> label_map(static_cast<size_t>(h.labels().size()),
                                  kInvalidLabel);

@@ -12,39 +12,6 @@
 namespace dki {
 namespace {
 
-// Cached counter references for one evaluation subsystem ("eval.data" /
-// "eval.index"); resolved once, then every evaluation pays only the relaxed
-// atomic adds.
-struct EvalCounters {
-  explicit EvalCounters(const std::string& prefix)
-      : calls(MetricsRegistry::Global().GetCounter(prefix + ".calls")),
-        index_nodes_visited(MetricsRegistry::Global().GetCounter(
-            prefix + ".index_nodes_visited")),
-        data_nodes_visited(MetricsRegistry::Global().GetCounter(
-            prefix + ".data_nodes_visited")),
-        validated_candidates(MetricsRegistry::Global().GetCounter(
-            prefix + ".validated_candidates")),
-        uncertain_index_nodes(MetricsRegistry::Global().GetCounter(
-            prefix + ".uncertain_index_nodes")),
-        results(MetricsRegistry::Global().GetCounter(prefix + ".results")) {}
-
-  void Record(const EvalStats& s) {
-    calls.Increment();
-    index_nodes_visited.Increment(s.index_nodes_visited);
-    data_nodes_visited.Increment(s.data_nodes_visited);
-    validated_candidates.Increment(s.validated_candidates);
-    uncertain_index_nodes.Increment(s.uncertain_index_nodes);
-    results.Increment(s.result_size);
-  }
-
-  Counter& calls;
-  Counter& index_nodes_visited;
-  Counter& data_nodes_visited;
-  Counter& validated_candidates;
-  Counter& uncertain_index_nodes;
-  Counter& results;
-};
-
 // Visited-set over (node, state) pairs: a bitmask per node when the
 // automaton is small (the common case), a hash set otherwise.
 class VisitedSet {
@@ -84,6 +51,28 @@ struct PendingPair {
 };
 
 }  // namespace
+
+EvalCounters::EvalCounters(const std::string& prefix)
+    : calls(MetricsRegistry::Global().GetCounter(prefix + ".calls")),
+      index_nodes_visited(MetricsRegistry::Global().GetCounter(
+          prefix + ".index_nodes_visited")),
+      data_nodes_visited(MetricsRegistry::Global().GetCounter(
+          prefix + ".data_nodes_visited")),
+      validated_candidates(MetricsRegistry::Global().GetCounter(
+          prefix + ".validated_candidates")),
+      uncertain_index_nodes(MetricsRegistry::Global().GetCounter(
+          prefix + ".uncertain_index_nodes")),
+      results(MetricsRegistry::Global().GetCounter(prefix + ".results")) {}
+
+void EvalCounters::Record(const EvalStats& s) {
+  calls.Increment();
+  index_nodes_visited.Increment(s.index_nodes_visited);
+  data_nodes_visited.Increment(s.data_nodes_visited);
+  validated_candidates.Increment(s.validated_candidates);
+  uncertain_index_nodes.Increment(s.uncertain_index_nodes);
+  results.Increment(s.result_size);
+}
+
 
 std::vector<NodeId> EvaluateOnDataGraph(const DataGraph& g,
                                         const PathExpression& query,

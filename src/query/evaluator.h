@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -36,6 +37,25 @@ struct EvalStats {
     uncertain_index_nodes += other.uncertain_index_nodes;
     result_size += other.result_size;
   }
+};
+
+class Counter;
+
+// Cached counter references for one evaluation subsystem: "eval.data" and
+// "eval.index" here, "eval.frozen.index" and "eval.frozen.data" in
+// query/frozen_view.cc. Resolved once, then every evaluation pays only the
+// relaxed atomic adds of Record().
+struct EvalCounters {
+  explicit EvalCounters(const std::string& prefix);
+
+  void Record(const EvalStats& s);
+
+  Counter& calls;
+  Counter& index_nodes_visited;
+  Counter& data_nodes_visited;
+  Counter& validated_candidates;
+  Counter& uncertain_index_nodes;
+  Counter& results;
 };
 
 // Ground-truth evaluation of `query` directly on the data graph: a product

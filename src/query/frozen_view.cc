@@ -12,37 +12,6 @@
 namespace dki {
 namespace {
 
-// Mirrors the EvalCounters of query/evaluator.cc under the frozen prefixes.
-struct FrozenCounters {
-  explicit FrozenCounters(const std::string& prefix)
-      : calls(MetricsRegistry::Global().GetCounter(prefix + ".calls")),
-        index_nodes_visited(MetricsRegistry::Global().GetCounter(
-            prefix + ".index_nodes_visited")),
-        data_nodes_visited(MetricsRegistry::Global().GetCounter(
-            prefix + ".data_nodes_visited")),
-        validated_candidates(MetricsRegistry::Global().GetCounter(
-            prefix + ".validated_candidates")),
-        uncertain_index_nodes(MetricsRegistry::Global().GetCounter(
-            prefix + ".uncertain_index_nodes")),
-        results(MetricsRegistry::Global().GetCounter(prefix + ".results")) {}
-
-  void Record(const EvalStats& s) {
-    calls.Increment();
-    index_nodes_visited.Increment(s.index_nodes_visited);
-    data_nodes_visited.Increment(s.data_nodes_visited);
-    validated_candidates.Increment(s.validated_candidates);
-    uncertain_index_nodes.Increment(s.uncertain_index_nodes);
-    results.Increment(s.result_size);
-  }
-
-  Counter& calls;
-  Counter& index_nodes_visited;
-  Counter& data_nodes_visited;
-  Counter& validated_candidates;
-  Counter& uncertain_index_nodes;
-  Counter& results;
-};
-
 int MaskWords(int num_states) { return (num_states + 63) / 64; }
 
 // The scratch of evaluations given none: one per thread, for the thread's
@@ -64,25 +33,16 @@ int64_t VectorBytes(const std::vector<T>& v) {
   return static_cast<int64_t>(v.capacity() * sizeof(T));
 }
 
-// Per-plan serving metrics: a call counter and an evaluation-latency
-// histogram under serve.eval.backend.<name>.*, resolved once per name.
-struct BackendMetrics {
-  explicit BackendMetrics(const std::string& name)
-      : calls(MetricsRegistry::Global().GetCounter(
-            "serve.eval.backend." + name + ".calls")),
-        latency_ns(MetricsRegistry::Global().GetHistogram(
-            "serve.eval.backend." + name + ".latency_ns")) {}
-
-  Counter& calls;
-  Histogram& latency_ns;
-};
-
-BackendMetrics& MetricsForBackend(EvalBackend backend) {
-  static std::array<BackendMetrics*, kNumEvalBackends>& table = *[] {
-    auto* t = new std::array<BackendMetrics*, kNumEvalBackends>();
+// Per-plan evaluation latency: one histogram per backend, named
+// serve.eval.backend.<name>.latency_ns and resolved once. Its count is the
+// backend's call count.
+Histogram& BackendLatency(EvalBackend backend) {
+  static const std::array<Histogram*, kNumEvalBackends> table = [] {
+    std::array<Histogram*, kNumEvalBackends> t{};
     for (int b = 0; b < kNumEvalBackends; ++b) {
-      (*t)[static_cast<size_t>(b)] =
-          new BackendMetrics(EvalBackendName(static_cast<EvalBackend>(b)));
+      t[static_cast<size_t>(b)] = &MetricsRegistry::Global().GetHistogram(
+          std::string("serve.eval.backend.") +
+          EvalBackendName(static_cast<EvalBackend>(b)) + ".latency_ns");
     }
     return t;
   }();
@@ -328,8 +288,6 @@ std::vector<NodeId> FrozenView::Evaluate(const PathExpression& query,
 
   // --- plan + run the index-side traversal -------------------------------
   const EvalPlan plan = PlanQuery(query, validate);
-  BackendMetrics& backend_metrics = MetricsForBackend(plan.backend);
-  backend_metrics.calls.Increment();
   const auto backend_start = std::chrono::steady_clock::now();
 
   std::vector<NodeId> result;
@@ -382,8 +340,8 @@ std::vector<NodeId> FrozenView::Evaluate(const PathExpression& query,
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - backend_start)
           .count();
-  backend_metrics.latency_ns.Record(backend_ns);
-  static FrozenCounters& counters = *new FrozenCounters("eval.frozen.index");
+  BackendLatency(plan.backend).Record(backend_ns);
+  static EvalCounters& counters = *new EvalCounters("eval.frozen.index");
   counters.Record(local);
   if (stats != nullptr) stats->Accumulate(local);
   return result;
@@ -441,7 +399,7 @@ std::vector<NodeId> FrozenView::EvaluateOnData(const PathExpression& query,
   // The reference emits in id order.
   RadixSortNodeIds(&result, num_data_nodes(), &s->sort_buffer_);
   local.result_size = static_cast<int64_t>(result.size());
-  static FrozenCounters& counters = *new FrozenCounters("eval.frozen.data");
+  static EvalCounters& counters = *new EvalCounters("eval.frozen.data");
   counters.Record(local);
   if (stats != nullptr) stats->Accumulate(local);
   return result;

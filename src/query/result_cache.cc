@@ -6,7 +6,6 @@
 #include <iterator>
 #include <utility>
 
-#include "common/metrics.h"
 #include "pathexpr/tokenizer.h"
 
 namespace dki {
@@ -98,7 +97,6 @@ bool ResultCache::EvictOne() {
     if (shard.lru.empty()) continue;
     EraseLocked(&shard, std::prev(shard.lru.end()));
     ++shard.stats.evictions;
-    DKI_METRIC_COUNTER("cache.result.evictions").Increment();
     return true;
   }
   return false;
@@ -126,7 +124,6 @@ bool ResultCache::TryGet(const std::string& key, uint64_t epoch,
   auto it = shard.by_key.find(key);
   if (it == shard.by_key.end()) {
     ++shard.stats.misses;
-    DKI_METRIC_COUNTER("cache.result.misses").Increment();
     return false;
   }
   if (it->second->epoch != epoch) {
@@ -135,16 +132,13 @@ bool ResultCache::TryGet(const std::string& key, uint64_t epoch,
       // never become valid again (epochs are monotonic), so drop it now.
       EraseLocked(&shard, it->second);
       ++shard.stats.stale_drops;
-      DKI_METRIC_COUNTER("cache.result.stale_drops").Increment();
     }
     ++shard.stats.misses;
-    DKI_METRIC_COUNTER("cache.result.misses").Increment();
     return false;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // now MRU
   *out = it->second->result;
   ++shard.stats.hits;
-  DKI_METRIC_COUNTER("cache.result.hits").Increment();
   return true;
 }
 
@@ -160,7 +154,6 @@ void ResultCache::Put(const std::string& key, uint64_t epoch,
     // An entry that can never fit must be rejected up front: reserving its
     // bytes would drain every resident entry without retaining anything.
     oversized_rejects_.fetch_add(1, std::memory_order_relaxed);
-    DKI_METRIC_COUNTER("cache.result.oversized_rejects").Increment();
     return;
   }
   // Reserving before inserting keeps the total within budget at every

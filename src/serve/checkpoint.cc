@@ -163,7 +163,7 @@ std::vector<CheckpointStore::Info> CheckpointStore::List() const {
 bool CheckpointStore::Write(const DataGraph& graph, const IndexGraph& index,
                             const std::vector<int>& reqs, uint64_t seq,
                             std::string* error) {
-  ScopedTimer timer(&DKI_METRIC_TIMER("checkpoint.write"));
+  ScopedLatency latency(&DKI_METRIC_HISTOGRAM("checkpoint.write.latency"));
   const std::string path =
       dir_ + "/" + kCheckpointPrefix + std::to_string(seq) + kCheckpointSuffix;
   AtomicFileWriter file;
@@ -249,7 +249,7 @@ uint64_t CheckpointStore::SafeTruncationSeq() const {
 std::optional<DkIndex> RecoverDkIndex(const std::string& dir,
                                       DataGraph* graph, RecoveryStats* stats,
                                       std::string* error) {
-  ScopedTimer timer(&DKI_METRIC_TIMER("recovery.total"));
+  ScopedLatency latency(&DKI_METRIC_HISTOGRAM("recovery.total.latency"));
   RecoveryStats local;
   CheckpointStore store(dir);
   uint64_t checkpoint_seq = 0;

@@ -118,8 +118,6 @@ std::optional<std::vector<NodeId>> QueryServer::EvaluateOn(
 std::optional<std::vector<NodeId>> QueryServer::Serve(
     const IndexSnapshot* held, const std::string& query_text,
     EvalStats* stats, std::string* error) const {
-  DKI_METRIC_COUNTER("serve.query.calls").Increment();
-  ScopedTimer timer(&DKI_METRIC_TIMER("serve.query"));
   ScopedLatency latency(&DKI_METRIC_HISTOGRAM("serve.query.latency"));
   // Probe before parsing: the canonical key is injective on token streams,
   // so a hit is the answer to this very query and needs no parse. Without a
@@ -170,10 +168,6 @@ std::vector<std::optional<std::vector<NodeId>>> QueryServer::EvaluateBatchOn(
     const IndexSnapshot& snap, const std::vector<std::string>& query_texts,
     std::vector<EvalStats>* stats, std::vector<std::string>* errors) const {
   const size_t n = query_texts.size();
-  DKI_METRIC_COUNTER("serve.query.batch_calls").Increment();
-  DKI_METRIC_COUNTER("serve.query.calls")
-      .Increment(static_cast<int64_t>(n));
-  ScopedTimer timer(&DKI_METRIC_TIMER("serve.query.batch"));
   ScopedLatency latency(&DKI_METRIC_HISTOGRAM("serve.query.batch.latency"));
   std::vector<std::optional<std::vector<NodeId>>> results(n);
   if (stats != nullptr) stats->assign(n, EvalStats());
@@ -553,7 +547,8 @@ void QueryServer::WriterLoop() {
     ScopedLatency publish_latency(
         &DKI_METRIC_HISTOGRAM("serve.writer.publish.latency"));
     {
-      ScopedTimer batch_timer(&DKI_METRIC_TIMER("serve.writer.batch"));
+      ScopedLatency batch_latency(
+          &DKI_METRIC_HISTOGRAM("serve.writer.batch.latency"));
       // Overlapping retune waves in one batch collapse into the final
       // shrink-retune's re-partition (exactness argument in apply.h). The
       // WAL above logged every op uncoalesced — replay redoes the skipped
@@ -577,7 +572,8 @@ void QueryServer::WriterLoop() {
           }
           continue;
         }
-        ScopedTimer op_timer(&DKI_METRIC_TIMER("serve.writer.op"));
+        ScopedLatency op_latency(
+            &DKI_METRIC_HISTOGRAM("serve.writer.op.latency"));
         if (batch[i].kind != UpdateOp::Kind::kRetune) graph_changed_ = true;
         if (!ApplyUpdateOp(&master_, batch[i])) {
           std::lock_guard<std::mutex> lock(state_mu_);
@@ -640,7 +636,6 @@ void QueryServer::CheckpointerLoop() {
 void QueryServer::Publish() {
   std::shared_ptr<const IndexSnapshot> next;
   {
-    ScopedTimer timer(&DKI_METRIC_TIMER("serve.writer.republish"));
     ScopedLatency latency(
         &DKI_METRIC_HISTOGRAM("serve.writer.republish.latency"));
     // A batch of retunes only leaves the graph as published: share it.

@@ -114,7 +114,8 @@ struct TuningOptions {
 //
 // The cost of this isolation is one deep copy of (data graph, index graph)
 // per republish — the batch size knob trades update latency against copy
-// amortization; republish latency is recorded under serve.writer.republish.
+// amortization; republish latency is recorded in the
+// serve.writer.republish.latency histogram.
 class QueryServer {
  public:
   struct Options {

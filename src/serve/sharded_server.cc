@@ -200,7 +200,6 @@ std::vector<int> ShardedQueryServer::SurvivingShards(
 std::optional<std::vector<NodeId>> ShardedQueryServer::Evaluate(
     const std::string& query_text, EvalStats* stats, std::string* error,
     std::vector<EvalStats>* per_shard_stats) const {
-  DKI_METRIC_COUNTER("serve.shard.query.calls").Increment();
   ScopedLatency latency(&DKI_METRIC_HISTOGRAM("serve.shard.query.latency"));
   queries_.fetch_add(1, std::memory_order_relaxed);
   const int n = num_shards();

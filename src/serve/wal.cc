@@ -312,7 +312,7 @@ bool WriteAheadLog::SyncLocked(bool force, std::string* error) {
     return true;  // group commit: not due yet
   }
   {
-    ScopedTimer timer(&DKI_METRIC_TIMER("wal.fsync"));
+    ScopedLatency latency(&DKI_METRIC_HISTOGRAM("wal.fsync.latency"));
     if (::fdatasync(fd_) != 0) return FailErrno(error, "wal fsync");
   }
   DKI_METRIC_COUNTER("wal.fsyncs").Increment();

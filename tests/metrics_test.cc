@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "index/dk_index.h"
 #include "query/evaluator.h"
+#include "serve/query_server.h"
 #include "tests/test_util.h"
 
 namespace dki {
@@ -40,15 +43,6 @@ TEST(MetricsTest, ConcurrentIncrementsAreLossless) {
   EXPECT_EQ(c.value(), static_cast<int64_t>(kThreads) * kPerThread);
 }
 
-TEST(MetricsTest, TimerAccumulates) {
-  TimerMetric& t = MetricsRegistry::Global().GetTimer("test.metrics.timer");
-  t.Reset();
-  { ScopedTimer scope(&t); }
-  { ScopedTimer scope(&t); }
-  EXPECT_EQ(t.count(), 2);
-  EXPECT_GE(t.total_nanos(), 0);
-}
-
 TEST(MetricsTest, SnapshotContainsRegisteredMetricsSorted) {
   MetricsRegistry::Global().GetCounter("test.metrics.snap_b").Reset();
   MetricsRegistry::Global().GetCounter("test.metrics.snap_a").Increment(7);
@@ -62,7 +56,6 @@ TEST(MetricsTest, SnapshotContainsRegisteredMetricsSorted) {
     if (s.name == "test.metrics.snap_a") {
       found = true;
       EXPECT_EQ(s.value, 7);
-      EXPECT_EQ(s.count, -1);  // counters carry no invocation count
     }
   }
   EXPECT_TRUE(found);
@@ -77,7 +70,6 @@ TEST(MetricsTest, StripedCellsAreLosslessAndResetEverywhere) {
   constexpr int kPerThread = 5000;
   auto& registry = MetricsRegistry::Global();
   Counter& c = registry.GetCounter("test.metrics.striped.counter");
-  TimerMetric& t = registry.GetTimer("test.metrics.striped.timer");
   Histogram& h = registry.GetHistogram("test.metrics.striped.hist");
   auto record_everywhere = [&] {
     std::vector<std::thread> threads;
@@ -85,7 +77,6 @@ TEST(MetricsTest, StripedCellsAreLosslessAndResetEverywhere) {
       threads.emplace_back([&, i] {
         for (int j = 0; j < kPerThread; ++j) {
           c.Increment(2);
-          t.RecordNanos(i + 1);
           h.Record(i * 100 + j % 7);
         }
       });
@@ -93,14 +84,9 @@ TEST(MetricsTest, StripedCellsAreLosslessAndResetEverywhere) {
     for (std::thread& th : threads) th.join();
   };
   c.Reset();
-  t.Reset();
   h.Reset();
   record_everywhere();
   EXPECT_EQ(c.value(), int64_t{2} * kThreads * kPerThread);
-  EXPECT_EQ(t.count(), int64_t{kThreads} * kPerThread);
-  // sum over threads of (i + 1) * kPerThread
-  EXPECT_EQ(t.total_nanos(),
-            int64_t{kThreads} * (kThreads + 1) / 2 * kPerThread);
   HistogramSnapshot snap = h.snapshot();
   EXPECT_EQ(snap.count, int64_t{kThreads} * kPerThread);
   EXPECT_EQ(snap.max, (kThreads - 1) * 100 + 6);
@@ -111,11 +97,8 @@ TEST(MetricsTest, StripedCellsAreLosslessAndResetEverywhere) {
   EXPECT_EQ(snap.sum, expected_sum);
 
   c.Reset();
-  t.Reset();
   h.Reset();
   EXPECT_EQ(c.value(), 0);
-  EXPECT_EQ(t.count(), 0);
-  EXPECT_EQ(t.total_nanos(), 0);
   snap = h.snapshot();
   EXPECT_EQ(snap.count, 0);
   EXPECT_EQ(snap.sum, 0);
@@ -124,20 +107,10 @@ TEST(MetricsTest, StripedCellsAreLosslessAndResetEverywhere) {
   record_everywhere();
   registry.ResetAll();
   EXPECT_EQ(c.value(), 0);
-  EXPECT_EQ(t.count(), 0);
-  EXPECT_EQ(t.total_nanos(), 0);
   snap = h.snapshot();
   EXPECT_EQ(snap.count, 0);
   EXPECT_EQ(snap.sum, 0);
   EXPECT_EQ(snap.max, 0);
-}
-
-TEST(MetricsTest, TimerReportsMean) {
-  TimerMetric t("test.metrics.mean");
-  EXPECT_EQ(t.avg_nanos(), 0);  // no division by zero before first record
-  t.RecordNanos(100);
-  t.RecordNanos(300);
-  EXPECT_EQ(t.avg_nanos(), 200);
 }
 
 // ---------------------------------------------------------------------------
@@ -146,14 +119,21 @@ TEST(MetricsTest, TimerReportsMean) {
 
 TEST(HistogramTest, BucketGeometryIsContiguous) {
   // Every value maps into a bucket whose [lower, lower + width) range
-  // contains it, and bucket boundaries tile the axis with no gaps.
-  for (uint64_t v : {0ull, 1ull, 3ull, 4ull, 5ull, 7ull, 8ull, 100ull,
-                     1023ull, 1024ull, 1048576ull, 123456789ull}) {
+  // contains it, and bucket boundaries tile the axis with no gaps. The
+  // values straddle every octave boundary up to INT64_MAX.
+  std::vector<uint64_t> values = {5, 100, 123456789};
+  for (int k = 0; k <= 62; ++k) {
+    const uint64_t p = uint64_t{1} << k;
+    values.insert(values.end(), {p - 1, p, p + 1});
+  }
+  values.push_back(static_cast<uint64_t>(INT64_MAX));
+  for (uint64_t v : values) {
     const size_t idx = Histogram::BucketIndex(v);
-    const int64_t lo = Histogram::BucketLowerBound(idx);
-    const int64_t width = Histogram::BucketWidth(idx);
-    EXPECT_GE(static_cast<int64_t>(v), lo) << v;
-    EXPECT_LT(static_cast<int64_t>(v), lo + width) << v;
+    ASSERT_LT(idx, static_cast<size_t>(Histogram::kNumBuckets)) << v;
+    const uint64_t lo = static_cast<uint64_t>(Histogram::BucketLowerBound(idx));
+    const uint64_t width = static_cast<uint64_t>(Histogram::BucketWidth(idx));
+    EXPECT_GE(v, lo) << v;
+    EXPECT_LT(v - lo, width) << v;  // v < lo + width, which can pass 2^63-1
   }
   for (size_t idx = 1; idx < 64; ++idx) {
     EXPECT_EQ(Histogram::BucketLowerBound(idx),
@@ -291,8 +271,28 @@ TEST(HistogramTest, RegistryRegistrationAndDump) {
   EXPECT_TRUE(found);
   std::ostringstream dump;
   MetricsRegistry::Global().Dump(&dump);
-  EXPECT_NE(dump.str().find("test.hist.dump"), std::string::npos);
+  EXPECT_NE(dump.str().find("test.hist.dump count=1 mean=1ms p50="),
+            std::string::npos)
+      << dump.str();
   EXPECT_NE(dump.str().find("p99"), std::string::npos);
+}
+
+// The count of a scope's "<scope>.latency" histogram is its call count: no
+// code may record a "<scope>.calls" counter beside it.
+void ExpectNoCallsCounterBesideLatency() {
+  auto& registry = MetricsRegistry::Global();
+  std::set<std::string> counters;
+  for (const MetricSample& s : registry.Snapshot()) counters.insert(s.name);
+  const std::string suffix = ".latency";
+  for (const HistogramSample& h : registry.SnapshotHistograms()) {
+    if (!h.name.ends_with(suffix)) continue;
+    const std::string scope = h.name.substr(0, h.name.size() - suffix.size());
+    EXPECT_EQ(counters.count(scope + ".calls"), 0u) << scope;
+  }
+}
+
+int64_t HistogramCount(const std::string& name) {
+  return MetricsRegistry::Global().GetHistogram(name).snapshot().count;
 }
 
 TEST(MetricsTest, ServingPathIsInstrumented) {
@@ -307,7 +307,7 @@ TEST(MetricsTest, ServingPathIsInstrumented) {
   auto result = EvaluateOnIndex(dk.index(), q, &stats);
 
   auto& registry = MetricsRegistry::Global();
-  EXPECT_EQ(registry.GetCounter("index.dk.build.calls").value(), 1);
+  EXPECT_EQ(HistogramCount("index.dk.build.latency"), 1);
   EXPECT_EQ(registry.GetCounter("eval.index.calls").value(), 1);
   EXPECT_EQ(registry.GetCounter("eval.index.index_nodes_visited").value(),
             stats.index_nodes_visited);
@@ -315,11 +315,74 @@ TEST(MetricsTest, ServingPathIsInstrumented) {
             static_cast<int64_t>(result.size()));
 
   dk.AddEdge(1, 2);
-  EXPECT_EQ(registry.GetCounter("index.dk.add_edge.calls").value(), 1);
+  EXPECT_EQ(HistogramCount("index.dk.add_edge.latency"), 1);
 
+  // The front door: a miss, a hit and a two-query batch. Each query and
+  // each batch is one histogram record.
+  {
+    QueryServer::Options options;
+    options.tuning.period_ms = 0;  // no background retunes
+    QueryServer server(dk, options);
+    ASSERT_TRUE(server.Evaluate("director.movie.title").has_value());
+    ASSERT_TRUE(server.Evaluate("director.movie.title").has_value());
+    server.EvaluateBatch({"actor.name", "director.movie.title"});
+    server.SubmitRemoveEdge(1, 2);
+    server.Flush();
+    EXPECT_EQ(HistogramCount("serve.query.latency"), 2);
+    EXPECT_EQ(HistogramCount("serve.query.batch.latency"), 1);
+    EXPECT_EQ(HistogramCount("serve.writer.republish.latency"),
+              server.stats().publishes);
+    EXPECT_EQ(HistogramCount("serve.writer.batch.latency"),
+              server.stats().batches);
+    EXPECT_EQ(HistogramCount("serve.writer.op.latency"), 1);
+    EXPECT_EQ(HistogramCount("index.dk.remove_edge.latency"), 1);
+  }
+
+  ExpectNoCallsCounterBesideLatency();
   std::ostringstream dump;
   registry.Dump(&dump);
   EXPECT_NE(dump.str().find("eval.index.calls 1"), std::string::npos);
+  EXPECT_NE(dump.str().find("serve.query.latency count=2 mean="),
+            std::string::npos);
+}
+
+// Which maintenance engine ran is readable from the histogram counts alone:
+// an incremental rebuild records incremental_rebuild.latency; a fallback
+// bumps fallback_full and records full_rebuild.latency instead; kFullRebuild
+// mode records full_rebuild.latency with no fallback.
+TEST(MetricsTest, RebuildEngineCountsAreExact) {
+  struct Case {
+    const char* name;
+    DkIndex::MaintenanceMode mode;
+    int demote_to;  // title's requirement after the Demote (built with 2)
+    int64_t incremental, full, fallback;
+  };
+  const Case cases[] = {
+      {"incremental demote", DkIndex::MaintenanceMode::kIncremental, 1, 1, 0,
+       0},
+      // A requirement above the trace's capture forces the full engine.
+      {"forced fallback", DkIndex::MaintenanceMode::kIncremental, 3, 0, 1, 1},
+      {"full-rebuild mode", DkIndex::MaintenanceMode::kFullRebuild, 1, 0, 1,
+       0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    DataGraph g = testing_util::BuildMovieGraph();
+    const LabelId title = g.labels().Find("title");
+    DkIndex dk = DkIndex::Build(&g, {{title, 2}});
+    dk.set_maintenance_mode(c.mode);
+    MetricsRegistry::Global().ResetAll();
+    dk.Demote({{title, c.demote_to}});
+    EXPECT_EQ(HistogramCount("index.dk.demote.latency"), 1);
+    EXPECT_EQ(HistogramCount("index.dk.rebuild.latency"), 1);
+    EXPECT_EQ(HistogramCount("index.dk.incremental_rebuild.latency"),
+              c.incremental);
+    EXPECT_EQ(HistogramCount("index.dk.full_rebuild.latency"), c.full);
+    EXPECT_EQ(MetricsRegistry::Global()
+                  .GetCounter("index.dk.incremental_rebuild.fallback_full")
+                  .value(),
+              c.fallback);
+  }
 }
 
 }  // namespace
