@@ -10,6 +10,7 @@
 #include "index/dk_index.h"
 #include "query/frozen_view.h"
 #include "query/result_cache.h"
+#include "serve/query_server.h"
 
 namespace dki {
 namespace bench {
@@ -49,8 +50,9 @@ void PrintShapeCheck(const std::vector<SeriesRow>& rows) {
 
 // Repeated-workload serving through the epoch-invalidated result cache:
 // the same workload replayed `passes` times against the same index, once
-// uncached and once through a ResultCache. Prints timing, hit statistics
-// and a bit-identical check, then the global metrics snapshot.
+// uncached and once through QueryServer::Evaluate (adaptive loop off, so
+// the index stays as built). Prints timing, hit statistics and a
+// bit-identical check, then the global metrics snapshot.
 void RunCachedWorkloadReplay(const DkIndex& dk,
                              const std::vector<PathExpression>& workload,
                              int passes) {
@@ -66,13 +68,15 @@ void RunCachedWorkloadReplay(const DkIndex& dk,
   }
   double uncached_ms = uncached_timer.ElapsedMillis();
 
-  ResultCache cache;
+  QueryServer::Options options;
+  options.tuning.period_ms = 0;
+  QueryServer server(dk, options);
   WallTimer cached_timer;
   int64_t cached_visits = 0;
   for (int pass = 0; pass < passes; ++pass) {
     for (const PathExpression& q : workload) {
       EvalStats stats;
-      auto result = cache.CachedEvaluate(dk.index(), q, &stats);
+      auto result = server.Evaluate(q.text(), &stats);
       cached_visits += stats.index_nodes_visited + stats.data_nodes_visited;
       (void)result;
     }
@@ -81,13 +85,12 @@ void RunCachedWorkloadReplay(const DkIndex& dk,
 
   bool identical = true;
   for (const PathExpression& q : workload) {
-    if (cache.CachedEvaluate(dk.index(), q) !=
-        EvaluateOnIndex(dk.index(), q)) {
+    if (server.Evaluate(q.text()) != EvaluateOnIndex(dk.index(), q)) {
       identical = false;
     }
   }
 
-  ResultCache::Stats cs = cache.stats();
+  ResultCache::Stats cs = server.cache_stats();
   std::printf(
       "\n== cached serving: %d x %zu repeated queries on D(k) ==\n", passes,
       workload.size());

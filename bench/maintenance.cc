@@ -8,8 +8,12 @@
 // republish) is reported as p50/p99, alongside its split: the batch apply
 // (`serve.writer.batch.latency`) and the snapshot republish
 // (`serve.writer.republish.latency`), each as count/p50/p99. The sweep
-// spans 10x in graph size — the acceptance bar is incremental p99 staying
-// ~flat (<= 1.5x) across it while full-rebuild p99 grows with the graph.
+// spans 10x in graph size. Its original bar, incremental p99 staying ~flat
+// (<= 1.5x) across it, is NOT met: incremental publish p99 grows ~5-9x
+// over the sweep (EXPERIMENTS.md § Incremental maintenance) because two
+// costs the incremental engine does not cover scale with the graph — the
+// O(N) snapshot graph copy + freeze at every publish, and the
+// grow-retune's PromoteBatch (Algorithm 4 over the whole graph).
 //
 // The binary is also the exactness guard used by CI: after each stream it
 // evaluates the mined workload on the final snapshot and hashes results +
@@ -151,7 +155,7 @@ ModeResult RunStream(const bench::Dataset& dataset,
   out.mode = mode == DkIndex::MaintenanceMode::kIncremental ? "incremental"
                                                             : "full_rebuild";
   out.result_hash = HashWorkloadResults(server, queries);
-  out.index_nodes = server.snapshot()->index().NumIndexNodes();
+  out.index_nodes = server.snapshot()->frozen().num_index_nodes();
   QueryServer::Stats stats = server.stats();
   out.publishes = stats.publishes;
   out.ops_applied = stats.ops_applied;

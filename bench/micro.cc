@@ -13,7 +13,6 @@
 #include "bench/bench_common.h"
 #include "common/metrics.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "dtd/dtd_generator.h"
 #include "dtd/dtd_parser.h"
 #include "index/ak_index.h"
@@ -177,28 +176,6 @@ void BM_WorkloadOnIndexFrozen(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WorkloadOnIndexFrozen);
-
-// Parallel batch evaluation: the whole 100-query workload per iteration,
-// fanned over Arg(0) lanes. items/s is queries per second.
-void BM_EvaluateBatchFrozen(benchmark::State& state) {
-  const bench::Dataset& dataset = SharedXmark();
-  DataGraph copy = dataset.graph;
-  auto workload = bench::MakeWorkload(copy, 100, 20030609);
-  LabelRequirements reqs =
-      bench::MineWorkloadRequirements(workload, copy.labels());
-  DkIndex dk = DkIndex::Build(&copy, reqs);
-  FrozenView view(dk.index());
-  ThreadPool pool(static_cast<int>(state.range(0)));
-  // Each lane thread keeps its own scratch, so steady-state batches reuse
-  // the compiled dense tables instead of recompiling every query.
-  for (auto _ : state) {
-    auto results = view.EvaluateBatch(workload, &pool);
-    benchmark::DoNotOptimize(results.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(workload.size()));
-}
-BENCHMARK(BM_EvaluateBatchFrozen)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // One snapshot freeze: the publish-time cost the serving layer pays to make
 // every subsequent read fast.
@@ -390,31 +367,38 @@ void BM_DtdGenerate(benchmark::State& state) {
 }
 BENCHMARK(BM_DtdGenerate);
 
-// Repeated-query serving through the epoch-invalidated result cache versus
-// re-evaluating every time. Both cycle the same 20-query workload; after
-// the first pass the cached variant is pure lookups.
-void BM_CachedEvaluateRepeats(benchmark::State& state) {
+// A QueryServer with the adaptive loop off, so the index stays as built.
+QueryServer::Options PinnedServerOptions() {
+  QueryServer::Options options;
+  options.tuning.period_ms = 0;
+  return options;
+}
+
+// Repeated-query serving through QueryServer::Evaluate and its
+// epoch-invalidated result cache versus re-evaluating every time. Both
+// cycle the same 20-query workload; after the first pass the cached variant
+// is pure lookups.
+void BM_ServerCachedRepeats(benchmark::State& state) {
   const bench::Dataset& dataset = SharedXmark();
   DataGraph copy = dataset.graph;
   auto workload = bench::MakeWorkload(copy, 20, 20030609);
   LabelRequirements reqs =
       bench::MineWorkloadRequirements(workload, copy.labels());
   DkIndex dk = DkIndex::Build(&copy, reqs);
-  ResultCache cache;
+  QueryServer server(dk, PinnedServerOptions());
   size_t i = 0;
   for (auto _ : state) {
-    auto result =
-        cache.CachedEvaluate(dk.index(), workload[i++ % workload.size()]);
-    benchmark::DoNotOptimize(result.size());
+    auto result = server.Evaluate(workload[i++ % workload.size()].text());
+    benchmark::DoNotOptimize(result);
   }
-  ResultCache::Stats stats = cache.stats();
+  ResultCache::Stats stats = server.cache_stats();
   state.counters["hit_rate"] =
       stats.hits + stats.misses == 0
           ? 0.0
           : static_cast<double>(stats.hits) /
                 static_cast<double>(stats.hits + stats.misses);
 }
-BENCHMARK(BM_CachedEvaluateRepeats);
+BENCHMARK(BM_ServerCachedRepeats);
 
 void BM_UncachedEvaluateRepeats(benchmark::State& state) {
   const bench::Dataset& dataset = SharedXmark();
@@ -433,9 +417,10 @@ void BM_UncachedEvaluateRepeats(benchmark::State& state) {
 BENCHMARK(BM_UncachedEvaluateRepeats);
 
 // The cost of a miss-after-invalidation: every iteration toggles an edge
-// (add if absent, remove if present), which bumps the epoch, so each lookup
-// stale-drops and re-evaluates — the cache's worst case.
-void BM_CachedEvaluateInvalidated(benchmark::State& state) {
+// (add if absent, remove if present) and waits for its publish, which bumps
+// the epoch, so each lookup misses and re-evaluates — the cache's worst
+// case. The time includes the writer's apply and republish.
+void BM_ServerCachedInvalidated(benchmark::State& state) {
   const bench::Dataset& dataset = SharedXmark();
   auto edges = bench::MakeUpdateEdges(dataset, 64, 7);
   DataGraph copy = dataset.graph;
@@ -443,21 +428,24 @@ void BM_CachedEvaluateInvalidated(benchmark::State& state) {
   LabelRequirements reqs =
       bench::MineWorkloadRequirements(workload, copy.labels());
   DkIndex dk = DkIndex::Build(&copy, reqs);
-  ResultCache cache;
+  QueryServer server(dk, PinnedServerOptions());
   size_t i = 0;
   for (auto _ : state) {
     const auto& [u, v] = edges[i % edges.size()];
+    // `copy` mirrors the server's private master graph.
     if (copy.HasEdge(u, v)) {
-      dk.RemoveEdge(u, v);
+      copy.RemoveEdge(u, v);
+      server.SubmitRemoveEdge(u, v);
     } else {
-      dk.AddEdge(u, v);
+      copy.AddEdge(u, v);
+      server.SubmitAddEdge(u, v);
     }
-    auto result =
-        cache.CachedEvaluate(dk.index(), workload[i++ % workload.size()]);
-    benchmark::DoNotOptimize(result.size());
+    server.Flush();
+    auto result = server.Evaluate(workload[i++ % workload.size()].text());
+    benchmark::DoNotOptimize(result);
   }
 }
-BENCHMARK(BM_CachedEvaluateInvalidated);
+BENCHMARK(BM_ServerCachedInvalidated);
 
 // Result-cache hits through QueryServer::Evaluate on 1, 2 and 4 threads,
 // over a warmed 64-query XMark pool: a hit probes before parsing, at the

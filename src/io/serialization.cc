@@ -168,17 +168,21 @@ bool LoadGraphV2(std::string_view data, size_t* pos, DataGraph* graph,
   return true;
 }
 
-bool SaveIndexV2(const IndexGraph& index, ByteSink* sink) {
+IndexSection::IndexSection(const IndexGraph& index)
+    : IndexSection(index.NumIndexNodes(), [&index](IndexNodeId i) {
+        return IndexNodeRecord{index.label(i), index.k(i), index.extent(i)};
+      }) {}
+
+bool SaveIndexV2(const IndexSection& index, ByteSink* sink) {
   ChunkedWriter w(sink);
   w.Raw(kIndexV2Magic);
-  const int64_t m = index.NumIndexNodes();
-  w.Varint(static_cast<uint64_t>(m));
-  for (IndexNodeId i = 0; i < m; ++i) {
-    w.Varint(static_cast<uint64_t>(index.label(i)));
-    w.Varint(static_cast<uint64_t>(index.k(i)));
-    const auto& e = index.extent(i);
-    w.Varint(e.size());
-    w.Deltas(e.data(), e.size());
+  w.Varint(static_cast<uint64_t>(index.num_index_nodes));
+  for (IndexNodeId i = 0; i < index.num_index_nodes; ++i) {
+    const IndexNodeRecord node = index.node(i);
+    w.Varint(static_cast<uint64_t>(node.label));
+    w.Varint(static_cast<uint64_t>(node.k));
+    w.Varint(node.extent.size());
+    w.Deltas(node.extent.data(), node.extent.size());
   }
   return w.Flush();
 }
@@ -234,7 +238,7 @@ bool LoadIndexV2(std::string_view data, size_t* pos, const DataGraph* graph,
   return true;
 }
 
-bool SaveDkIndexPartsV2(const DataGraph& graph, const IndexGraph& index,
+bool SaveDkIndexPartsV2(const DataGraph& graph, const IndexSection& index,
                         const std::vector<int>& reqs, ByteSink* sink) {
   if (!SaveGraphV2(graph, sink)) return false;
   if (!SaveIndexV2(index, sink)) return false;

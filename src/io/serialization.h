@@ -2,9 +2,13 @@
 #define DKINDEX_IO_SERIALIZATION_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "graph/data_graph.h"
@@ -34,7 +38,30 @@ bool SaveGraphV2(const DataGraph& graph, ByteSink* sink);
 bool LoadGraphV2(std::string_view data, size_t* pos, DataGraph* graph,
                  std::string* error);
 
-bool SaveIndexV2(const IndexGraph& index, ByteSink* sink);
+// One index node as the index section stores it.
+struct IndexNodeRecord {
+  LabelId label = kInvalidLabel;
+  int k = 0;
+  std::span<const NodeId> extent;  // in the index's extent order
+};
+
+// What the index section encoder reads: `num_index_nodes` records, record
+// i from `node(i)`. An IndexGraph converts implicitly (a built or loaded
+// index, `dkquery build`); a published snapshot builds one over its
+// FrozenView's arrays (IndexSnapshot::index_section). Both forms thus share
+// one encoder and write the same bytes for the same partition.
+struct IndexSection {
+  // Implicit, so an IndexGraph passes wherever a section is expected.
+  IndexSection(const IndexGraph& index);
+  IndexSection(int64_t num_index_nodes,
+               std::function<IndexNodeRecord(IndexNodeId)> node)
+      : num_index_nodes(num_index_nodes), node(std::move(node)) {}
+
+  int64_t num_index_nodes;
+  std::function<IndexNodeRecord(IndexNodeId)> node;
+};
+
+bool SaveIndexV2(const IndexSection& index, ByteSink* sink);
 // `graph` must be the data graph the index was built over (same node count
 // and labels); borrowed by the loaded index.
 bool LoadIndexV2(std::string_view data, size_t* pos, const DataGraph* graph,
@@ -44,11 +71,11 @@ bool LoadIndexV2(std::string_view data, size_t* pos, const DataGraph* graph,
 // requirements so promoting/demoting semantics survive the round trip. The
 // parts are unbundled because the serving layer's checkpointer
 // (serve/checkpoint.cc) streams immutable IndexSnapshot state, which holds
-// the pieces but no DkIndex: `index.graph()` must be `graph`, and `reqs`
-// has one entry per label id. The loaded graph is written into `*graph`
-// (borrowed by the returned index, so it must outlive it); returns nullopt
-// + error on malformed input.
-bool SaveDkIndexPartsV2(const DataGraph& graph, const IndexGraph& index,
+// a graph copy and a FrozenView but no DkIndex: `index` must partition
+// `graph`, and `reqs` has one entry per label id. The loaded graph is
+// written into `*graph` (borrowed by the returned index, so it must outlive
+// it); returns nullopt + error on malformed input.
+bool SaveDkIndexPartsV2(const DataGraph& graph, const IndexSection& index,
                         const std::vector<int>& reqs, ByteSink* sink);
 std::optional<DkIndex> LoadDkIndexV2(std::string_view data, size_t* pos,
                                      DataGraph* graph, std::string* error);

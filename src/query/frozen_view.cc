@@ -405,52 +405,4 @@ std::vector<NodeId> FrozenView::EvaluateOnData(const PathExpression& query,
   return result;
 }
 
-int FrozenView::BatchLanes(int64_t total, int pool_threads) {
-  // Floor division keeps the lane-count promise honest: with ceil division
-  // a batch just past a lane multiple (say 9 queries, kMinQueriesPerLane 8)
-  // opened an extra lane whose queries all fell below the minimum. Floor
-  // caps lanes so EVERY lane gets >= kMinQueriesPerLane, and ChunkBounds
-  // spreads the remainder so lane loads differ by at most one query.
-  if (pool_threads <= 1 || total <= 1) return 1;
-  const int64_t max_useful_lanes =
-      std::max<int64_t>(1, total / kMinQueriesPerLane);
-  return static_cast<int>(std::min<int64_t>(pool_threads, max_useful_lanes));
-}
-
-std::vector<std::vector<NodeId>> FrozenView::EvaluateBatch(
-    const std::vector<const PathExpression*>& queries, ThreadPool* pool,
-    std::vector<EvalStats>* stats, bool validate) const {
-  const int64_t total = static_cast<int64_t>(queries.size());
-  std::vector<std::vector<NodeId>> results(queries.size());
-  if (stats != nullptr) stats->assign(queries.size(), EvalStats());
-  const int num_lanes =
-      BatchLanes(total, pool == nullptr ? 1 : pool->num_threads());
-  auto run_range = [&](int /*chunk*/, int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      EvalStats st;
-      results[static_cast<size_t>(i)] =
-          Evaluate(*queries[static_cast<size_t>(i)], &st, validate);
-      if (stats != nullptr) (*stats)[static_cast<size_t>(i)] = st;
-    }
-  };
-  if (num_lanes == 1) {
-    run_range(0, 0, total);
-  } else {
-    // One chunk per lane, each on its thread's own scratch. Chunks are
-    // deterministic in boundaries and each query's evaluation is
-    // self-contained, so the output is thread-count-invariant.
-    pool->ParallelFor(total, num_lanes, run_range);
-  }
-  return results;
-}
-
-std::vector<std::vector<NodeId>> FrozenView::EvaluateBatch(
-    const std::vector<PathExpression>& queries, ThreadPool* pool,
-    std::vector<EvalStats>* stats, bool validate) const {
-  std::vector<const PathExpression*> ptrs;
-  ptrs.reserve(queries.size());
-  for (const PathExpression& q : queries) ptrs.push_back(&q);
-  return EvaluateBatch(ptrs, pool, stats, validate);
-}
-
 }  // namespace dki

@@ -3,11 +3,11 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "graph/data_graph.h"
 #include "index/index_graph.h"
 #include "pathexpr/path_expression.h"
@@ -62,14 +62,11 @@ struct FrozenMemoryStats {
 //
 // The view borrows nothing: every array is an owned copy, so the source
 // graphs may mutate (or die) freely afterwards. `epoch()` records the index
-// epoch at freeze time for result-cache keying.
+// epoch at freeze time for result-cache keying. A published IndexSnapshot
+// keeps no other copy of the index: the checkpointer reads its label, k and
+// extent arrays (index_label / index_k / extent).
 class FrozenView {
  public:
-  // EvaluateBatch caps its lane count so each lane gets at least this many
-  // queries — fanning a tiny batch over many lanes costs more in wake-up
-  // latency than the parallelism returns.
-  static constexpr int64_t kMinQueriesPerLane = 8;
-
   // Freezes `index` and its data graph. O(|V| + |E|) flat copies. Every
   // CSR offset is int32: construction aborts if an edge, extent or label
   // bucket count exceeds INT32_MAX.
@@ -87,6 +84,18 @@ class FrozenView {
     return static_cast<int64_t>(index_label_.size());
   }
   int32_t num_labels() const { return num_labels_; }
+
+  // One index node's label, local similarity and extent (data node ids in
+  // the source index's extent order): what the v2 index section stores, so
+  // a published view is checkpointed straight from these arrays.
+  LabelId index_label(IndexNodeId i) const {
+    return index_label_[static_cast<size_t>(i)];
+  }
+  int index_k(IndexNodeId i) const { return index_k_[static_cast<size_t>(i)]; }
+  std::span<const NodeId> extent(IndexNodeId i) const {
+    const auto [begin, end] = ExtentRow(i);
+    return {begin, end};
+  }
   // Heap bytes of the view's arrays (capacity, not size).
   int64_t ApproxBytes() const;
   FrozenMemoryStats memory_stats() const { return {ApproxBytes()}; }
@@ -139,25 +148,6 @@ class FrozenView {
   std::vector<NodeId> EvaluateOnData(const PathExpression& query,
                                      EvalStats* stats = nullptr,
                                      FrozenScratch* scratch = nullptr) const;
-
-  // Evaluates a batch of queries in parallel over the pool (queries split
-  // into BatchLanes contiguous chunks, each lane evaluating on its thread's
-  // own scratch). results[i] and stats[i] (when requested) are
-  // bit-identical to a sequential Evaluate(queries[i]) regardless of thread
-  // count. A null pool (or a single-lane one) runs inline. The pool must not
-  // be running another job (ThreadPool is not reentrant), so concurrent
-  // EvaluateBatch calls need distinct pools.
-  std::vector<std::vector<NodeId>> EvaluateBatch(
-      const std::vector<const PathExpression*>& queries, ThreadPool* pool,
-      std::vector<EvalStats>* stats = nullptr, bool validate = true) const;
-  std::vector<std::vector<NodeId>> EvaluateBatch(
-      const std::vector<PathExpression>& queries, ThreadPool* pool,
-      std::vector<EvalStats>* stats = nullptr, bool validate = true) const;
-
-  // How many lanes EvaluateBatch splits `total` queries into on a pool of
-  // `pool_threads` lanes: every lane gets at least kMinQueriesPerLane
-  // queries, never more lanes than the pool has, at least one.
-  static int BatchLanes(int64_t total, int pool_threads);
 
  private:
   friend class FrozenScratch;

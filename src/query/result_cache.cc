@@ -176,28 +176,6 @@ void ResultCache::Put(const std::string& key, uint64_t epoch,
   shard.by_key[shard.lru.front().key] = shard.lru.begin();
 }
 
-std::vector<NodeId> ResultCache::CachedEvaluate(const IndexGraph& index,
-                                                const PathExpression& query,
-                                                EvalStats* stats,
-                                                bool validate) {
-  std::string key = CanonicalizeQuery(query.text());
-  if (!validate) key += "#raw";  // raw answers are a different result space
-  const uint64_t epoch = index.epoch();
-
-  std::vector<NodeId> result;
-  if (TryGet(key, epoch, &result)) {
-    if (stats != nullptr) {
-      EvalStats hit;
-      hit.result_size = static_cast<int64_t>(result.size());
-      stats->Accumulate(hit);
-    }
-    return result;
-  }
-  result = EvaluateOnIndex(index, query, stats, validate);
-  Put(key, epoch, result);
-  return result;
-}
-
 ResultCache::Stats ResultCache::stats() const {
   Stats s;
   for (const Shard& shard : shards_) {

@@ -11,9 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "index/index_graph.h"
-#include "pathexpr/path_expression.h"
-#include "query/evaluator.h"
+#include "graph/data_graph.h"
 
 namespace dki {
 
@@ -45,9 +43,9 @@ std::string CanonicalizeQuery(std::string_view text);
 // atomic total, evicting shard LRU tails round-robin (one shard lock at a
 // time) until they fit, so the total never exceeds the budget and a Put
 // never evicts the entry it inserts. Eviction order is therefore LRU within
-// a shard and round-robin across shards. The underlying index must not be
-// mutated concurrently with evaluation (the evaluator itself reads the
-// index unlocked).
+// a shard and round-robin across shards. The cache only stores answers: the
+// caller evaluates a miss (QueryServer on its snapshot's FrozenView) and
+// Puts the result.
 //
 // One ResultCache instance must serve exactly one index: the key does not
 // encode the index identity, only the query text, the validate flag and the
@@ -65,17 +63,6 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  // The serving entry point: returns the cached result when a fresh entry
-  // exists, otherwise falls through to EvaluateOnIndex, caches, and returns.
-  // On a hit `stats` (if given) only accumulates result_size — no nodes were
-  // visited. Bit-identical to EvaluateOnIndex by construction: hits return
-  // the stored vector of a previous identical evaluation of the same epoch.
-  std::vector<NodeId> CachedEvaluate(const IndexGraph& index,
-                                     const PathExpression& query,
-                                     EvalStats* stats = nullptr,
-                                     bool validate = true);
-
-  // Lower-level API (QueryServer's read paths and custom serving loops).
   // `key` is CanonicalizeQuery output plus any caller suffix; `epoch` the
   // index epoch the result belongs to. A lookup at an older epoch than the
   // resident entry misses without dropping it, and a Put never replaces a

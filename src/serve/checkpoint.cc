@@ -160,7 +160,7 @@ std::vector<CheckpointStore::Info> CheckpointStore::List() const {
   return out;
 }
 
-bool CheckpointStore::Write(const DataGraph& graph, const IndexGraph& index,
+bool CheckpointStore::Write(const DataGraph& graph, const IndexSection& index,
                             const std::vector<int>& reqs, uint64_t seq,
                             std::string* error) {
   ScopedLatency latency(&DKI_METRIC_HISTOGRAM("checkpoint.write.latency"));

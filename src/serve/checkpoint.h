@@ -8,7 +8,7 @@
 
 #include "graph/data_graph.h"
 #include "index/dk_index.h"
-#include "index/index_graph.h"
+#include "io/serialization.h"
 
 namespace dki {
 
@@ -47,8 +47,9 @@ class CheckpointStore {
   std::vector<Info> List() const;
 
   // Persists the state atomically as checkpoint-<seq>.dki, then prunes to
-  // the newest two files. `index.graph()` must be `graph`.
-  bool Write(const DataGraph& graph, const IndexGraph& index,
+  // the newest two files. `index` must partition `graph`: an IndexGraph
+  // over it, or a published snapshot's IndexSnapshot::index_section().
+  bool Write(const DataGraph& graph, const IndexSection& index,
              const std::vector<int>& reqs, uint64_t seq, std::string* error);
 
   // Loads the newest checkpoint whose CRC/format validates, falling back to

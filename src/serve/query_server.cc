@@ -20,10 +20,9 @@ namespace dki {
 namespace {
 
 // Hands the pages of blocks the allocator keeps after free() back to the
-// OS. A retune builds a new master index, refinement trace, snapshot index
-// and frozen view while the old ones live; glibc keeps the replaced ones
-// resident in the writer's arena, where the readers' allocations cannot
-// reuse them.
+// OS. A retune builds a new master index, refinement trace and frozen view
+// while the old ones live; glibc keeps the replaced ones resident in the
+// writer's arena, where the readers' allocations cannot reuse them.
 void ReleaseFreePages() {
 #ifdef __GLIBC__
   malloc_trim(0);
@@ -39,8 +38,8 @@ QueryServer::QueryServer(const DkIndex& source, Options options)
       seq_(options.durability.start_seq),
       queue_(options.queue_capacity, options.full_policy),
       cache_(ResultCache::Options{options.cache_byte_budget}) {
-  if (!options_.durability.dir.empty()) InitDurability();
   Publish();  // readers have a snapshot before the writer even starts
+  if (!options_.durability.dir.empty()) InitDurability();
   if (options_.tuning.period_ms > 0) {
     tuner_ = std::thread(&QueryServer::TunerLoop, this,
                          master_.effective_requirements());
@@ -75,12 +74,14 @@ void QueryServer::InitDurability() {
     give_up("cannot open wal");
     return;
   }
-  // Establish the recovery base: the master state IS the durable state at
-  // start_seq (a fresh build, or the result RecoverDkIndex handed back), so
-  // checkpoint it and start from an empty log. Every op the server ever
+  // Establish the recovery base: the initial snapshot IS the durable state
+  // at start_seq (a fresh build, or the result RecoverDkIndex handed back),
+  // so checkpoint it and start from an empty log. Every op the server ever
   // applies is then reachable as checkpoint + log suffix.
-  if (!checkpoints_->Write(master_graph_, master_.index(),
-                           master_.effective_requirements(), seq_, &error)) {
+  const IndexSnapshot& snap = *snapshot_;
+  if (!checkpoints_->Write(snap.graph(), snap.index_section(),
+                           snap.effective_requirements(), snap.seq(),
+                           &error)) {
     give_up("cannot write initial checkpoint");
     return;
   }
@@ -155,82 +156,6 @@ std::optional<std::vector<NodeId>> QueryServer::Serve(
   cache_.Put(key, view.epoch(), result);
   RecordMiss(std::move(query));
   return result;
-}
-
-std::vector<std::optional<std::vector<NodeId>>> QueryServer::EvaluateBatch(
-    const std::vector<std::string>& query_texts, std::vector<EvalStats>* stats,
-    std::vector<std::string>* errors) const {
-  std::shared_ptr<const IndexSnapshot> snap = snapshot();
-  return EvaluateBatchOn(*snap, query_texts, stats, errors);
-}
-
-std::vector<std::optional<std::vector<NodeId>>> QueryServer::EvaluateBatchOn(
-    const IndexSnapshot& snap, const std::vector<std::string>& query_texts,
-    std::vector<EvalStats>* stats, std::vector<std::string>* errors) const {
-  const size_t n = query_texts.size();
-  ScopedLatency latency(&DKI_METRIC_HISTOGRAM("serve.query.batch.latency"));
-  std::vector<std::optional<std::vector<NodeId>>> results(n);
-  if (stats != nullptr) stats->assign(n, EvalStats());
-  if (errors != nullptr) errors->assign(n, std::string());
-  const FrozenView& view = snap.frozen();
-
-  // Phase 1 (no batch_mu_ — the result cache and parse cache carry their
-  // own locks, so two concurrent all-hit batches never serialize): probe
-  // the result cache by canonicalized text (no parse needed for a hit),
-  // then resolve misses through the parse cache; only actual misses go to
-  // the pool. The collected expressions are shared_ptr-held, so a
-  // concurrent batch evicting parse-cache entries cannot invalidate them.
-  // Duplicate misses within one batch are evaluated twice (the second Put
-  // overwrites with an identical result) — correct, just not deduplicated.
-  std::vector<std::shared_ptr<const PathExpression>> miss_exprs;
-  std::vector<const PathExpression*> miss_queries;
-  std::vector<size_t> miss_slots;
-  std::vector<std::string> miss_keys;
-  std::vector<EvalStats> miss_stats;
-  std::vector<std::vector<NodeId>> miss_results;
-  const LabelTable& labels = snap.graph().labels();
-  for (size_t i = 0; i < n; ++i) {
-    std::string key = CacheKey(query_texts[i]);
-    std::vector<NodeId> cached;
-    if (cache_.TryGet(key, view.epoch(), &cached)) {
-      if (stats != nullptr) {
-        (*stats)[i].result_size = static_cast<int64_t>(cached.size());
-      }
-      results[i] = std::move(cached);
-      continue;
-    }
-    std::string parse_error;
-    std::shared_ptr<const PathExpression> expr =
-        parse_cache_.Get(query_texts[i], labels, &parse_error);
-    if (expr == nullptr) {
-      DKI_METRIC_COUNTER("serve.query.parse_errors").Increment();
-      if (errors != nullptr) (*errors)[i] = parse_error;
-      continue;  // results[i] stays nullopt
-    }
-    miss_slots.push_back(i);
-    miss_keys.push_back(std::move(key));
-    miss_queries.push_back(expr.get());
-    miss_exprs.push_back(std::move(expr));
-  }
-
-  // Phase 2 (under batch_mu_, parallel): evaluate the misses over the
-  // frozen view. ThreadPool::ParallelFor supports one caller at a time, so
-  // only batches that actually reach the pool serialize here.
-  if (!miss_queries.empty()) {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    if (batch_pool_ == nullptr) {
-      batch_pool_ = std::make_unique<ThreadPool>(options_.batch_threads);
-    }
-    miss_results = view.EvaluateBatch(miss_queries, batch_pool_.get(),
-                                      &miss_stats, options_.validate);
-  }
-  for (size_t j = 0; j < miss_queries.size(); ++j) {
-    cache_.Put(miss_keys[j], view.epoch(), miss_results[j]);
-    RecordMiss(std::move(miss_exprs[j]));
-    if (stats != nullptr) (*stats)[miss_slots[j]] = miss_stats[j];
-    results[miss_slots[j]] = std::move(miss_results[j]);
-  }
-  return results;
 }
 
 void QueryServer::RecordMiss(
@@ -436,7 +361,7 @@ bool QueryServer::WriteCheckpoint(const IndexSnapshot& snap) {
     std::fprintf(stderr, "QueryServer: wal sync failed: %s\n", error.c_str());
     return false;
   }
-  if (!checkpoints_->Write(snap.graph(), snap.index(),
+  if (!checkpoints_->Write(snap.graph(), snap.index_section(),
                            snap.effective_requirements(), snap.seq(),
                            &error)) {
     std::fprintf(stderr, "QueryServer: checkpoint failed: %s\n",
@@ -643,6 +568,8 @@ void QueryServer::Publish() {
         graph_changed_ ? std::make_shared<const DataGraph>(master_graph_)
                        : snapshot_->shared_graph();
     graph_changed_ = false;
+    // Freezes the master's index directly, on this thread: the view is the
+    // snapshot's only copy of the index.
     next = std::make_shared<const IndexSnapshot>(
         std::move(graph), master_.index(), master_.effective_requirements(),
         seq_, options_.frozen);

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "graph/data_graph.h"
 #include "index/dk_index.h"
 #include "query/evaluator.h"
@@ -68,9 +67,10 @@ struct TuningOptions {
 //     │      ▲  (shared_mutex-guarded pointer swap)      ──► evaluate, Put
 //     │      │
 //   publish ◄── writer thread ◄── UpdateQueue ◄── SubmitAddEdge /
-//   (deep copy      applies batches to the        SubmitRemoveEdge /
-//    + swap +       private master DkIndex        SubmitAddSubgraph
-//    epoch store)
+//   (graph copy     applies batches to the        SubmitRemoveEdge /
+//    + freeze +     private master DkIndex        SubmitAddSubgraph
+//    swap + epoch
+//    store)
 //
 // The contract:
 //   * Readers never block on the writer and never see a half-applied batch:
@@ -112,10 +112,15 @@ struct TuningOptions {
 //     it. After a crash, RecoverDkIndex(dir) restores a state bit-identical
 //     to what a clean shutdown would have produced for the logged prefix.
 //
-// The cost of this isolation is one deep copy of (data graph, index graph)
-// per republish — the batch size knob trades update latency against copy
-// amortization; republish latency is recorded in the
-// serve.writer.republish.latency histogram.
+// The cost of this isolation is, per republish, one copy of the data graph
+// (skipped when the batch only retuned) and one FrozenView freeze of the
+// master index, which is the snapshot's only copy of the index — the batch
+// size knob trades update latency against copy amortization; republish
+// latency is recorded in the serve.writer.republish.latency histogram.
+//
+// Evaluate / EvaluateOn are the only way a query is answered; a caller that
+// needs several answers from one state takes snapshot() and loops
+// EvaluateOn.
 class QueryServer {
  public:
   struct Options {
@@ -129,10 +134,10 @@ class QueryServer {
     int64_t cache_byte_budget = 8 * 1024 * 1024;
     // Validate uncertain extents (exact answers) vs raw safe answers.
     bool validate = true;
-    // Parallelism of EvaluateBatch (lanes including the calling thread);
-    // 0 means hardware concurrency. The pool is created lazily on the first
-    // batch, so purely single-query servers never spawn it.
-    int batch_threads = 0;
+    // Always 0: queries are answered on their caller's thread, with no batch
+    // pool. Kept read-only for callers that still record it in their
+    // provenance.
+    static constexpr int batch_threads = 0;
     // Crash safety (serve/wal.h): set durability.dir to enable the
     // write-ahead log + checkpoint pipeline; leave empty for the purely
     // in-memory server. After a crash, recover with RecoverDkIndex(dir) and
@@ -181,26 +186,6 @@ class QueryServer {
                                                 EvalStats* stats = nullptr,
                                                 std::string* error = nullptr)
       const;
-
-  // Parses and evaluates a whole batch against ONE snapshot (all answers
-  // consistent with a single published state), fanning cache misses out over
-  // the internal Options::batch_threads pool via FrozenView::EvaluateBatch.
-  // results[i] is nullopt iff query_texts[i] failed to parse (message in
-  // (*errors)[i] when given); per-query stats land in (*stats)[i], with
-  // cache hits charging only result_size. Results are bit-identical to
-  // issuing the same Evaluate calls sequentially against the same snapshot,
-  // and so are stats: the evaluation plan depends only on the snapshot and
-  // the query (FrozenView::PlanQuery), never on evaluation order.
-  // Thread-safe; only batches with cache misses serialize (on the shared
-  // fan-out pool) — concurrent all-hit batches run fully in parallel.
-  std::vector<std::optional<std::vector<NodeId>>> EvaluateBatch(
-      const std::vector<std::string>& query_texts,
-      std::vector<EvalStats>* stats = nullptr,
-      std::vector<std::string>* errors = nullptr) const;
-  std::vector<std::optional<std::vector<NodeId>>> EvaluateBatchOn(
-      const IndexSnapshot& snap, const std::vector<std::string>& query_texts,
-      std::vector<EvalStats>* stats = nullptr,
-      std::vector<std::string>* errors = nullptr) const;
 
   // --- update path (any thread; applied by the writer thread) ------------
 
@@ -284,12 +269,14 @@ class QueryServer {
   std::string CacheKey(const std::string& query_text) const;
   void WriterLoop();
   void CheckpointerLoop();
-  // Deep-copies the master into a fresh snapshot and swaps it in.
+  // Copies the master's graph (unless only retunes ran since the last
+  // publish), freezes its index into a fresh snapshot and swaps it in.
   void Publish();
   bool Submit(UpdateOp op);
-  // Constructor helper: opens the WAL, writes the initial checkpoint, and
-  // resets the log. On failure durability is disabled with a loud stderr
-  // message (the server still serves, in-memory only).
+  // Constructor helper, after the initial Publish: opens the WAL,
+  // checkpoints the initial snapshot, and resets the log. On failure
+  // durability is disabled with a loud stderr message (the server still
+  // serves, in-memory only).
   void InitDurability();
   // Checkpoints `snap` and truncates the log. Serialized by checkpoint_mu_.
   bool WriteCheckpoint(const IndexSnapshot& snap);
@@ -316,22 +303,14 @@ class QueryServer {
   UpdateQueue queue_;
   mutable ResultCache cache_;
 
-  // EvaluateBatch's worker pool: created lazily (first batch), held under
-  // batch_mu_ only for the fan-out itself because ThreadPool::ParallelFor
-  // supports one caller at a time (batches with misses serialize here;
-  // all-hit batches and single-query readers never touch it).
-  mutable std::mutex batch_mu_;
-  mutable std::unique_ptr<ThreadPool> batch_pool_;
-
   // Parse cache (query/parse_cache.h): query text -> compiled
-  // PathExpression, shared by the single-query and batch read paths (which
-  // consult it only on a result-cache miss), holding at most
-  // kMaxParsedQueries entries with per-shard LRU eviction. Cached parses
-  // revalidate against the snapshot's label-table size — sound because the
-  // writer only ever appends to the label table, so equal size means
-  // identical contents. (Like the epoch-keyed result cache, this assumes
-  // EvaluateOn/EvaluateBatchOn are fed snapshots from this server's
-  // pipeline.) Counters: serve.parse_cache.{hits,misses,evictions}.
+  // PathExpression, consulted by the read path only on a result-cache miss,
+  // holding at most kMaxParsedQueries entries with per-shard LRU eviction.
+  // Cached parses revalidate against the snapshot's label-table size —
+  // sound because the writer only ever appends to the label table, so equal
+  // size means identical contents. (Like the epoch-keyed result cache, this
+  // assumes EvaluateOn is fed snapshots from this server's pipeline.)
+  // Counters: serve.parse_cache.{hits,misses,evictions}.
   static constexpr size_t kMaxParsedQueries = 4096;
   mutable ParseCache parse_cache_{"serve.parse_cache", kMaxParsedQueries};
 

@@ -303,101 +303,6 @@ std::optional<std::vector<NodeId>> ShardedQueryServer::Evaluate(
   return merged;
 }
 
-std::vector<std::optional<std::vector<NodeId>>>
-ShardedQueryServer::EvaluateBatch(const std::vector<std::string>& query_texts,
-                                  std::vector<EvalStats>* stats,
-                                  std::vector<std::string>* errors) const {
-  const size_t nq = query_texts.size();
-  const int n = num_shards();
-  DKI_METRIC_COUNTER("serve.shard.query.batch_calls").Increment();
-  queries_.fetch_add(static_cast<int64_t>(nq), std::memory_order_relaxed);
-  std::vector<std::optional<std::vector<NodeId>>> results(nq);
-  if (stats != nullptr) stats->assign(nq, EvalStats());
-  if (errors != nullptr) errors->assign(nq, std::string());
-  std::vector<std::shared_ptr<const IndexSnapshot>> snaps(
-      static_cast<size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    snaps[static_cast<size_t>(s)] = servers_[static_cast<size_t>(s)]->snapshot();
-  }
-
-  // Route every query to its surviving shards (all of them once the label
-  // universe diverged; parse failures short-circuit to nullopt).
-  std::vector<std::vector<int>> targets(nq);
-  std::vector<char> parse_failed(nq, 0);
-  const bool diverged = router_.labels_diverged();
-  for (size_t i = 0; i < nq; ++i) {
-    if (diverged) {
-      targets[i] = SurvivingShards(snaps, nullptr);
-      continue;
-    }
-    std::string parse_error;
-    std::shared_ptr<const PathExpression> expr =
-        parse_cache_.Get(query_texts[i], snaps[0]->graph().labels(),
-                         &parse_error);
-    if (expr == nullptr) {
-      DKI_METRIC_COUNTER("serve.shard.query.parse_errors").Increment();
-      parse_failed[i] = 1;
-      if (errors != nullptr) (*errors)[i] = parse_error;
-      continue;
-    }
-    targets[i] = SurvivingShards(snaps, expr.get());
-    shards_pruned_.fetch_add(static_cast<int64_t>(n - targets[i].size()),
-                             std::memory_order_relaxed);
-  }
-
-  // One sub-batch per shard; each shard parallelizes internally over its
-  // own lane pool, and sub-batch results come back in sub-batch order.
-  std::vector<std::vector<std::vector<NodeId>>> per_query_globals(nq);
-  for (int s = 0; s < n; ++s) {
-    std::vector<size_t> sub;
-    std::vector<std::string> sub_texts;
-    for (size_t i = 0; i < nq; ++i) {
-      if (parse_failed[i]) continue;
-      for (int target : targets[i]) {
-        if (target == s) {
-          sub.push_back(i);
-          sub_texts.push_back(query_texts[i]);
-          break;
-        }
-      }
-    }
-    if (sub.empty()) continue;
-    shard_evals_.fetch_add(static_cast<int64_t>(sub.size()),
-                           std::memory_order_relaxed);
-    std::vector<EvalStats> sub_stats;
-    std::vector<std::string> sub_errors;
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<std::optional<std::vector<NodeId>>> sub_results =
-        servers_[static_cast<size_t>(s)]->EvaluateBatchOn(
-            *snaps[static_cast<size_t>(s)], sub_texts, &sub_stats,
-            &sub_errors);
-    shard_latency_[static_cast<size_t>(s)]->Record(ElapsedNanos(start));
-    for (size_t j = 0; j < sub.size(); ++j) {
-      const size_t qi = sub[j];
-      if (!sub_results[j].has_value()) {
-        // Diverged path only: syntax errors fail identically everywhere.
-        DKI_METRIC_COUNTER("serve.shard.query.parse_errors").Increment();
-        parse_failed[qi] = 1;
-        if (errors != nullptr) (*errors)[qi] = sub_errors[j];
-        continue;
-      }
-      std::vector<NodeId> globals;
-      router_.MapToGlobal(s, *sub_results[j], &globals);
-      per_query_globals[qi].push_back(std::move(globals));
-      if (stats != nullptr) (*stats)[qi].Accumulate(sub_stats[j]);
-    }
-  }
-  for (size_t i = 0; i < nq; ++i) {
-    if (parse_failed[i]) continue;  // results[i] stays nullopt
-    std::vector<NodeId> merged = MergeSortedUnique(&per_query_globals[i]);
-    if (stats != nullptr) {
-      (*stats)[i].result_size = static_cast<int64_t>(merged.size());
-    }
-    results[i] = std::move(merged);
-  }
-  return results;
-}
-
 bool ShardedQueryServer::SubmitAddEdge(NodeId global_u, NodeId global_v) {
   std::optional<ShardRouter::EdgeRoute> route =
       router_.RouteEdge(global_u, global_v);

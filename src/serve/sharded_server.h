@@ -47,7 +47,7 @@ bool RecoverShardedDkIndex(const std::string& dir, ShardedRecovery* out,
 //
 //   Submit*(global ids) ──ShardRouter──► one shard's queue ─► that shard's
 //                                        writer (N writers run in parallel;
-//                                        each republish deep-copies 1/N of
+//                                        each republish copies 1/N of
 //                                        the data)
 //   Evaluate(text)      ──label prune──► scatter to surviving shards
 //                                        (parallel) ─► sorted-merge of
@@ -121,15 +121,6 @@ class ShardedQueryServer {
       std::string* error = nullptr,
       std::vector<EvalStats>* per_shard_stats = nullptr) const;
 
-  // Batch form: one snapshot per shard for the WHOLE batch, per-shard
-  // sub-batches through QueryServer::EvaluateBatchOn (each shard's own
-  // lane pool parallelizes within the shard), then the same per-query
-  // global merge. results[i] is nullopt iff query_texts[i] fails to parse.
-  std::vector<std::optional<std::vector<NodeId>>> EvaluateBatch(
-      const std::vector<std::string>& query_texts,
-      std::vector<EvalStats>* stats = nullptr,
-      std::vector<std::string>* errors = nullptr) const;
-
   // --- update path (routed; any thread) ----------------------------------
 
   // Global-id edge ops, routed per shard_router.h. False if the router
@@ -158,7 +149,7 @@ class ShardedQueryServer {
   struct Stats {
     QueryServer::Stats aggregate;  // field-wise sum over shards
     std::vector<QueryServer::Stats> per_shard;
-    int64_t queries = 0;             // front-door Evaluate/Batch queries
+    int64_t queries = 0;             // front-door Evaluate queries
     int64_t shard_evals = 0;         // per-shard evaluations dispatched
     int64_t shards_pruned = 0;       // evaluations skipped by label pruning
     int64_t cross_shard_rejects = 0; // router-rejected update ops

@@ -1,6 +1,7 @@
 #include "serve/wal.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -270,6 +271,7 @@ bool WriteAheadLog::OpenLocked(std::string* error) {
   fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (fd_ < 0) return FailErrno(error, "cannot open wal " + path_);
   unsynced_ops_ = 0;
+  torn_ = false;
   return true;
 }
 
@@ -281,13 +283,25 @@ bool WriteAheadLog::Append(const UpdateOp& op, uint64_t seq,
   }
   std::lock_guard<std::mutex> lock(mu_);
   if (fd_ < 0) return Fail(error, "wal not open");
+  if (torn_) return Fail(error, "wal ends in a partial record");
+  // A write that fails partway leaves part of the record in the file, and
+  // the reader stops at it: every later record, synced or not, would be
+  // lost. Cut the file back to where the record began.
+  struct stat st;
+  if (::fstat(fd_, &st) != 0) return FailErrno(error, "wal append: fstat");
   const char* data = record.data();
   size_t remaining = record.size();
   while (remaining > 0) {
     ssize_t n = ::write(fd_, data, remaining);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return FailErrno(error, "wal append");
+      const std::string cause = std::strerror(errno);
+      if (::ftruncate(fd_, st.st_size) != 0) {
+        torn_ = true;
+        return FailErrno(error, "wal append failed (" + cause +
+                                    "); cannot cut the partial record");
+      }
+      return Fail(error, "wal append: " + cause);
     }
     data += n;
     remaining -= static_cast<size_t>(n);
@@ -336,6 +350,7 @@ bool WriteAheadLog::RewriteLocked(const std::vector<Record>& keep,
     if (fd_ < 0) return FailErrno(error, "cannot reopen wal " + path_);
   }
   unsynced_ops_ = 0;
+  torn_ = false;  // the rewrite holds whole records only
   return true;
 }
 

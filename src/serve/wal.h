@@ -81,7 +81,10 @@ class WriteAheadLog {
   // Appends one record (buffered in the OS; durability comes from Sync).
   // False on I/O error or an unserializable op (a subgraph op without a
   // graph) — the caller must then NOT apply the op, preserving the "logged
-  // before applied" invariant.
+  // before applied" invariant. A write that fails partway is cut back off
+  // the file, so the log stays a whole-record prefix; if that cut fails
+  // too, every later Append fails until Open() or a log rewrite
+  // (TruncateThrough, Reset) replaces the tail.
   bool Append(const UpdateOp& op, uint64_t seq, std::string* error);
 
   // fsyncs now if `force`, or if the group-commit policy says an fsync is
@@ -125,6 +128,9 @@ class WriteAheadLog {
   int fd_ = -1;
   int64_t unsynced_ops_ = 0;
   int64_t oldest_unsynced_ms_ = 0;  // steady-clock stamp of first unsynced op
+  // The file may end in a partial record that could not be cut off: a
+  // record appended after it would be unreachable to the reader.
+  bool torn_ = false;
 };
 
 }  // namespace dki

@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "datagen/nasa_generator.h"
 #include "datagen/xmark_generator.h"
 #include "index/ak_index.h"
@@ -172,8 +171,8 @@ TEST(BackendDiffTest, BackendsAgreeAcrossEpochs) {
 TEST(BackendDiffTest, ForcedBackendServersBitIdentical) {
   // End to end through the serving stack: one QueryServer with the
   // prefilter on and one with it off (QueryServer::Options::frozen), fed
-  // the same traffic and the same updates, must answer identically — single
-  // queries and batches — across republished snapshots.
+  // the same traffic and the same updates, must answer identically — the
+  // latest snapshot and a held one — across republished snapshots.
   Rng rng(67);
   DataGraph g = testing_util::RandomGraph(250, 6, 50, &rng);
   DkIndex dk = DkIndex::Build(&g, {});
@@ -198,13 +197,18 @@ TEST(BackendDiffTest, ForcedBackendServersBitIdentical) {
             << " query=" << text;
       }
     }
-    std::vector<std::vector<std::optional<std::vector<NodeId>>>> batches;
+    // Every answer from one held snapshot per server.
+    std::vector<std::vector<std::optional<std::vector<NodeId>>>> held;
     for (auto& server : servers) {
-      batches.push_back(server->EvaluateBatch(texts));
+      const std::shared_ptr<const IndexSnapshot> snap = server->snapshot();
+      held.emplace_back();
+      for (const std::string& text : texts) {
+        held.back().push_back(server->EvaluateOn(*snap, text));
+      }
     }
-    for (size_t si = 1; si < batches.size(); ++si) {
-      EXPECT_EQ(batches[0], batches[si])
-          << when << " batch prefilter=" << kAllModes[si];
+    for (size_t si = 1; si < held.size(); ++si) {
+      EXPECT_EQ(held[0], held[si])
+          << when << " held snapshot prefilter=" << kAllModes[si];
     }
   };
 
@@ -219,39 +223,6 @@ TEST(BackendDiffTest, ForcedBackendServersBitIdentical) {
   for (auto& server : servers) server->Flush();
   expect_servers_agree("after updates");
   for (auto& server : servers) server->Stop();
-}
-
-// Satellite: EvaluateBatch's lane sizing. Floor division caps the lane
-// count so EVERY lane gets >= kMinQueriesPerLane queries and ChunkBounds
-// keeps per-lane loads within one query of each other.
-TEST(BackendDiffTest, BatchLaneSizingRespectsMinQueriesPerLane) {
-  DataGraph g = testing_util::BuildMovieGraph();
-  AkIndex ak = AkIndex::Build(&g, 1);
-  FrozenView view(ak.index());
-  ThreadPool pool(8);
-
-  const PathExpression query =
-      testing_util::MustParse("director.movie", g.labels());
-  ASSERT_EQ(FrozenView::kMinQueriesPerLane, 8);  // thresholds below assume it
-
-  const struct {
-    int total;
-    int want_lanes;
-  } cases[] = {
-      {1, 1},  {7, 1},  {8, 1},  {9, 1},   // floor(9/8) = 1: no starved lane
-      {16, 2}, {17, 2}, {23, 2}, {64, 8},
-  };
-  for (const auto& c : cases) {
-    std::vector<const PathExpression*> batch(static_cast<size_t>(c.total),
-                                             &query);
-    std::vector<std::vector<NodeId>> results =
-        view.EvaluateBatch(batch, &pool);
-    EXPECT_EQ(FrozenView::BatchLanes(c.total, pool.num_threads()),
-              c.want_lanes)
-        << "total=" << c.total;
-    const std::vector<NodeId> want = view.Evaluate(query);
-    for (const auto& r : results) EXPECT_EQ(want, r) << "total=" << c.total;
-  }
 }
 
 }  // namespace

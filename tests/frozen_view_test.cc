@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "datagen/nasa_generator.h"
 #include "datagen/xmark_generator.h"
 #include "index/ak_index.h"
@@ -186,63 +185,6 @@ TEST(FrozenViewTest, NasaWorkloadMatchesReference) {
       ExpectFrozenMatchesReference(
           *index, view, testing_util::MustParse(text, g.labels()), &scratch);
     }
-  }
-}
-
-TEST(FrozenViewTest, BatchMatchesSequentialAcrossThreadCounts) {
-  XmarkOptions opt;
-  opt.scale = 0.06;
-  DataGraph g = GenerateXmarkGraph(opt).graph;
-  std::vector<std::string> texts = MixedQueries(g, 17);
-  AkIndex ak = AkIndex::Build(&g, 1);
-  FrozenView view(ak.index(), ReferenceBackend());
-
-  std::vector<PathExpression> queries;
-  for (const std::string& t : texts) {
-    queries.push_back(testing_util::MustParse(t, g.labels()));
-  }
-
-  // Sequential ground truth (also the reference evaluator's answer).
-  std::vector<std::vector<NodeId>> want_results;
-  std::vector<EvalStats> want_stats;
-  for (const PathExpression& q : queries) {
-    EvalStats st;
-    want_results.push_back(EvaluateOnIndex(ak.index(), q, &st));
-    want_stats.push_back(st);
-  }
-
-  for (bool validate : {true, false}) {
-    if (!validate) {
-      want_results.clear();
-      want_stats.clear();
-      for (const PathExpression& q : queries) {
-        EvalStats st;
-        want_results.push_back(
-            EvaluateOnIndex(ak.index(), q, &st, /*validate=*/false));
-        want_stats.push_back(st);
-      }
-    }
-    for (int threads : {1, 2, 4, 8}) {
-      ThreadPool pool(threads);
-      std::vector<EvalStats> got_stats;
-      std::vector<std::vector<NodeId>> got =
-          view.EvaluateBatch(queries, &pool, &got_stats, validate);
-      ASSERT_EQ(got.size(), queries.size());
-      ASSERT_EQ(got_stats.size(), queries.size());
-      for (size_t i = 0; i < queries.size(); ++i) {
-        EXPECT_EQ(want_results[i], got[i])
-            << "threads=" << threads << " query=" << texts[i];
-        ExpectStatsEq(want_stats[i], got_stats[i],
-                      "threads=" + std::to_string(threads) +
-                          " query=" + texts[i]);
-      }
-    }
-  }
-  // Null pool runs inline (want_results now holds the validate=false truth).
-  std::vector<std::vector<NodeId>> inline_results =
-      view.EvaluateBatch(queries, nullptr, nullptr, /*validate=*/false);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(want_results[i], inline_results[i]);
   }
 }
 

@@ -317,19 +317,19 @@ TEST(MetricsTest, ServingPathIsInstrumented) {
   dk.AddEdge(1, 2);
   EXPECT_EQ(HistogramCount("index.dk.add_edge.latency"), 1);
 
-  // The front door: a miss, a hit and a two-query batch. Each query and
-  // each batch is one histogram record.
+  // The front door: a miss, a hit and a miss through a held snapshot. Each
+  // query is one histogram record.
   {
     QueryServer::Options options;
     options.tuning.period_ms = 0;  // no background retunes
     QueryServer server(dk, options);
     ASSERT_TRUE(server.Evaluate("director.movie.title").has_value());
     ASSERT_TRUE(server.Evaluate("director.movie.title").has_value());
-    server.EvaluateBatch({"actor.name", "director.movie.title"});
+    ASSERT_TRUE(
+        server.EvaluateOn(*server.snapshot(), "actor.name").has_value());
     server.SubmitRemoveEdge(1, 2);
     server.Flush();
-    EXPECT_EQ(HistogramCount("serve.query.latency"), 2);
-    EXPECT_EQ(HistogramCount("serve.query.batch.latency"), 1);
+    EXPECT_EQ(HistogramCount("serve.query.latency"), 3);
     EXPECT_EQ(HistogramCount("serve.writer.republish.latency"),
               server.stats().publishes);
     EXPECT_EQ(HistogramCount("serve.writer.batch.latency"),
@@ -342,7 +342,7 @@ TEST(MetricsTest, ServingPathIsInstrumented) {
   std::ostringstream dump;
   registry.Dump(&dump);
   EXPECT_NE(dump.str().find("eval.index.calls 1"), std::string::npos);
-  EXPECT_NE(dump.str().find("serve.query.latency count=2 mean="),
+  EXPECT_NE(dump.str().find("serve.query.latency count=3 mean="),
             std::string::npos);
 }
 

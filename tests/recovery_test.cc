@@ -24,6 +24,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
+#include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -221,6 +223,68 @@ TEST(WalTest, TruncateThroughKeepsOnlyNewerRecords) {
   EXPECT_EQ(records[0].seq, 5u);
   EXPECT_EQ(records[1].seq, 6u);
   EXPECT_EQ(records[2].seq, 7u);
+}
+
+// A write that fails partway through a record must not leave the partial
+// record in the log: the reader stops at it, so every record appended after
+// it — synced or not — would be lost to recovery. A soft RLIMIT_FSIZE a few
+// bytes past the end of the log makes the next write() short and the one
+// after it fail with EFBIG. Limits are per process, so a forked child runs
+// the appends and reports each step through its exit code.
+TEST(WalTest, FailedAppendLeavesNoPartialRecord) {
+#ifdef DKI_UNDER_TSAN
+  GTEST_SKIP() << "fork-based fault injection is not TSan-compatible";
+#endif
+  const auto dir = FreshDir("wal_efbig");
+  const std::string path = dir + "/wal.log";
+  ::pid_t pid = ::fork();
+  ASSERT_GE(pid, 0) << "fork failed";
+  if (pid == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);  // EFBIG instead of death
+    WriteAheadLog wal(path, 1, 1000);
+    std::string error;
+    if (!wal.Open(&error) ||
+        !wal.Append(UpdateOp::AddEdge(1, 2), 1, &error)) {
+      ::_exit(2);
+    }
+    struct stat st;
+    struct rlimit unlimited;
+    if (::stat(path.c_str(), &st) != 0 ||
+        ::getrlimit(RLIMIT_FSIZE, &unlimited) != 0) {
+      ::_exit(3);
+    }
+    struct rlimit capped = unlimited;
+    capped.rlim_cur = static_cast<rlim_t>(st.st_size) + 6;
+    if (::setrlimit(RLIMIT_FSIZE, &capped) != 0) ::_exit(4);
+    DataGraph h;
+    h.AddEdge(h.root(), h.AddNode("studio"));
+    const bool appended =
+        wal.Append(UpdateOp::AddSubgraph(std::move(h)), 2, &error);
+    if (::setrlimit(RLIMIT_FSIZE, &unlimited) != 0) ::_exit(5);
+    if (appended) ::_exit(6);  // the cap did not bite: nothing was tested
+    // The writer drops the op and hands its seq to the next one.
+    if (!wal.Append(UpdateOp::AddEdge(3, 4), 2, &error)) ::_exit(7);
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "status " << status;
+  ASSERT_EQ(WEXITSTATUS(status), 0) << "child failed at step "
+                                    << WEXITSTATUS(status);
+
+  std::vector<WriteAheadLog::Record> records;
+  bool clean = false;
+  std::string error;
+  ASSERT_TRUE(WriteAheadLog::ReadAll(path, &records, &clean, &error))
+      << error;
+  EXPECT_TRUE(clean);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].seq, 1u);
+  EXPECT_EQ(records[0].op.u, 1);
+  EXPECT_EQ(records[1].seq, 2u);
+  EXPECT_EQ(records[1].op.kind, UpdateOp::Kind::kAddEdge);
+  EXPECT_EQ(records[1].op.u, 3);
+  EXPECT_EQ(records[1].op.v, 4);
 }
 
 // ---------------------------------------------------------------------------
@@ -1001,7 +1065,7 @@ TEST(CrashStateTest, NewlineLabelSubgraphLogsAndReplays) {
     EXPECT_EQ(stats.ops_applied, 1);
     EXPECT_EQ(stats.ops_logged, 1);
     EXPECT_EQ(stats.ops_invalid, 0);
-    served_graph = server.snapshot()->index().graph();
+    served_graph = server.snapshot()->graph();
     ASSERT_EQ(served_graph.NumNodes(), original.NumNodes() + 2);
     // The crash image: the initial checkpoint plus the logged subgraph.
     namespace fs = std::filesystem;

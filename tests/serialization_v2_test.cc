@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -30,6 +31,8 @@
 #include "io/serialization.h"
 #include "query/evaluator.h"
 #include "serve/checkpoint.h"
+#include "serve/query_server.h"
+#include "serve/snapshot.h"
 #include "tests/test_util.h"
 
 #if defined(__has_feature)
@@ -84,6 +87,18 @@ std::string V2Payload(const DkIndex& dk, const DataGraph& g) {
   StringSink sink(&payload);
   EXPECT_TRUE(
       SaveDkIndexPartsV2(g, dk.index(), dk.effective_requirements(), &sink));
+  return payload;
+}
+
+// The same payload as a server checkpoints it: from a published snapshot,
+// whose index section is read off its FrozenView.
+std::string SnapshotPayload(const DkIndex& dk, const DataGraph& g) {
+  const IndexSnapshot snap(std::make_shared<const DataGraph>(g), dk.index(),
+                           dk.effective_requirements(), 0, {});
+  std::string payload;
+  StringSink sink(&payload);
+  EXPECT_TRUE(SaveDkIndexPartsV2(snap.graph(), snap.index_section(),
+                                 snap.effective_requirements(), &sink));
   return payload;
 }
 
@@ -144,6 +159,7 @@ void RunWorkloadRoundTrip(DataGraph g, const std::string& name) {
   ASSERT_TRUE(dk_v2.has_value()) << name << ": " << error;
   ExpectSameGraph(g_v2, g);
   ExpectSameIndex(dk_v2->index(), dk.index());
+  EXPECT_EQ(SnapshotPayload(dk, g), V2Payload(dk, g)) << name;
 }
 
 TEST(SerializationV2Test, XmarkRoundTrip) {
@@ -156,6 +172,37 @@ TEST(SerializationV2Test, NasaRoundTrip) {
   NasaOptions options;
   options.scale = 0.25;
   RunWorkloadRoundTrip(GenerateNasaGraph(options).graph, "nasa");
+}
+
+// Checkpoints encode a published snapshot's FrozenView, `dkquery build` an
+// IndexGraph, through one index-section encoder: the bytes are identical,
+// also once Section-5 updates have split extents and left them unsorted.
+TEST(SerializationV2Test, SnapshotSectionMatchesIndexGraphBytes) {
+  Rng rng(79);
+  for (int trial = 0; trial < 8; ++trial) {
+    DataGraph g = testing_util::RandomGraph(200, 5, 40, &rng);
+    LabelRequirements reqs;
+    reqs[g.label(static_cast<NodeId>(rng.UniformInt(1, g.NumNodes() - 1)))] =
+        static_cast<int>(rng.UniformInt(1, 3));
+    DkIndex dk = DkIndex::Build(&g, reqs);
+    for (int i = 0; i < 4 * trial; ++i) {
+      const NodeId u =
+          static_cast<NodeId>(rng.UniformInt(1, g.NumNodes() - 1));
+      const NodeId v =
+          static_cast<NodeId>(rng.UniformInt(1, g.NumNodes() - 1));
+      if (u != v && !g.HasEdge(u, v)) dk.AddEdge(u, v);
+    }
+    const std::string want = V2Payload(dk, g);
+    EXPECT_EQ(SnapshotPayload(dk, g), want) << "trial " << trial;
+
+    // Loading re-derives index adjacency (in its own order), so compare
+    // what the section stores: the loaded index re-encodes to the bytes.
+    DataGraph loaded;
+    std::string error;
+    auto dk_v2 = LoadDkIndexV2Exact(want, &loaded, &error);
+    ASSERT_TRUE(dk_v2.has_value()) << error;
+    EXPECT_EQ(V2Payload(*dk_v2, loaded), want) << "trial " << trial;
+  }
 }
 
 TEST(SerializationV2Test, TruncationSweepNeverLoads) {
@@ -209,6 +256,41 @@ TEST(CheckpointV2Test, WritesV2AndRoundTrips) {
   EXPECT_FALSE(fallback);
   ExpectSameGraph(loaded, g);
   ExpectSameIndex(recovered->index(), dk.index());
+}
+
+// A durable server checkpoints its published snapshots (the initial one at
+// start, the final one at Stop): byte for byte the file CheckpointStore
+// writes from the DkIndex itself.
+TEST(CheckpointV2Test, ServerCheckpointsMatchIndexGraphCheckpoint) {
+  const auto served = FreshDir("served");
+  const auto direct = FreshDir("direct");
+  XmarkOptions options;
+  options.scale = 0.1;
+  DataGraph g = GenerateXmarkGraph(options).graph;
+  LabelRequirements reqs;
+  reqs[g.labels().Find("item")] = 2;
+  DkIndex dk = DkIndex::Build(&g, reqs);
+
+  CheckpointStore store(direct.path());
+  std::string error;
+  ASSERT_TRUE(
+      store.Write(g, dk.index(), dk.effective_requirements(), 0, &error))
+      << error;
+  std::string want;
+  ASSERT_TRUE(ReadFileToString(store.List()[0].path, &want, &error)) << error;
+
+  QueryServer::Options server_options;
+  server_options.durability.dir = served.path();
+  server_options.tuning.period_ms = 0;
+  QueryServer server(dk, server_options);
+  const std::string path = served + "/checkpoint-0.dki";
+  std::string at_start;
+  ASSERT_TRUE(ReadFileToString(path, &at_start, &error)) << error;
+  EXPECT_EQ(at_start, want);
+  server.Stop();
+  std::string at_stop;
+  ASSERT_TRUE(ReadFileToString(path, &at_stop, &error)) << error;
+  EXPECT_EQ(at_stop, want);
 }
 
 // A checkpoint whose CRC-valid payload carries bytes past the DkIndex

@@ -200,16 +200,17 @@ TEST(QueryServerTest, AdjacentLabelsNeverShareACacheKey) {
   for (const auto& [word, split] : cases) {
     // Unknown labels parse and match nothing: the joined word is cached.
     ASSERT_TRUE(server.Evaluate(word).has_value()) << word;
-    ASSERT_TRUE(server.EvaluateBatch({word})[0].has_value()) << word;
 
     std::string error;
     EXPECT_FALSE(server.Evaluate(split, nullptr, &error).has_value())
         << split;
     EXPECT_FALSE(error.empty()) << split;
-    std::vector<std::string> errors;
-    auto batch = server.EvaluateBatch({split}, nullptr, &errors);
-    EXPECT_FALSE(batch[0].has_value()) << split;
-    EXPECT_FALSE(errors[0].empty()) << split;
+    // Same through a held snapshot, whose probe keys on its own epoch.
+    error.clear();
+    EXPECT_FALSE(server.EvaluateOn(*server.snapshot(), split, nullptr, &error)
+                     .has_value())
+        << split;
+    EXPECT_FALSE(error.empty()) << split;
   }
 }
 
@@ -306,9 +307,9 @@ TEST(QueryServerTest, SnapshotIsolationAcrossRepublish) {
   ASSERT_TRUE(after.has_value());
   EXPECT_NE(*after, *before);
   EXPECT_EQ(*after,
-            EvaluateOnIndex(fresh->index(),
-                            testing_util::MustParse(
-                                text, fresh->graph().labels())));
+            EvaluateOnDataGraph(fresh->graph(),
+                                testing_util::MustParse(
+                                    text, fresh->graph().labels())));
 }
 
 TEST(QueryServerTest, AddSubgraphServesNewLabels) {
@@ -497,7 +498,6 @@ TEST(QueryServerTest, RetuneOnlyBatchesShareThePublishedGraph) {
   const std::shared_ptr<const IndexSnapshot> retuned = server.snapshot();
   EXPECT_NE(retuned.get(), before.get());
   EXPECT_EQ(retuned->shared_graph(), before->shared_graph());
-  EXPECT_EQ(&retuned->index().graph(), &retuned->graph());
   // An edge op changes the graph: the next publish copies it.
   const auto [u, v] = AnswerGrowingEdge(g);
   ASSERT_TRUE(server.SubmitAddEdge(u, v));
@@ -515,14 +515,14 @@ TEST(QueryServerTest, RetuneShrinkDemotesAndKeepsAnswersExact) {
   generous[g.labels().Find("movie")] = 2;
   DkIndex dk = DkIndex::Build(&g, generous);
   QueryServer server(dk);
-  const int64_t nodes_before = server.snapshot()->index().NumIndexNodes();
+  const int64_t nodes_before = server.snapshot()->frozen().num_index_nodes();
 
   // Shrink to a much weaker target: the quotienting demote must coarsen the
   // index (or at least not grow it) without breaking validated answers.
   const LabelId title = truth_graph.labels().Find("title");
   ASSERT_TRUE(server.SubmitRetune({{title, 1}}, /*shrink=*/true));
   server.Flush();
-  EXPECT_LE(server.snapshot()->index().NumIndexNodes(), nodes_before);
+  EXPECT_LE(server.snapshot()->frozen().num_index_nodes(), nodes_before);
   const auto& eff = server.snapshot()->effective_requirements();
   EXPECT_EQ(eff[static_cast<size_t>(title)], 1);
   for (const char* text :
@@ -658,7 +658,7 @@ TEST(QueryServerTunerTest, StableTrafficRetunesOnceThenStaysPut) {
   EXPECT_EQ(s.ops_applied, 1);
   EXPECT_GT(s.tuner_recorded_misses, 0);
   EXPECT_EQ(s.tuner_last_index_nodes,
-            server.snapshot()->index().NumIndexNodes());
+            server.snapshot()->frozen().num_index_nodes());
   EXPECT_EQ(retunes.value() - retunes_before, 1);
   EXPECT_EQ(MetricsRegistry::Global()
                     .GetHistogram("serve.tuner.index_nodes")
@@ -836,37 +836,6 @@ TEST(QueryServerTest, ColdQueryCyclingEvictsIncrementally) {
   EXPECT_EQ(hits.value(), 0);
   EXPECT_EQ(evictions.value(), kCold + 1 - 4096);
   EXPECT_GE(server.cache_stats().hits, kCold - 1);
-}
-
-// ---------------------------------------------------------------------------
-// EvaluateBatch concurrency: all-hit batches run without the fan-out lock
-// (this test is in the TSan suite; a race here fails the sanitizer run).
-// ---------------------------------------------------------------------------
-
-TEST(QueryServerTest, ConcurrentAllHitBatchesStayBitIdentical) {
-  DataGraph g = testing_util::BuildMovieGraph();
-  DkIndex dk = BuildMovieIndex(&g);
-  QueryServer server(dk);
-  const std::vector<std::string> batch = {
-      "director.movie.title", "actor.movie.title", "movieDB//title",
-      "director.name"};
-  // Warm every cache: from here on, concurrent batches are pure hits and
-  // take the lock-free path (cache probe + parse outside batch_mu_).
-  const auto reference = server.EvaluateBatch(batch);
-  for (const auto& r : reference) ASSERT_TRUE(r.has_value());
-
-  std::vector<std::thread> threads;
-  std::atomic<int> mismatches{0};
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 50; ++i) {
-        const auto got = server.EvaluateBatch(batch);
-        if (got != reference) mismatches.fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // Probe-first hits read the published epoch, not the snapshot: while the

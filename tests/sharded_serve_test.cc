@@ -341,23 +341,15 @@ TEST(ShardedServeTest, DifferentialBitIdenticalAcrossShardCounts) {
     }
   }
 
-  // Batch form: same answers, parse failures stay per-query.
-  std::vector<std::string> batch = probes;
-  batch.push_back("broken..query");
-  auto ref_batch = reference.EvaluateBatch(batch);
+  // A parse failure is nullopt, with a message, on every front door.
+  EXPECT_FALSE(reference.Evaluate("broken..query").has_value());
   for (auto& server : sharded) {
-    auto got = server->EvaluateBatch(batch);
-    ASSERT_EQ(got.size(), ref_batch.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i].has_value(), ref_batch[i].has_value())
-          << batch[i] << " n=" << server->num_shards();
-      if (got[i].has_value()) {
-        EXPECT_EQ(*got[i], *ref_batch[i])
-            << batch[i] << " n=" << server->num_shards();
-      }
-    }
+    std::string error;
+    EXPECT_FALSE(
+        server->Evaluate("broken..query", nullptr, &error).has_value())
+        << " n=" << server->num_shards();
+    EXPECT_FALSE(error.empty()) << " n=" << server->num_shards();
   }
-  EXPECT_FALSE(ref_batch.back().has_value());
 
   // No op was cross-shard, so nothing was rejected anywhere.
   for (auto& server : sharded) {
