@@ -90,17 +90,27 @@ void BM_BroadcastRequirements(benchmark::State& state) {
 }
 BENCHMARK(BM_BroadcastRequirements);
 
+// One query of each shape servebench's read_wide pool draws from: a chain,
+// the chain under `_*.` and under `_.`, the chain with a middle step
+// replaced by `_`, and the alternation of two chains.
 void BM_ParseAndCompileQuery(benchmark::State& state) {
+  static const char* const kShapes[] = {
+      "open_auctions.open_auction.bidder.personref",
+      "_*.open_auctions.open_auction.bidder.personref",
+      "_.open_auctions.open_auction.bidder.personref",
+      "open_auctions._.bidder.personref",
+      "(open_auctions.open_auction.bidder.personref|regions.africa.item.name)",
+  };
+  const std::string text = kShapes[state.range(0)];
   const DataGraph& g = SharedXmark().graph;
   std::string error;
   for (auto _ : state) {
-    auto q = PathExpression::Parse(
-        "site.open_auctions.open_auction.bidder.personref", g.labels(),
-        &error);
+    auto q = PathExpression::Parse(text, g.labels(), &error);
     benchmark::DoNotOptimize(q->forward().num_states());
   }
+  state.SetLabel(text);
 }
-BENCHMARK(BM_ParseAndCompileQuery);
+BENCHMARK(BM_ParseAndCompileQuery)->DenseRange(0, 4);
 
 void BM_EvaluateOnIndex(benchmark::State& state) {
   const bench::Dataset& dataset = SharedXmark();

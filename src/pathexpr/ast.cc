@@ -1,7 +1,5 @@
 #include "pathexpr/ast.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace dki {
@@ -75,63 +73,6 @@ std::string AstToString(const AstNode& node) {
       return AstToString(*node.left) + "?";
   }
   return "?";
-}
-
-bool IsLabelChain(const AstNode& node, std::vector<std::string>* labels) {
-  switch (node.kind) {
-    case AstKind::kLabel:
-      labels->push_back(node.label);
-      return true;
-    case AstKind::kSeq:
-      return IsLabelChain(*node.left, labels) &&
-             IsLabelChain(*node.right, labels);
-    default:
-      return false;
-  }
-}
-
-namespace {
-
-// Sorted-unique set operations over small label-name vectors.
-std::vector<std::string> SetUnion(std::vector<std::string> a,
-                                  const std::vector<std::string>& b) {
-  a.insert(a.end(), b.begin(), b.end());
-  std::sort(a.begin(), a.end());
-  a.erase(std::unique(a.begin(), a.end()), a.end());
-  return a;
-}
-
-std::vector<std::string> SetIntersect(const std::vector<std::string>& a,
-                                      const std::vector<std::string>& b) {
-  std::vector<std::string> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
-}
-
-}  // namespace
-
-std::vector<std::string> RequiredLabels(const AstNode& node) {
-  switch (node.kind) {
-    case AstKind::kLabel:
-      return {node.label};
-    case AstKind::kWildcard:
-      return {};
-    case AstKind::kSeq:
-      return SetUnion(RequiredLabels(*node.left),
-                      RequiredLabels(*node.right));
-    case AstKind::kAlt:
-      // Only labels required on BOTH branches are required overall.
-      return SetIntersect(RequiredLabels(*node.left),
-                          RequiredLabels(*node.right));
-    case AstKind::kStar:
-    case AstKind::kOpt:
-      // Zero repetitions are allowed, so nothing inside is required.
-      return {};
-    case AstKind::kPlus:
-      return RequiredLabels(*node.left);
-  }
-  return {};
 }
 
 }  // namespace dki

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 namespace dki {
 
@@ -40,21 +39,6 @@ struct AstNode {
 // Canonical textual form (fully parenthesized postfix operators), used by
 // tests and error messages.
 std::string AstToString(const AstNode& node);
-
-// True if the expression is a plain label chain l1.l2...lp (no operators);
-// fills `labels` with the chain when so.
-bool IsLabelChain(const AstNode& node, std::vector<std::string>* labels);
-
-// Labels that occur in EVERY word of the expression's language (must-occur
-// labels), sorted and deduplicated. Computed compositionally:
-//   label      -> {label}          wildcard -> {}
-//   R.S        -> req(R) u req(S)  R|S      -> req(R) n req(S)
-//   R* / R?    -> {}               R+       -> req(R)
-// The set is an under-approximation in the safe direction: a word may
-// contain more labels, never fewer. The evaluation prefilter uses it to
-// short-circuit queries whose required label has no population and to
-// shrink BFS seed sets (see query/backend.h).
-std::vector<std::string> RequiredLabels(const AstNode& node);
 
 }  // namespace dki
 

@@ -19,6 +19,7 @@ struct BuildScratch {
   std::vector<Automaton::Transition> rev_edges;
   std::vector<int> accept_states;
   std::vector<uint8_t> seen;
+  std::vector<int> named_by;
   std::vector<int32_t> out;
 };
 
@@ -119,23 +120,37 @@ CompiledQuery::Sections CompiledQuery::AppendDirection(
   sec.move_to = sec.start_off + num_classes_ + 1;
   out->resize(static_cast<size_t>(sec.move_to));
 
-  // Move rows, first appearance wins.
-  std::vector<uint8_t>& seen = ThreadBuildScratch().seen;
+  // Move rows, first appearance wins. A state without a wildcard edge has
+  // empty rows but for the classes its edges name: named_by[cls] == q.
+  BuildScratch& b = ThreadBuildScratch();
+  std::vector<uint8_t>& seen = b.seen;
   seen.assign(static_cast<size_t>(num_states_), 0);
+  b.named_by.assign(static_cast<size_t>(num_classes_), -1);
   size_t cell = static_cast<size_t>(sec.move_off);
   (*out)[cell] = 0;
   for (int q = 0; q < num_states_; ++q) {
     const auto [tb, te] = rows(q);
+    bool any = false;
+    for (auto* t = tb; t != te; ++t) {
+      any |= t->symbol == kAnySymbol;
+      if (t->symbol >= 0) {
+        b.named_by[static_cast<size_t>(
+            std::lower_bound(named.begin(), named.end(), t->symbol) -
+            named.begin())] = q;
+      }
+    }
     for (int32_t cls = 0; cls < num_classes_; ++cls) {
       const size_t row_begin = out->size();
-      for (auto* t = tb; t != te; ++t) {
-        if (matches(t->symbol, cls) && !seen[static_cast<size_t>(t->to)]) {
-          seen[static_cast<size_t>(t->to)] = 1;
-          out->push_back(t->to);
+      if (any || b.named_by[static_cast<size_t>(cls)] == q) {
+        for (auto* t = tb; t != te; ++t) {
+          if (matches(t->symbol, cls) && !seen[static_cast<size_t>(t->to)]) {
+            seen[static_cast<size_t>(t->to)] = 1;
+            out->push_back(t->to);
+          }
         }
-      }
-      for (size_t i = row_begin; i < out->size(); ++i) {
-        seen[static_cast<size_t>((*out)[i])] = 0;
+        for (size_t i = row_begin; i < out->size(); ++i) {
+          seen[static_cast<size_t>((*out)[i])] = 0;
+        }
       }
       (*out)[++cell] = static_cast<int32_t>(out->size()) - sec.move_to;
     }

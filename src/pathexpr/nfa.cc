@@ -1,20 +1,32 @@
 #include "pathexpr/nfa.h"
 
 #include <algorithm>
-#include <deque>
-#include <set>
+#include <cstdint>
 #include <sstream>
+#include <utility>
 
 #include "common/logging.h"
 
 namespace dki {
+namespace {
 
-int Automaton::AddState() {
-  transitions_.emplace_back();
-  start_.push_back(false);
-  accept_.push_back(false);
-  return num_states() - 1;
+// What MaxWordLength works in, kept per thread and grow-only.
+struct LengthScratch {
+  std::vector<int> rev_off, rev_from, fill, stack, indeg, order, dist;
+  std::vector<uint8_t> mark;
+};
+
+LengthScratch& ThreadLengthScratch() {
+  thread_local LengthScratch scratch;
+  return scratch;
 }
+
+}  // namespace
+
+Automaton::Automaton(int num_states)
+    : transitions_(static_cast<size_t>(num_states)),
+      start_(static_cast<size_t>(num_states), false),
+      accept_(static_cast<size_t>(num_states), false) {}
 
 void Automaton::AddTransition(int from, Symbol symbol, int to) {
   DKI_DCHECK(from >= 0 && from < num_states());
@@ -98,8 +110,7 @@ bool Automaton::AnyFromStart() const {
 }
 
 Automaton Automaton::Reverse() const {
-  Automaton rev;
-  for (int q = 0; q < num_states(); ++q) rev.AddState();
+  Automaton rev(num_states());
   for (int q = 0; q < num_states(); ++q) {
     for (const Transition& t : transitions_[static_cast<size_t>(q)]) {
       rev.AddTransition(t.to, t.symbol, q);
@@ -114,125 +125,111 @@ Automaton Automaton::Reverse() const {
 }
 
 int Automaton::MaxWordLength() const {
-  const int n = num_states();
-  // Forward reachability from the start set.
-  std::vector<bool> reach(static_cast<size_t>(n), false);
-  {
-    std::vector<int> stack = start_list_;
-    for (int q : stack) reach[static_cast<size_t>(q)] = true;
-    while (!stack.empty()) {
-      int q = stack.back();
-      stack.pop_back();
-      for (const Transition& t : transitions_[static_cast<size_t>(q)]) {
-        if (!reach[static_cast<size_t>(t.to)]) {
-          reach[static_cast<size_t>(t.to)] = true;
-          stack.push_back(t.to);
-        }
-      }
+  const size_t n = static_cast<size_t>(num_states());
+  LengthScratch& w = ThreadLengthScratch();
+  // Reversed edges as CSR, for co-reachability and in-degrees.
+  std::vector<int>& rev_off = w.rev_off;
+  std::vector<int>& rev_from = w.rev_from;
+  rev_off.assign(n + 1, 0);
+  for (size_t q = 0; q < n; ++q) {
+    for (const Transition& t : transitions_[q]) {
+      ++rev_off[static_cast<size_t>(t.to) + 1];
     }
   }
-  // Co-reachability to an accept state (on the reversed edges).
-  std::vector<std::vector<int>> rev_adj(static_cast<size_t>(n));
-  for (int q = 0; q < n; ++q) {
-    for (const Transition& t : transitions_[static_cast<size_t>(q)]) {
-      rev_adj[static_cast<size_t>(t.to)].push_back(q);
-    }
-  }
-  std::vector<bool> coreach(static_cast<size_t>(n), false);
-  {
-    std::vector<int> stack;
-    for (int q = 0; q < n; ++q) {
-      if (is_accept(q)) {
-        coreach[static_cast<size_t>(q)] = true;
-        stack.push_back(q);
-      }
-    }
-    while (!stack.empty()) {
-      int q = stack.back();
-      stack.pop_back();
-      for (int p : rev_adj[static_cast<size_t>(q)]) {
-        if (!coreach[static_cast<size_t>(p)]) {
-          coreach[static_cast<size_t>(p)] = true;
-          stack.push_back(p);
-        }
-      }
-    }
-  }
-  auto useful = [&](int q) {
-    return reach[static_cast<size_t>(q)] && coreach[static_cast<size_t>(q)];
-  };
-  bool any_useful = false;
-  for (int q = 0; q < n; ++q) any_useful |= useful(q);
-  if (!any_useful) return -2;  // empty language
-
-  // Detect a cycle among useful states (iterative DFS with colors).
-  std::vector<int> color(static_cast<size_t>(n), 0);  // 0 white 1 gray 2 black
-  for (int root = 0; root < n; ++root) {
-    if (!useful(root) || color[static_cast<size_t>(root)] != 0) continue;
-    std::vector<std::pair<int, size_t>> stack = {{root, 0}};
-    color[static_cast<size_t>(root)] = 1;
-    while (!stack.empty()) {
-      auto& [q, idx] = stack.back();
-      const auto& ts = transitions_[static_cast<size_t>(q)];
-      bool advanced = false;
-      while (idx < ts.size()) {
-        int to = ts[idx++].to;
-        if (!useful(to)) continue;
-        if (color[static_cast<size_t>(to)] == 1) return -1;  // cycle
-        if (color[static_cast<size_t>(to)] == 0) {
-          color[static_cast<size_t>(to)] = 1;
-          stack.emplace_back(to, 0);
-          advanced = true;
-          break;
-        }
-      }
-      if (!advanced && idx >= ts.size()) {
-        color[static_cast<size_t>(q)] = 2;
-        stack.pop_back();
-      }
+  for (size_t q = 0; q < n; ++q) rev_off[q + 1] += rev_off[q];
+  rev_from.resize(static_cast<size_t>(rev_off[n]));
+  w.fill.assign(rev_off.begin(), rev_off.end() - 1);
+  for (size_t q = 0; q < n; ++q) {
+    for (const Transition& t : transitions_[q]) {
+      rev_from[static_cast<size_t>(w.fill[static_cast<size_t>(t.to)]++)] =
+          static_cast<int>(q);
     }
   }
 
-  // DAG longest path from start states to accept states over useful states.
-  // Topological order via repeated relaxation (DAG is tiny for queries).
-  std::vector<int> order;
-  {
-    std::vector<int> indeg(static_cast<size_t>(n), 0);
-    for (int q = 0; q < n; ++q) {
-      if (!useful(q)) continue;
-      for (const Transition& t : transitions_[static_cast<size_t>(q)]) {
-        if (useful(t.to)) ++indeg[static_cast<size_t>(t.to)];
-      }
-    }
-    std::deque<int> ready;
-    for (int q = 0; q < n; ++q) {
-      if (useful(q) && indeg[static_cast<size_t>(q)] == 0) ready.push_back(q);
-    }
-    while (!ready.empty()) {
-      int q = ready.front();
-      ready.pop_front();
-      order.push_back(q);
-      for (const Transition& t : transitions_[static_cast<size_t>(q)]) {
-        if (useful(t.to) && --indeg[static_cast<size_t>(t.to)] == 0) {
-          ready.push_back(t.to);
-        }
-      }
-    }
-  }
-  constexpr int kNegInf = -1000000;
-  std::vector<int> dist(static_cast<size_t>(n), kNegInf);
+  // A state is useful when reachable from the start set (kReach) and
+  // co-reachable to an accept state (kCoreach).
+  constexpr uint8_t kReach = 1;
+  constexpr uint8_t kCoreach = 2;
+  std::vector<uint8_t>& mark = w.mark;
+  std::vector<int>& stack = w.stack;
+  mark.assign(n, 0);
+  stack.clear();
   for (int q : start_list_) {
-    if (useful(q)) dist[static_cast<size_t>(q)] = 0;
+    mark[static_cast<size_t>(q)] |= kReach;
+    stack.push_back(q);
+  }
+  while (!stack.empty()) {
+    const int q = stack.back();
+    stack.pop_back();
+    for (const Transition& t : transitions_[static_cast<size_t>(q)]) {
+      uint8_t& m = mark[static_cast<size_t>(t.to)];
+      if (!(m & kReach)) {
+        m |= kReach;
+        stack.push_back(t.to);
+      }
+    }
+  }
+  for (size_t q = 0; q < n; ++q) {
+    if (accept_[q]) {
+      mark[q] |= kCoreach;
+      stack.push_back(static_cast<int>(q));
+    }
+  }
+  while (!stack.empty()) {
+    const size_t q = static_cast<size_t>(stack.back());
+    stack.pop_back();
+    for (int i = rev_off[q]; i < rev_off[q + 1]; ++i) {
+      const int p = rev_from[static_cast<size_t>(i)];
+      uint8_t& m = mark[static_cast<size_t>(p)];
+      if (!(m & kCoreach)) {
+        m |= kCoreach;
+        stack.push_back(p);
+      }
+    }
+  }
+  auto useful = [&](size_t q) { return mark[q] == (kReach | kCoreach); };
+
+  // Kahn's topological order over the useful states. A useful state left
+  // out of it lies on or behind a cycle among useful states, and such a
+  // cycle makes the language infinite.
+  std::vector<int>& indeg = w.indeg;
+  std::vector<int>& order = w.order;
+  indeg.assign(n, 0);
+  order.clear();
+  size_t num_useful = 0;
+  for (size_t q = 0; q < n; ++q) {
+    if (!useful(q)) continue;
+    ++num_useful;
+    for (int i = rev_off[q]; i < rev_off[q + 1]; ++i) {
+      indeg[q] += useful(static_cast<size_t>(rev_from[static_cast<size_t>(i)]));
+    }
+    if (indeg[q] == 0) order.push_back(static_cast<int>(q));
+  }
+  if (num_useful == 0) return -2;  // empty language
+  for (size_t head = 0; head < order.size(); ++head) {
+    for (const Transition& t :
+         transitions_[static_cast<size_t>(order[head])]) {
+      const size_t to = static_cast<size_t>(t.to);
+      if (useful(to) && --indeg[to] == 0) order.push_back(t.to);
+    }
+  }
+  if (order.size() < num_useful) return -1;  // cycle
+
+  // Longest path from a start state to an accept state, in that order.
+  constexpr int kNegInf = -1000000;
+  std::vector<int>& dist = w.dist;
+  dist.assign(n, kNegInf);
+  for (int q : start_list_) {
+    if (useful(static_cast<size_t>(q))) dist[static_cast<size_t>(q)] = 0;
   }
   int best = kNegInf;
   for (int q : order) {
-    int dq = dist[static_cast<size_t>(q)];
+    const int dq = dist[static_cast<size_t>(q)];
     if (dq == kNegInf) continue;
-    if (is_accept(q)) best = std::max(best, dq);
+    if (accept_[static_cast<size_t>(q)]) best = std::max(best, dq);
     for (const Transition& t : transitions_[static_cast<size_t>(q)]) {
-      if (!useful(t.to)) continue;
-      dist[static_cast<size_t>(t.to)] =
-          std::max(dist[static_cast<size_t>(t.to)], dq + 1);
+      int& dt = dist[static_cast<size_t>(t.to)];
+      if (useful(static_cast<size_t>(t.to))) dt = std::max(dt, dq + 1);
     }
   }
   DKI_CHECK_GE(best, 0);
@@ -257,22 +254,30 @@ std::string Automaton::DebugString() const {
 namespace {
 
 // Thompson-style NFA with epsilon transitions; an intermediate form only.
+// A state has at most one symbol edge (only a label or `_` fragment's entry
+// state has one) and at most two epsilon edges (the construct that closes
+// a fragment adds them to its accept state, once), so states are flat.
 struct EpsNfa {
   struct State {
-    std::vector<Automaton::Transition> symbol_edges;
-    std::vector<int> eps_edges;
+    Symbol symbol = kUnknownLabel;
+    int symbol_to = -1;  // -1: no symbol edge
+    int eps[2] = {-1, -1};
   };
-  std::vector<State> states;
+  std::vector<State>& states;
 
   int AddState() {
     states.emplace_back();
     return static_cast<int>(states.size()) - 1;
   }
   void Eps(int from, int to) {
-    states[static_cast<size_t>(from)].eps_edges.push_back(to);
+    State& s = states[static_cast<size_t>(from)];
+    DKI_CHECK(s.eps[1] < 0);
+    s.eps[s.eps[0] < 0 ? 0 : 1] = to;
   }
-  void Sym(int from, Symbol s, int to) {
-    states[static_cast<size_t>(from)].symbol_edges.push_back({s, to});
+  void Sym(int from, Symbol symbol, int to) {
+    State& s = states[static_cast<size_t>(from)];
+    s.symbol = symbol;
+    s.symbol_to = to;
   }
 };
 
@@ -347,50 +352,77 @@ Fragment BuildFragment(EpsNfa* nfa, const AstNode& ast,
   return {0, 0};
 }
 
-// Epsilon closure of `q` (including q), memoized by the caller.
-std::vector<int> EpsClosure(const EpsNfa& nfa, int q) {
-  std::vector<int> closure;
-  std::vector<bool> seen(nfa.states.size(), false);
-  std::vector<int> stack = {q};
-  seen[static_cast<size_t>(q)] = true;
-  while (!stack.empty()) {
-    int u = stack.back();
-    stack.pop_back();
-    closure.push_back(u);
-    for (int v : nfa.states[static_cast<size_t>(u)].eps_edges) {
-      if (!seen[static_cast<size_t>(v)]) {
-        seen[static_cast<size_t>(v)] = true;
-        stack.push_back(v);
-      }
-    }
-  }
-  std::sort(closure.begin(), closure.end());
-  return closure;
+// What CompileAst works in, kept per thread and grow-only, so a compile
+// allocates only the automaton it returns.
+struct CompileScratch {
+  std::vector<EpsNfa::State> eps_states;
+  std::vector<int> id, stamp, stack;
+  std::vector<std::pair<Symbol, int>> edges;
+};
+
+CompileScratch& ThreadCompileScratch() {
+  thread_local CompileScratch scratch;
+  return scratch;
 }
 
 }  // namespace
 
 Automaton CompileAst(const AstNode& ast, const LabelTable& labels) {
-  EpsNfa nfa;
-  Fragment frag = BuildFragment(&nfa, ast, labels);
+  CompileScratch& w = ThreadCompileScratch();
+  w.eps_states.clear();
+  EpsNfa nfa{w.eps_states};
+  const Fragment frag = BuildFragment(&nfa, ast, labels);
+  const size_t n = nfa.states.size();
 
-  // Fold epsilon closures: state q keeps the symbol edges of every state in
-  // closure(q), and is accepting if its closure contains the accept state.
-  Automaton out;
-  const int n = static_cast<int>(nfa.states.size());
-  for (int q = 0; q < n; ++q) out.AddState();
-  for (int q = 0; q < n; ++q) {
-    std::set<std::pair<Symbol, int>> edges;
-    for (int c : EpsClosure(nfa, q)) {
-      if (c == frag.accept) out.SetAccept(q, true);
-      for (const Automaton::Transition& t :
-           nfa.states[static_cast<size_t>(c)].symbol_edges) {
-        edges.emplace(t.symbol, t.to);
+  // Folding epsilon closures gives state q the symbol edges of every state
+  // in closure(q), and makes it accepting if its closure holds the accept
+  // state. Every Thompson state is reachable from the start, so after the
+  // fold exactly the start state and the symbol-edge targets (the Glushkov
+  // positions) are reachable, and every one of them can reach an accept
+  // state. Only those are kept, renumbered in ascending order: the
+  // renumbering is monotone, so rows sorted by (symbol, target) stay sorted.
+  std::vector<int>& id = w.id;
+  id.assign(n, -1);
+  id[static_cast<size_t>(frag.start)] = 0;
+  for (const EpsNfa::State& s : nfa.states) {
+    if (s.symbol_to >= 0) id[static_cast<size_t>(s.symbol_to)] = 0;
+  }
+  int kept = 0;
+  for (int& q : id) {
+    if (q == 0) q = kept++;
+  }
+
+  Automaton out(kept);
+  // stamp[u] == q marks u as already in closure(q).
+  std::vector<int>& stamp = w.stamp;
+  std::vector<int>& stack = w.stack;
+  std::vector<std::pair<Symbol, int>>& edges = w.edges;
+  stamp.assign(n, -1);
+  for (size_t q = 0; q < n; ++q) {
+    if (id[q] < 0) continue;
+    edges.clear();
+    stamp[q] = static_cast<int>(q);
+    stack.assign(1, static_cast<int>(q));
+    while (!stack.empty()) {
+      const int u = stack.back();
+      stack.pop_back();
+      if (u == frag.accept) out.SetAccept(id[q], true);
+      const EpsNfa::State& su = nfa.states[static_cast<size_t>(u)];
+      if (su.symbol_to >= 0) {
+        edges.emplace_back(su.symbol, id[static_cast<size_t>(su.symbol_to)]);
+      }
+      for (int v : su.eps) {
+        if (v >= 0 && stamp[static_cast<size_t>(v)] != static_cast<int>(q)) {
+          stamp[static_cast<size_t>(v)] = static_cast<int>(q);
+          stack.push_back(v);
+        }
       }
     }
-    for (const auto& [symbol, to] : edges) out.AddTransition(q, symbol, to);
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    for (const auto& [symbol, to] : edges) out.AddTransition(id[q], symbol, to);
   }
-  out.SetStart(frag.start, true);
+  out.SetStart(id[static_cast<size_t>(frag.start)], true);
   return out;
 }
 

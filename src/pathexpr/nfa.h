@@ -22,8 +22,8 @@ inline constexpr Symbol kUnknownLabel = -3;
 
 // Epsilon-free nondeterministic finite automaton over label symbols.
 // Compiled from a path-expression AST via Thompson construction followed by
-// epsilon elimination. Supports multiple start states so that Reverse() is a
-// pure edge flip (start and accept sets swap).
+// epsilon elimination, trimmed to reachable states. Supports multiple start
+// states so that Reverse() is a pure edge flip (start and accept sets swap).
 class Automaton {
  public:
   struct Transition {
@@ -75,8 +75,10 @@ class Automaton {
   // Debug rendering.
   std::string DebugString() const;
 
-  // --- construction (used by the compiler and tests) -------------------
-  int AddState();
+  // --- construction (used by the compiler and Reverse) ------------------
+  Automaton() = default;
+  // `num_states` states, none start or accepting, without transitions.
+  explicit Automaton(int num_states);
   void AddTransition(int from, Symbol symbol, int to);
   void SetStart(int q, bool v);
   void SetAccept(int q, bool v) { accept_[static_cast<size_t>(q)] = v; }
@@ -94,7 +96,10 @@ class Automaton {
 };
 
 // Compiles `ast` against `labels`. Tag names not present in `labels` become
-// kUnknownLabel transitions (match nothing).
+// kUnknownLabel transitions (match nothing). The result keeps only the
+// start state and one state per label or `_` position, numbered in the
+// order Thompson construction creates them; every state is reachable from
+// the start and can reach an accept state.
 Automaton CompileAst(const AstNode& ast, const LabelTable& labels);
 
 }  // namespace dki

@@ -29,6 +29,7 @@ class Parser {
   const Token& Advance() { return tokens_[pos_++]; }
 
   void Fail(const std::string& message) {
+    if (error_ == nullptr) return;
     *error_ = message + " at position " + std::to_string(Peek().position) +
               " (found " + std::string(TokenKindName(Peek().kind)) + ")";
   }
@@ -105,7 +106,7 @@ class Parser {
   AstPtr ParseAtom() {
     switch (Peek().kind) {
       case TokenKind::kLabel:
-        return AstNode::Label(Advance().text);
+        return AstNode::Label(std::string(Advance().text));
       case TokenKind::kWildcard:
         Advance();
         return AstNode::Wildcard();

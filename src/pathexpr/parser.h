@@ -19,8 +19,8 @@ namespace dki {
 // A leading '//' is also accepted ("//name"): evaluation already lets a
 // match start anywhere, so it desugars to the bare right-hand side.
 //
-// Returns nullptr and sets `error` on syntax errors (never aborts —
-// queries are user input).
+// Returns nullptr and sets `error` (when not null) on syntax errors (never
+// aborts — queries are user input).
 AstPtr ParsePathExpression(std::string_view input, std::string* error);
 
 }  // namespace dki

@@ -25,7 +25,7 @@ namespace dki {
 class PathExpression {
  public:
   // Parses and compiles `text` against `labels`. Returns nullopt and sets
-  // `error` on syntax errors.
+  // `error` (when not null) on syntax errors.
   static std::optional<PathExpression> Parse(std::string_view text,
                                              const LabelTable& labels,
                                              std::string* error);
@@ -49,10 +49,11 @@ class PathExpression {
   // empty.
   int max_word_length() const { return max_word_length_; }
 
-  // Labels occurring in every word of the language (pathexpr/ast.h
-  // RequiredLabels), resolved against the parse-time label table and sorted
-  // by name. Tags absent from the table resolve to kUnknownLabel — a
-  // required label no data node can carry, i.e. the query matches nothing.
+  // Labels occurring in every word of the language, resolved against the
+  // parse-time label table: kUnknownLabel first when present, then the
+  // known labels sorted by name. Every tag absent from the table resolves
+  // to kUnknownLabel — a required label no data node can carry, i.e. the
+  // query matches nothing.
   const std::vector<LabelId>& required_labels() const {
     return required_labels_;
   }

@@ -1,6 +1,7 @@
 #include "pathexpr/tokenizer.h"
 
 #include <cctype>
+#include <string>
 
 namespace dki {
 namespace {
@@ -90,8 +91,10 @@ bool Tokenize(std::string_view input, std::vector<Token>* tokens,
           i += 2;
           continue;
         }
-        *error = "unexpected '/' at position " + std::to_string(pos) +
-                 " (did you mean '//'?)";
+        if (error != nullptr) {
+          *error = "unexpected '/' at position " + std::to_string(pos) +
+                   " (did you mean '//'?)";
+        }
         return false;
       default:
         break;
@@ -99,16 +102,18 @@ bool Tokenize(std::string_view input, std::vector<Token>* tokens,
     if (IsLabelStart(c)) {
       size_t start = i;
       while (i < input.size() && IsLabelChar(input[i])) ++i;
-      std::string text(input.substr(start, i - start));
+      const std::string_view text = input.substr(start, i - start);
       if (text == "_") {
         tokens->push_back({TokenKind::kWildcard, "", pos});
       } else {
-        tokens->push_back({TokenKind::kLabel, std::move(text), pos});
+        tokens->push_back({TokenKind::kLabel, text, pos});
       }
       continue;
     }
-    *error = std::string("unexpected character '") + c + "' at position " +
-             std::to_string(pos);
+    if (error != nullptr) {
+      *error = std::string("unexpected character '") + c + "' at position " +
+               std::to_string(pos);
+    }
     return false;
   }
   tokens->push_back({TokenKind::kEnd, "", static_cast<int>(input.size())});

@@ -30,12 +30,13 @@ enum class TokenKind {
 
 struct Token {
   TokenKind kind;
-  std::string text;  // label text for kLabel
-  int position = 0;  // byte offset in the input, for error messages
+  std::string_view text;  // label text for kLabel, a view into the input
+  int position = 0;       // byte offset in the input, for error messages
 };
 
 // Tokenizes `input`. On success returns true and fills `tokens` (terminated
-// by a kEnd token); on failure returns false and sets `error`.
+// by a kEnd token), which view into `input`; on failure returns false and
+// sets `error` (when not null).
 bool Tokenize(std::string_view input, std::vector<Token>* tokens,
               std::string* error);
 

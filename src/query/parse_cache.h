@@ -17,14 +17,15 @@
 namespace dki {
 
 // A thread-safe LRU cache of compiled path expressions, keyed by query
-// text, shared by every read path that parses user queries (QueryServer's
-// single-query and batch paths, ShardedQueryServer's scatter-gather
-// pruning). Like ResultCache it is split into kShards cache-line-aligned
-// shards by text hash, each with its own mutex, LRU list and map, so
-// concurrent misses on different texts rarely share a lock. Each shard
-// holds max_entries / shards entries (shards = min(kShards, max_entries))
-// and evicts one at a time from its LRU tail, so the cache never holds more
-// than `max_entries`; eviction is LRU within a shard.
+// text, for a read path with no result cache ahead of it:
+// ShardedQueryServer's scatter-gather pruning parses every request through
+// one. (QueryServer keeps none: it parses only result-cache misses, which
+// rarely repeat before eviction.) Like ResultCache it is split into kShards
+// cache-line-aligned shards by text hash, each with its own mutex, LRU list
+// and map, so concurrent misses on different texts rarely share a lock.
+// Each shard holds max_entries / shards entries (shards = min(kShards,
+// max_entries)) and evicts one at a time from its LRU tail, so the cache
+// never holds more than `max_entries`; eviction is LRU within a shard.
 //
 // The compiled expression is shared_ptr-held, so an eviction can never
 // invalidate a pointer a concurrent caller already collected; an evicted or

@@ -144,13 +144,15 @@ std::optional<std::vector<NodeId>> QueryServer::Serve(
   }
   // Parse against the snapshot's own label table: labels added by a queued
   // AddSubgraph become queryable exactly when a snapshot containing them is
-  // published.
-  std::shared_ptr<const PathExpression> query =
-      parse_cache_.Get(query_text, held->graph().labels(), error);
-  if (query == nullptr) {
+  // published. Caching parses would cost more than it saves: a miss is
+  // mostly a text not seen lately (EXPERIMENTS.md, "Parse each miss").
+  std::optional<PathExpression> parsed =
+      PathExpression::Parse(query_text, held->graph().labels(), error);
+  if (!parsed.has_value()) {
     DKI_METRIC_COUNTER("serve.query.parse_errors").Increment();
     return std::nullopt;
   }
+  auto query = std::make_shared<const PathExpression>(std::move(*parsed));
   const FrozenView& view = held->frozen();
   result = view.Evaluate(*query, stats, options_.validate);
   cache_.Put(key, view.epoch(), result);

@@ -17,9 +17,9 @@
 #include "common/metrics.h"
 #include "graph/data_graph.h"
 #include "index/dk_index.h"
+#include "pathexpr/path_expression.h"
 #include "query/evaluator.h"
 #include "query/frozen_view.h"
-#include "query/parse_cache.h"
 #include "query/result_cache.h"
 #include "serve/checkpoint.h"
 #include "serve/snapshot.h"
@@ -63,9 +63,9 @@ struct TuningOptions {
 //     │ epoch = published epoch atomic     snapshot lock, no refcount)
 //     │                    │ miss
 //     │                    ▼
-//     │    snapshot() ──► shared_ptr<const IndexSnapshot> ──► parse cache
-//     │      ▲  (shared_mutex-guarded pointer swap)      ──► evaluate, Put
-//     │      │
+//     │    snapshot() ──► shared_ptr<const IndexSnapshot> ──► Parse against
+//     │      ▲  (shared_mutex-guarded pointer swap)      its labels, evaluate,
+//     │      │                                           Put, RecordMiss
 //   publish ◄── writer thread ◄── UpdateQueue ◄── SubmitAddEdge /
 //   (graph copy     applies batches to the        SubmitRemoveEdge /
 //    + freeze +     private master DkIndex        SubmitAddSubgraph
@@ -86,7 +86,8 @@ struct TuningOptions {
 //     can never be returned (epochs are monotonic and never reused). A hit
 //     is probed before parsing, at the epoch Publish stored last, and
 //     answers as of the snapshot that was current at that load; only a
-//     miss takes snapshot(), the parse cache and the evaluator.
+//     miss takes snapshot(), parses (no parse cache: misses rarely repeat,
+//     so a malformed text is re-parsed each time) and evaluates.
 //   * Adaptive tuning (Options::tuning, on by default): every result-cache
 //     MISS appends its parsed expression to a bounded per-thread-stripe
 //     buffer (hits record nothing). A tuner thread drains the buffers each
@@ -302,17 +303,6 @@ class QueryServer {
 
   UpdateQueue queue_;
   mutable ResultCache cache_;
-
-  // Parse cache (query/parse_cache.h): query text -> compiled
-  // PathExpression, consulted by the read path only on a result-cache miss,
-  // holding at most kMaxParsedQueries entries with per-shard LRU eviction.
-  // Cached parses revalidate against the snapshot's label-table size —
-  // sound because the writer only ever appends to the label table, so equal
-  // size means identical contents. (Like the epoch-keyed result cache, this
-  // assumes EvaluateOn is fed snapshots from this server's pipeline.)
-  // Counters: serve.parse_cache.{hits,misses,evictions}.
-  static constexpr size_t kMaxParsedQueries = 4096;
-  mutable ParseCache parse_cache_{"serve.parse_cache", kMaxParsedQueries};
 
   // Durability pipeline; null when Options::durability.dir is empty.
   std::unique_ptr<WriteAheadLog> wal_;

@@ -173,8 +173,9 @@ class ShardedQueryServer {
   std::vector<std::unique_ptr<QueryServer>> servers_;
   std::vector<Histogram*> shard_latency_;  // serve.shard.<i>.eval.latency
 
-  // Front-door parse cache for the pruning fast path (the per-shard caches
-  // still serve each shard's own parse).
+  // Front-door parse cache for the pruning fast path: no result cache sits
+  // ahead of it. Each shard's QueryServer parses its own result-cache
+  // misses uncached.
   mutable ParseCache parse_cache_{"serve.shard.parse_cache", 4096};
 
   // Serializes RouteSubgraph + manifest save + submit (+ rollback), so a

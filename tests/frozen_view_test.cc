@@ -167,6 +167,50 @@ TEST(FrozenViewTest, XmarkWorkloadMatchesReference) {
   }
 }
 
+// The five query shapes servebench's read_wide pool draws from, built
+// around the workload's chains: the chain, `_*.chain`, `_.chain`, the
+// chain with a middle step replaced by `_`, and two chains alternated.
+TEST(FrozenViewTest, XmarkWidePoolShapesMatchReference) {
+  XmarkOptions opt;
+  opt.scale = 0.08;
+  DataGraph g = GenerateXmarkGraph(opt).graph;
+  Rng rng(17);
+  WorkloadOptions options;
+  options.num_queries = 12;
+  const std::vector<std::string> chains =
+      GenerateWorkload(g, options, &rng).queries;
+  ASSERT_GE(chains.size(), 2u);
+  std::vector<std::string> queries;
+  int mid_wildcards = 0;
+  for (size_t i = 0; i < chains.size(); ++i) {
+    const std::string& c = chains[i];
+    queries.push_back(c);
+    queries.push_back("_*." + c);
+    queries.push_back("_." + c);
+    const size_t dot = c.find('.');
+    const size_t next = dot == std::string::npos ? dot : c.find('.', dot + 1);
+    if (next != std::string::npos) {
+      queries.push_back(c.substr(0, dot) + "._" + c.substr(next));
+      ++mid_wildcards;
+    }
+    queries.push_back("(" + c + "|" + chains[(i + 1) % chains.size()] + ")");
+  }
+  ASSERT_GT(mid_wildcards, 0);
+
+  LabelRequirements reqs =
+      MineRequirementsFromText(queries, g.labels(), nullptr);
+  DkIndex dk = DkIndex::Build(&g, reqs);
+  AkIndex a1 = AkIndex::Build(&g, 1);
+  for (const IndexGraph* index : {&dk.index(), &a1.index()}) {
+    FrozenView view(*index, ReferenceBackend());
+    FrozenScratch scratch;
+    for (const std::string& text : queries) {
+      ExpectFrozenMatchesReference(
+          *index, view, testing_util::MustParse(text, g.labels()), &scratch);
+    }
+  }
+}
+
 TEST(FrozenViewTest, NasaWorkloadMatchesReference) {
   NasaOptions opt;
   opt.scale = 0.08;

@@ -6,6 +6,7 @@
 
 #include "pathexpr/parser.h"
 #include "pathexpr/path_expression.h"
+#include "tests/test_util.h"
 
 namespace dki {
 namespace {
@@ -113,6 +114,20 @@ TEST_F(NfaTest, UnknownLabelMatchesNothing) {
   // But wildcard still matches anything.
   Automaton w = Compile("zzz|_");
   EXPECT_TRUE(Accepts(w, {a_}));
+}
+
+// Only the start state and one state per label or `_` position survive
+// compilation (Thompson construction makes two per position, plus two per
+// operator), and each of them is useful.
+TEST_F(NfaTest, TrimmedToOneStatePerPositionPlusStart) {
+  for (const char* text : {"a.b.c", "(a|b).c", "a//c", "a.b?.c", "_*.a.b"}) {
+    Automaton m = Compile(text);
+    EXPECT_EQ(m.num_states(), 4) << text << "\n" << m.DebugString();
+    EXPECT_TRUE(testing_util::EveryStateUseful(m)) << text;
+    EXPECT_EQ(m.start_states().size(), 1u) << text;
+  }
+  EXPECT_EQ(Compile("a").num_states(), 2);
+  EXPECT_EQ(Compile("(a.b|a.c)*").num_states(), 5);
 }
 
 TEST_F(NfaTest, ReverseAcceptsReversedLanguage) {

@@ -160,6 +160,33 @@ TEST_P(RegexProperty, AutomatonEqualsBruteForceOnAllShortWords) {
   }
 }
 
+// The compiled automaton is trimmed: one state per label or `_` position
+// plus the start state, every one reachable from the start and able to
+// reach an accept state.
+TEST_P(RegexProperty, EveryStateIsUseful) {
+  Rng rng(static_cast<uint64_t>(GetParam()) + 500);
+  LabelTable labels;
+  labels.Intern("a");
+  labels.Intern("b");
+  labels.Intern("c");
+  auto positions = [](const AstNode& node, auto&& self) -> int {
+    if (node.kind == AstKind::kLabel || node.kind == AstKind::kWildcard) {
+      return 1;
+    }
+    return self(*node.left, self) +
+           (node.right != nullptr ? self(*node.right, self) : 0);
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    AstPtr ast = RandomAst(&rng, 8, /*allow_star=*/true);
+    Automaton m = CompileAst(*ast, labels);
+    EXPECT_TRUE(testing_util::EveryStateUseful(m)) << AstToString(*ast);
+    EXPECT_TRUE(testing_util::EveryStateUseful(m.Reverse()))
+        << AstToString(*ast);
+    EXPECT_EQ(m.num_states(), positions(*ast, positions) + 1)
+        << AstToString(*ast);
+  }
+}
+
 TEST_P(RegexProperty, MaxWordLengthAgreesWithBruteForceOnStarFree) {
   Rng rng(static_cast<uint64_t>(GetParam()) + 1000);
   LabelTable labels;

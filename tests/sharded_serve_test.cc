@@ -341,9 +341,13 @@ TEST(ShardedServeTest, DifferentialBitIdenticalAcrossShardCounts) {
     }
   }
 
-  // A parse failure is nullopt, with a message, on every front door.
+  // A parse failure is nullopt, with a message, on every front door, and
+  // no crash without an error pointer.
+  EXPECT_FALSE(reference.Evaluate("movie..").has_value());
   EXPECT_FALSE(reference.Evaluate("broken..query").has_value());
   for (auto& server : sharded) {
+    EXPECT_FALSE(server->Evaluate("movie..").has_value())
+        << " n=" << server->num_shards();
     std::string error;
     EXPECT_FALSE(
         server->Evaluate("broken..query", nullptr, &error).has_value())
@@ -437,6 +441,12 @@ TEST(ShardedServeTest, SubgraphInsertsMatchSingleServerIdsAndAnswers) {
     ASSERT_TRUE(result.has_value()) << probe;
     EXPECT_EQ(*result, *ref_result) << probe;
   }
+  // Diverged, every shard parses for itself: a malformed text still fails
+  // cleanly, with or without an error pointer.
+  EXPECT_FALSE(server.Evaluate("movie..").has_value());
+  std::string error;
+  EXPECT_FALSE(server.Evaluate("movie..", nullptr, &error).has_value());
+  EXPECT_FALSE(error.empty());
 
   // A subgraph with an edge back into its own root is rejected before any
   // reservation: ids are untouched.

@@ -148,6 +148,33 @@ inline PathExpression MustParse(const std::string& text,
   return std::move(*expr);
 }
 
+// True if every state of `a` is reachable from a start state and can reach
+// an accept state (plain fixpoints, independent of Automaton's own code).
+inline bool EveryStateUseful(const Automaton& a) {
+  const int n = a.num_states();
+  std::vector<bool> reach(static_cast<size_t>(n), false);
+  std::vector<bool> coreach(static_cast<size_t>(n), false);
+  for (int q : a.start_states()) reach[static_cast<size_t>(q)] = true;
+  for (int q = 0; q < n; ++q) coreach[static_cast<size_t>(q)] = a.is_accept(q);
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (int q = 0; q < n; ++q) {
+      for (const Automaton::Transition& t : a.transitions(q)) {
+        const size_t from = static_cast<size_t>(q);
+        const size_t to = static_cast<size_t>(t.to);
+        if (reach[from] && !reach[to]) reach[to] = changed = true;
+        if (coreach[to] && !coreach[from]) coreach[from] = changed = true;
+      }
+    }
+  }
+  for (int q = 0; q < n; ++q) {
+    if (!reach[static_cast<size_t>(q)] || !coreach[static_cast<size_t>(q)]) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace testing_util
 }  // namespace dki
 
