@@ -9,11 +9,13 @@
 // (`serve.writer.batch.latency`) and the snapshot republish
 // (`serve.writer.republish.latency`), each as count/p50/p99. The sweep
 // spans 10x in graph size. Its original bar, incremental p99 staying ~flat
-// (<= 1.5x) across it, is NOT met: incremental publish p99 grows ~5-9x
-// over the sweep (EXPERIMENTS.md § Incremental maintenance) because two
-// costs the incremental engine does not cover scale with the graph — the
-// O(N) snapshot graph copy + freeze at every publish, and the
-// grow-retune's PromoteBatch (Algorithm 4 over the whole graph).
+// (<= 1.5x) across it, is NOT met: incremental publish p99 grows with the
+// graph (EXPERIMENTS.md § Incremental maintenance) because costs the
+// incremental engine does not cover scale with it — the O(N) snapshot
+// graph copy + freeze at every publish, and the grow retune, which
+// recomputes every node of a raised label in the rounds beyond the trace.
+// `promote_label_count` counts Algorithm 6 calls during the stream; every
+// retune is a Demote, so it must read 0 (CI checks it).
 //
 // The binary is also the exactness guard used by CI: after each stream it
 // evaluates the mined workload on the final snapshot and hashes results +
@@ -68,6 +70,7 @@ struct ModeResult {
   int64_t projected_nodes = 0;
   int64_t recomputed_nodes = 0;
   int64_t full_calls = 0;
+  int64_t promote_label_count = 0;
   int64_t index_nodes = 0;
   uint64_t result_hash = 0;
 };
@@ -105,10 +108,10 @@ uint64_t HashWorkloadResults(const QueryServer& server,
 
 // Drives one deterministic update stream through a fresh server in the
 // given maintenance mode. The stream alternates runs of recipe edge
-// toggles with retune waves: shrink to the halved requirements (a Demote,
-// i.e. a Rebuild in the mode under test) then grow back to the mined ones
-// (a PromoteBatch), so every shrink has real demotion work to do. Bursts
-// of back-to-back retunes exercise the writer's coalescing.
+// toggles with retune waves: shrink to the halved requirements, then grow
+// back to the mined ones (each a Demote, i.e. a Rebuild in the mode under
+// test), so every shrink has real demotion work to do. Bursts of
+// back-to-back retunes exercise the writer's coalescing.
 ModeResult RunStream(const bench::Dataset& dataset,
                      const std::vector<std::string>& queries,
                      const LabelRequirements& reqs,
@@ -185,6 +188,8 @@ ModeResult RunStream(const bench::Dataset& dataset,
       m.GetCounter("index.dk.incremental_rebuild.recomputed_nodes").value();
   out.full_calls =
       m.GetHistogram("index.dk.full_rebuild.latency").snapshot().count;
+  out.promote_label_count =
+      m.GetHistogram("index.dk.promote_label.latency").snapshot().count;
   return out;
 }
 
@@ -209,6 +214,7 @@ bench::Json ModeJson(const ModeResult& r) {
   j.Set("projected_nodes", bench::Json::Int(r.projected_nodes));
   j.Set("recomputed_nodes", bench::Json::Int(r.recomputed_nodes));
   j.Set("full_calls", bench::Json::Int(r.full_calls));
+  j.Set("promote_label_count", bench::Json::Int(r.promote_label_count));
   j.Set("index_nodes", bench::Json::Int(r.index_nodes));
   j.Set("result_hash", bench::Json::Str(std::to_string(r.result_hash)));
   return j;

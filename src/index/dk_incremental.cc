@@ -27,10 +27,14 @@
 // groups keep distinct signatures — one member is a faithful
 // representative.
 //
-// Fallbacks to the full engine: no trace (FromParts/recovery), requirements
-// exceeding what the trace was refined under, or a dirty set too large to
-// profit. Both paths end identically: fresh trace captured, dirty set
-// cleared, epoch carried forward.
+// Raised requirements extend the trace: a label's nodes project up to the
+// round it was captured at and are recomputed beyond it. The broadcast caps
+// a child's captured round at its parents' + 1, so those nodes are closed
+// under the children the next round reads and the cone invariant holds.
+//
+// Fallbacks to the full engine: no trace (FromParts/recovery) or a dirty set
+// too large to profit. Both paths end identically: fresh trace captured,
+// dirty set cleared, epoch carried forward.
 
 #include <algorithm>
 #include <cstdint>
@@ -92,7 +96,6 @@ void DkIndex::IncrementalRebuild(const std::vector<int>& effective_req) {
   const int64_t fresh_nodes = n - watermark;
   const bool usable =
       tr != nullptr && !tr->rounds.empty() &&
-      tr->CoversRequirements(effective_req) &&
       static_cast<double>(dirty_.size()) + static_cast<double>(fresh_nodes) <=
           kMaxDirtyFraction * static_cast<double>(n);
   if (!usable) {
@@ -122,6 +125,9 @@ void DkIndex::IncrementalRebuild(const std::vector<int>& effective_req) {
   for (LabelId l : cur.block_label) {
     kmax = std::max(kmax, effective_req[static_cast<size_t>(l)]);
   }
+  // Last round each label can project from (-1: interned since capture).
+  std::vector<int> captured = tr->req_at_capture;
+  captured.resize(effective_req.size(), -1);
 
   // changed[x]: x's current block diverges from its trace projection (new
   // nodes count as diverged — they have no projection).
@@ -150,7 +156,9 @@ void DkIndex::IncrementalRebuild(const std::vector<int>& effective_req) {
       }
     };
     for (NodeId x = 0; x < n; ++x) {
-      if (dirty[static_cast<size_t>(x)] || changed[static_cast<size_t>(x)]) {
+      const size_t l = static_cast<size_t>(graph_->label(x));
+      if (dirty[static_cast<size_t>(x)] || changed[static_cast<size_t>(x)] ||
+          (effective_req[l] >= round && captured[l] < round)) {
         mark(x);
       }
     }
@@ -244,7 +252,7 @@ void DkIndex::IncrementalRebuild(const std::vector<int>& effective_req) {
       ++recomputed;
       // Landed exactly on its own projection → stops propagating.
       bool matched_projection = false;
-      if (x < watermark) {
+      if (x < watermark && captured[static_cast<size_t>(l)] >= round) {
         const int32_t t = trace_round->block_of[static_cast<size_t>(x)];
         matched_projection =
             remap_trace[static_cast<size_t>(t)] == it->second;

@@ -86,9 +86,10 @@ std::vector<std::vector<LabelId>> ComputeLabelParents(const GraphT& g,
 // requirement >= r. Fills `block_k` with the achieved local similarity
 // (= effective requirement of the block's label). When `trace_rounds` is
 // given, every round's partition (including round 0, the label split) is
-// recorded into it — the raw material of a RefinementTrace. Recording works
-// identically for both engines because ParallelRefineOnce produces the
-// bit-identical partition to RefineOnce.
+// recorded into it — the raw material of a RefinementTrace. With a `pool`,
+// round r's signatures are computed in parallel (it reads only round r-1's
+// partition), and ParallelRefineOnce produces the bit-identical partition,
+// block numbering included, so recording works identically for both engines.
 template <typename GraphT>
 Partition BuildDkPartition(const GraphT& g,
                            const std::vector<int>& effective_req,
@@ -123,20 +124,6 @@ Partition BuildDkPartition(const GraphT& g,
     block_k->push_back(effective_req[static_cast<size_t>(l)]);
   }
   return p;
-}
-
-// The parallel D(k) construction: identical round schedule, with each
-// round's signature computation fanned out over `pool`. D(k)'s
-// requirement-ordered rounds parallelize safely because round r reads only
-// the round-r-1 partition — the per-block refine mask depends on labels,
-// which are round-invariant (see docs/ALGORITHMS.md). Produces the
-// identical partition (block numbering included) to the sequential engine.
-template <typename GraphT>
-Partition ParallelBuildDkPartition(const GraphT& g,
-                                   const std::vector<int>& effective_req,
-                                   std::vector<int>* block_k,
-                                   ThreadPool& pool) {
-  return BuildDkPartition(g, effective_req, block_k, &pool);
 }
 
 // The D(k)-index (the paper's core contribution): an index graph whose nodes
@@ -322,8 +309,8 @@ class DkIndex {
   // The reference path: fresh BuildDkPartition over the whole data graph.
   void FullRebuild(const std::vector<int>& effective_req);
   // The trace path: projection for clean nodes, cone re-refinement for
-  // dirty ones. Falls back to FullRebuild when the trace is absent, does
-  // not cover `effective_req`, or the dirty set is too large a fraction of
+  // dirty ones and for rounds beyond the trace. Falls back to FullRebuild
+  // when the trace is absent or the dirty set is too large a fraction of
   // the graph to profit.
   void IncrementalRebuild(const std::vector<int>& effective_req);
 

@@ -279,8 +279,8 @@ std::vector<NodeId> DkIndex::AddSubgraph(const DataGraph& h) {
   // old nodes straight through the refinement trace and re-refines only the
   // inserted cone, producing the exact fresh-construction index (this
   // replaces the paper's Algorithm 3 quotient, which could only approximate
-  // it, and its requirement-raised special case, which the engine's
-  // CoversRequirements fallback subsumes).
+  // it, and its requirement-raised special case, which the engine covers
+  // by recomputing the rounds beyond the trace).
   Rebuild(effective_req_);
   return node_map;
 }

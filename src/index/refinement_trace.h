@@ -26,7 +26,8 @@ namespace dki {
 // req(parent) >= req(child) - 1 in BOTH requirement vectors), so parent
 // block ids seen by signatures correspond 1:1; once r > req'(l) the fresh
 // run freezes the block while the trace may refine further — which is why
-// the projection reads round req'(l), not the final round.
+// the projection reads round req'(l), not the final round. The same
+// induction holds for any req' at rounds r <= min(req'(l), req_at_capture(l)).
 //
 // Nodes whose parent adjacency changed since capture (edge-update targets,
 // AddSubgraph insertions) are excluded from the projection and re-refined
@@ -45,17 +46,6 @@ struct RefinementTrace {
   std::vector<int> req_at_capture;
   // rounds[r]: partition after round r, r in [0, kmax at capture].
   std::vector<Partition> rounds;
-
-  // True when req'[l] <= req_at_capture[l] for every label that existed at
-  // capture time (labels beyond req_at_capture.size() are new: all their
-  // nodes are dirty anyway, so no trace round is ever consulted for them).
-  bool CoversRequirements(const std::vector<int>& new_req) const {
-    size_t bound = std::min(new_req.size(), req_at_capture.size());
-    for (size_t l = 0; l < bound; ++l) {
-      if (new_req[l] > req_at_capture[l]) return false;
-    }
-    return true;
-  }
 };
 
 }  // namespace dki

@@ -22,8 +22,8 @@ namespace dki {
 // traffic sound on the index — rare deep queries then pay validation rather
 // than inflating the summary for everyone.
 //
-// QueryServer's tuner feeds mined requirements back as retunes
-// (DkIndex::PromoteBatch + Demote), keeping the index tracking a drifting
+// QueryServer's tuner feeds mined requirements back as shrink retunes
+// (DkIndex::Demote to the mined map), keeping the index tracking a drifting
 // workload.
 class QueryLoadTracker {
  public:

@@ -1,6 +1,7 @@
 #ifndef DKINDEX_SERVE_APPLY_H_
 #define DKINDEX_SERVE_APPLY_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -24,10 +25,12 @@ inline bool ValidateUpdateOp(const DkIndex& dk, const UpdateOp& op) {
     case UpdateOp::Kind::kAddSubgraph:
       return op.subgraph != nullptr;
     case UpdateOp::Kind::kRetune:
-      // Demote CHECK-fails on out-of-range labels; a corrupt or
-      // stale-labeled record must drop, not abort the server.
+      // Demote CHECK-fails on out-of-range labels, and a k beyond the node
+      // count (refinement is stable by then) would allocate one broadcast
+      // bucket per level: such an op must drop, not abort the server.
       for (const auto& [label, k] : op.retune_targets) {
-        if (label < 0 || label >= dk.graph().labels().size() || k < 0) {
+        if (label < 0 || label >= dk.graph().labels().size() || k < 0 ||
+            k > dk.graph().NumNodes()) {
           return false;
         }
       }
@@ -38,7 +41,7 @@ inline bool ValidateUpdateOp(const DkIndex& dk, const UpdateOp& op) {
 
 // Applies one queued operation to a live D(k)-index, validating node ids
 // against the index's CURRENT graph. Returns false iff the op was invalid
-// and dropped (out-of-range node, null subgraph) — never fatal.
+// and dropped (see ValidateUpdateOp) — never fatal.
 //
 // This is the single definition of apply semantics, shared by the serving
 // writer thread (serve/query_server.cc) and log replay during recovery
@@ -58,10 +61,18 @@ inline bool ApplyUpdateOp(DkIndex* dk, const UpdateOp& op) {
     case UpdateOp::Kind::kAddSubgraph:
       dk->AddSubgraph(*op.subgraph);
       return true;
-    case UpdateOp::Kind::kRetune:
-      dk->PromoteBatch(op.retune_targets);
-      if (op.retune_shrink) dk->Demote(op.retune_targets);
+    case UpdateOp::Kind::kRetune: {
+      // One Build-exact re-partition: a shrink to the targets alone, a grow
+      // to the targets merged per label with the current requirements.
+      LabelRequirements reqs = op.retune_targets;
+      const std::vector<int>& current = dk->effective_requirements();
+      for (size_t l = 0; !op.retune_shrink && l < current.size(); ++l) {
+        int& k = reqs[static_cast<LabelId>(l)];
+        k = std::max(k, current[l]);
+      }
+      dk->Demote(reqs);
       return true;
+    }
   }
   return false;
 }
@@ -72,17 +83,19 @@ inline bool ApplyUpdateOp(DkIndex* dk, const UpdateOp& op) {
 //
 // Op i is superseded iff a later op j in the batch is a shrink-retune that
 // validates against the batch-START state. This is exact, not approximate:
-//   * Demote rebuilds the partition, local similarities, and effective
-//     requirements to exactly Build(current graph, targets_j) — nothing of
-//     the tuning state op i would have left behind survives op j.
+//   * j's Demote rebuilds the partition, local similarities, and effective
+//     requirements to exactly Build(current graph, targets_j) from the graph
+//     and refinement trace alone — nothing op i (of either kind) would have
+//     left behind survives op j. A grow reads the current requirements, so
+//     only a shrink supersedes.
 //   * No state between i and j is observable: the server publishes once per
 //     batch, after the last op.
 //   * Skipping i cannot flip any later op's apply/drop decision: validity
 //     depends only on the node count and label table (ValidateUpdateOp),
 //     which retunes never touch.
 //   * j's own validity is checked against the batch-start state; ops in
-//     between can only GROW the label table (AddSubgraph interns), so
-//     valid-at-start implies valid-at-apply. When j cannot be proven valid
+//     between can only GROW the node count and label table (AddSubgraph),
+//     so valid-at-start implies valid-at-apply. When j cannot be proven valid
 //     up front, nothing is skipped — conservative, never wrong.
 // Epoch trajectories do differ from the uncoalesced run (fewer bumps), which
 // is fine: epochs are cache keys, required to be monotonic, not replayable.

@@ -29,7 +29,7 @@
 namespace dki {
 
 // The server's adaptive loop (QueryServer::Options::tuning), the D(k)
-// promote/demote cycle of Sections 5.3-5.4 run against live traffic. The
+// tuning of Sections 5.3-5.4 run against live traffic as retunes. The
 // defaults were chosen on servebench (EXPERIMENTS.md, "The adaptive loop"):
 // read_wide's first retune lands inside the 1 s warm-up, while read_hot's
 // start-up misses and write_mix's post-publish misses stay below
@@ -197,13 +197,13 @@ class QueryServer {
   bool SubmitRemoveEdge(NodeId u, NodeId v);
   bool SubmitAddSubgraph(DataGraph h);
 
-  // Enqueue a load-driven retune (Sections 5.3-5.4): the writer promotes the
-  // index to the mined per-label targets and, when `shrink` is set, demotes
-  // refinement the targets no longer require. Flows through the same
-  // queue/WAL pipeline as structural updates, so retunes are ordered with
-  // them, durable, and replayed on recovery. The server's own tuner submits
-  // these from mined misses; an explicit call overrides it until the mined
-  // requirements move (see the class comment).
+  // Enqueue a load-driven retune (Sections 5.3-5.4): the writer
+  // re-partitions the index as DkIndex::Build would, to the targets with
+  // `shrink`, else to the targets merged with the current requirements.
+  // Flows through the same queue/WAL pipeline as structural updates, so
+  // retunes are ordered with them, durable, and replayed on recovery. The
+  // server's tuner submits shrink retunes from mined misses; an explicit
+  // call overrides it until the mined requirements move (see class comment).
   bool SubmitRetune(LabelRequirements targets, bool shrink = true);
 
   // Blocks until every op accepted so far has been applied AND published

@@ -24,10 +24,10 @@ struct UpdateOp {
   NodeId u = kInvalidNode;  // kAddEdge / kRemoveEdge
   NodeId v = kInvalidNode;
   std::shared_ptr<const DataGraph> subgraph;  // kAddSubgraph
-  // kRetune: mined per-label similarity targets. PromoteBatch raises the
-  // index to them; with retune_shrink also Demote, quotienting away
-  // refinement the targets no longer ask for (labels absent from the map
-  // fall back to requirement 0 before broadcasting).
+  // kRetune: mined per-label similarity targets, applied as one Demote
+  // (serve/apply.h): with retune_shrink to the targets alone (absent labels
+  // fall back to requirement 0), without it to the targets merged per label
+  // with the index's current requirements.
   LabelRequirements retune_targets;
   bool retune_shrink = false;
 

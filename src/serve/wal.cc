@@ -186,7 +186,7 @@ bool WriteAheadLog::DecodePayload(std::string_view payload, Record* out,
       const bool shrink = payload.front() != 0;
       payload.remove_prefix(1);
       uint32_t count = 0;
-      if (!ReadU32(&payload, &count) || payload.size() != 8u * count) {
+      if (!ReadU32(&payload, &count) || payload.size() != uint64_t{8} * count) {
         return Fail(error, "malformed retune record");
       }
       LabelRequirements targets;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "datagen/xmark_generator.h"
 #include "index/dk_index.h"
 #include "query/evaluator.h"
+#include "query/workload.h"
 #include "serve/apply.h"
 #include "serve/query_server.h"
 #include "tests/test_util.h"
@@ -74,7 +76,7 @@ DataGraph RandomSubgraph(const DataGraph& host, Rng* rng) {
 // Applies one random op to BOTH indexes (they own independent graph copies)
 // and returns a short description for failure messages.
 std::string ApplyRandomOp(DkIndex* a, DkIndex* b, Rng* rng) {
-  switch (rng->UniformInt(0, 5)) {
+  switch (rng->UniformInt(0, 6)) {
     case 0:
     case 1: {  // AddEdge
       NodeId u = static_cast<NodeId>(
@@ -105,6 +107,13 @@ std::string ApplyRandomOp(DkIndex* a, DkIndex* b, Rng* rng) {
       a->Demote(reqs);
       b->Demote(reqs);
       return "Demote";
+    }
+    case 5: {  // a serving retune of either kind
+      const UpdateOp op = UpdateOp::Retune(RandomReqs(a->graph(), rng, 2, 3),
+                                           rng->UniformInt(0, 1) == 0);
+      EXPECT_TRUE(ApplyUpdateOp(a, op));
+      EXPECT_TRUE(ApplyUpdateOp(b, op));
+      return op.retune_shrink ? "shrink retune" : "grow retune";
     }
     default: {  // AddSubgraph
       DataGraph h = RandomSubgraph(a->graph(), rng);
@@ -193,6 +202,76 @@ TEST(MaintenanceDiffTest, DemoteAfterUpdatesMatchesFreshBuild) {
     DkIndex fresh = DkIndex::Build(&g2, target);
     fresh.mutable_index()->set_graph(&g);  // compare over the same graph
     ExpectSameIndex(dk.index(), fresh.index());
+  }
+}
+
+// The serving retune is one Build-exact re-partition. After a shrink it
+// equals both Algorithm 6 followed by Demote (the writer's former apply) and
+// a fresh Build; after a grow it equals Build on the max-merged map and
+// answers a mined workload exactly. Streams mix edge toggles, subgraph
+// inserts and retunes of both kinds. Algorithm 6 alone is no answer
+// reference: after edge updates it can break the D(k) constraint and
+// certify wrong answers.
+TEST(MaintenanceDiffTest, RetuneStreamsMatchBuildAndAlgorithm6) {
+  Rng rng(1051);
+  for (int trial = 0; trial < 6; ++trial) {
+    DataGraph g = testing_util::RandomGraph(110, 5, 25, &rng);
+    DataGraph g_twin = g;
+    LabelRequirements initial = RandomReqs(g, &rng, 3, 3);
+    DkIndex dk = DkIndex::Build(&g, initial);
+    DkIndex twin = DkIndex::Build(&g_twin, initial);
+    for (int step = 0; step < 24; ++step) {
+      const int64_t kind = rng.UniformInt(0, 5);
+      if (kind <= 2) {
+        NodeId u = static_cast<NodeId>(rng.UniformInt(1, g.NumNodes() - 1));
+        NodeId v = static_cast<NodeId>(rng.UniformInt(1, g.NumNodes() - 1));
+        const UpdateOp op = g.HasEdge(u, v) ? UpdateOp::RemoveEdge(u, v)
+                                            : UpdateOp::AddEdge(u, v);
+        ASSERT_TRUE(ApplyUpdateOp(&dk, op));
+        ASSERT_TRUE(ApplyUpdateOp(&twin, op));
+        continue;
+      }
+      if (kind == 3) {
+        DataGraph h = RandomSubgraph(g, &rng);
+        dk.AddSubgraph(h);
+        twin.AddSubgraph(h);
+        continue;
+      }
+      const bool shrink = kind == 4;
+      const LabelRequirements targets = RandomReqs(g, &rng, 2, 4);
+      LabelRequirements expected = targets;
+      if (!shrink) {
+        const std::vector<int>& before = dk.effective_requirements();
+        for (size_t l = 0; l < before.size(); ++l) {
+          int& k = expected[static_cast<LabelId>(l)];
+          k = std::max(k, before[l]);
+        }
+      }
+      ASSERT_TRUE(ApplyUpdateOp(&dk, UpdateOp::Retune(targets, shrink)));
+      twin.PromoteBatch(targets);
+      if (shrink) twin.Demote(targets);
+
+      DataGraph g_fresh = g;
+      DkIndex fresh = DkIndex::Build(&g_fresh, expected);
+      ASSERT_NO_FATAL_FAILURE(ExpectSameIndex(dk.index(), fresh.index()))
+          << "trial " << trial << " step " << step << " shrink " << shrink;
+      EXPECT_EQ(dk.effective_requirements(), fresh.effective_requirements());
+      if (shrink) {
+        ASSERT_NO_FATAL_FAILURE(ExpectSameIndex(dk.index(), twin.index()))
+            << "trial " << trial << " step " << step;
+        EXPECT_EQ(dk.effective_requirements(),
+                  twin.effective_requirements());
+        continue;
+      }
+      WorkloadOptions options;
+      options.num_queries = 20;
+      for (const std::string& text :
+           GenerateWorkload(g, options, &rng).queries) {
+        const PathExpression q = testing_util::MustParse(text, g.labels());
+        ASSERT_EQ(EvaluateOnIndex(dk.index(), q), EvaluateOnDataGraph(g, q))
+            << "trial " << trial << " step " << step << " query " << text;
+      }
+    }
   }
 }
 

@@ -354,22 +354,30 @@ TEST(MetricsTest, RebuildEngineCountsAreExact) {
   struct Case {
     const char* name;
     DkIndex::MaintenanceMode mode;
+    bool drop_trace;  // reassemble the index from parts, as recovery does
     int demote_to;  // title's requirement after the Demote (built with 2)
     int64_t incremental, full, fallback;
   };
   const Case cases[] = {
-      {"incremental demote", DkIndex::MaintenanceMode::kIncremental, 1, 1, 0,
-       0},
-      // A requirement above the trace's capture forces the full engine.
-      {"forced fallback", DkIndex::MaintenanceMode::kIncremental, 3, 0, 1, 1},
-      {"full-rebuild mode", DkIndex::MaintenanceMode::kFullRebuild, 1, 0, 1,
-       0},
+      {"incremental demote", DkIndex::MaintenanceMode::kIncremental, false,
+       1, 1, 0, 0},
+      // A requirement above the trace's capture extends the trace.
+      {"raised requirement", DkIndex::MaintenanceMode::kIncremental, false,
+       3, 1, 0, 0},
+      // No trace to project from forces the full engine.
+      {"forced fallback", DkIndex::MaintenanceMode::kIncremental, true, 1, 0,
+       1, 1},
+      {"full-rebuild mode", DkIndex::MaintenanceMode::kFullRebuild, false, 1,
+       0, 1, 0},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     DataGraph g = testing_util::BuildMovieGraph();
     const LabelId title = g.labels().Find("title");
     DkIndex dk = DkIndex::Build(&g, {{title, 2}});
+    if (c.drop_trace) {
+      dk = DkIndex::FromParts(&g, dk.index(), dk.effective_requirements());
+    }
     dk.set_maintenance_mode(c.mode);
     MetricsRegistry::Global().ResetAll();
     dk.Demote({{title, c.demote_to}});

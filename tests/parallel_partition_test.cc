@@ -105,7 +105,7 @@ TEST(ParallelPartitionTest, DkPartitionMatchesOnXmarkSeed) {
   for (int threads : {2, 4}) {
     ThreadPool pool(threads);
     std::vector<int> par_k;
-    Partition par = ParallelBuildDkPartition(g, req, &par_k, pool);
+    Partition par = BuildDkPartition(g, req, &par_k, &pool);
     ExpectIdenticalPartition(seq, par);
     EXPECT_EQ(seq_k, par_k);
   }
@@ -124,8 +124,7 @@ TEST(ParallelPartitionTest, DkPartitionMatchesOnNasaSeed) {
   Partition seq = BuildDkPartition(g, req, &seq_k);
   ThreadPool pool(4);
   std::vector<int> par_k;
-  ExpectIdenticalPartition(seq,
-                           ParallelBuildDkPartition(g, req, &par_k, pool));
+  ExpectIdenticalPartition(seq, BuildDkPartition(g, req, &par_k, &pool));
   EXPECT_EQ(seq_k, par_k);
 }
 

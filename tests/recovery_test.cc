@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
@@ -1035,6 +1036,80 @@ TEST(CrashStateTest, AutoRetunesReplayFromTheLog) {
               served[i])
         << texts[i];
     EXPECT_EQ(restarted.Evaluate(texts[i]).value(), served[i]) << texts[i];
+  }
+}
+
+// Explicit retunes of both kinds, and one no refinement can honour, replay
+// from the log to exactly the index the live server published.
+TEST(CrashStateTest, ExplicitRetunesReplayFromTheLog) {
+  Rng rng(9301);
+  const DataGraph original = testing_util::RandomGraph(120, 4, 20, &rng);
+  const LabelId a = 2, b = 3;
+  std::vector<UpdateOp> ops;
+  for (UpdateOp retune : {UpdateOp::Retune({{a, 2}}, /*shrink=*/false),
+                          UpdateOp::Retune({{a, INT_MAX}}, true),  // dropped
+                          UpdateOp::Retune({{b, 1}}, /*shrink=*/true),
+                          UpdateOp::Retune({{a, 3}}, /*shrink=*/false)}) {
+    for (int i = 0; i < 3; ++i) {
+      ops.push_back(UpdateOp::AddEdge(
+          static_cast<NodeId>(rng.UniformInt(1, original.NumNodes() - 1)),
+          static_cast<NodeId>(rng.UniformInt(1, original.NumNodes() - 1))));
+    }
+    ops.push_back(std::move(retune));
+  }
+  const auto dir = FreshDir("explicit_retune");
+  const auto crashed = FreshDir("explicit_retune_crashed");
+  std::shared_ptr<const IndexSnapshot> live;
+  {
+    DataGraph g = original;
+    DkIndex dk = DkIndex::Build(&g, {{b, 2}});
+    QueryServer::Options options;
+    options.durability.dir = dir;
+    options.durability.sync_every_n = 1;
+    options.durability.checkpoint_interval_ms = 60000;  // keep it in the log
+    options.tuning.period_ms = 0;
+    options.max_batch = 1;  // no coalescing: every retune applies
+    QueryServer server(dk, options);
+    for (const UpdateOp& op : ops) {
+      ASSERT_TRUE(op.kind == UpdateOp::Kind::kRetune
+                      ? server.SubmitRetune(op.retune_targets,
+                                            op.retune_shrink)
+                      : server.SubmitAddEdge(op.u, op.v));
+    }
+    server.Flush();
+    EXPECT_EQ(server.stats().ops_invalid, 1);
+    EXPECT_EQ(server.stats().ops_logged, static_cast<int64_t>(ops.size()));
+    EXPECT_TRUE(server.Evaluate(testing_util::RandomChainQuery(
+                                    original, 3, &rng))
+                    .has_value());
+    live = server.snapshot();
+    namespace fs = std::filesystem;
+    fs::copy(dir.path(), crashed.path(),
+             fs::copy_options::recursive |
+                 fs::copy_options::overwrite_existing);
+  }
+
+  DataGraph rg;
+  RecoveryStats stats;
+  std::string error;
+  std::optional<DkIndex> recovered =
+      RecoverDkIndex(crashed, &rg, &stats, &error);
+  ASSERT_TRUE(recovered.has_value()) << error;
+  EXPECT_EQ(stats.checkpoint_seq, 0u);
+  EXPECT_EQ(stats.replayed_ops, static_cast<int64_t>(ops.size()) - 1);
+  EXPECT_EQ(stats.invalid_ops, 1);
+  EXPECT_EQ(recovered->effective_requirements(),
+            live->effective_requirements());
+  // Same partition and k as the live snapshot's frozen view.
+  const FrozenView& view = live->frozen();
+  ASSERT_EQ(recovered->index().NumIndexNodes(), view.num_index_nodes());
+  for (IndexNodeId i = 0; i < view.num_index_nodes(); ++i) {
+    const IndexNodeId r = recovered->index().index_of(view.extent(i)[0]);
+    EXPECT_EQ(recovered->index().k(r), view.index_k(i)) << "index node " << i;
+    ASSERT_EQ(recovered->index().extent(r).size(), view.extent(i).size());
+    for (NodeId n : view.extent(i)) {
+      ASSERT_EQ(recovered->index().index_of(n), r) << "node " << n;
+    }
   }
 }
 

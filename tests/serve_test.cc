@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <map>
 #include <string>
 #include <thread>
@@ -542,14 +543,27 @@ TEST(QueryServerTest, RetuneShrinkDemotesAndKeepsAnswersExact) {
   }
 }
 
-TEST(QueryServerTest, RetuneWithInvalidLabelIsDroppedNotFatal) {
+TEST(QueryServerTest, RetuneWithInvalidTargetIsDroppedNotFatal) {
   DataGraph g = testing_util::BuildMovieGraph();
   DkIndex dk = BuildMovieIndex(&g);
   QueryServer server(dk);
+  const LabelId title = g.labels().Find("title");
+  const int nodes = static_cast<int>(g.NumNodes());
   ASSERT_TRUE(server.SubmitRetune({{9999, 2}}, /*shrink=*/true));
+  // No refinement honours a k beyond the node count; broadcasting INT_MAX
+  // would allocate one bucket per level. Both retune kinds drop it.
+  ASSERT_TRUE(server.SubmitRetune({{title, INT_MAX}}, /*shrink=*/true));
+  ASSERT_TRUE(server.SubmitRetune({{title, nodes + 1}}, /*shrink=*/false));
   server.Flush();
-  EXPECT_EQ(server.stats().ops_invalid, 1);
+  EXPECT_EQ(server.stats().ops_invalid, 3);
   EXPECT_TRUE(server.Evaluate("director.movie.title").has_value());
+  // k == node count is the largest k that still applies.
+  ASSERT_TRUE(server.SubmitRetune({{title, nodes}}, /*shrink=*/true));
+  server.Flush();
+  EXPECT_EQ(server.stats().ops_invalid, 3);
+  EXPECT_EQ(server.snapshot()->effective_requirements()[
+                static_cast<size_t>(title)],
+            nodes);
 }
 
 TEST(QueryServerTest, MinedRequirementsDriveRetune) {
@@ -826,7 +840,11 @@ TEST(QueryServerTest, ColdQueryCyclingParsesMissesWithoutAParseCache) {
 
   DataGraph g = testing_util::BuildMovieGraph();
   DkIndex dk = BuildMovieIndex(&g);
-  QueryServer server(dk);
+  // Pinned: 5000 misses would let the tuner retune mid-loop, and its
+  // publish turns one hot hit into a miss.
+  QueryServer::Options options;
+  options.tuning.period_ms = 0;
+  QueryServer server(dk, options);
   const std::string hot = "director.movie.title";
   const std::vector<NodeId> hot_answer =
       EvaluateOnDataGraph(g, testing_util::MustParse(hot, g.labels()));
@@ -938,6 +956,24 @@ TEST(WalCodecTest, RetuneRecordRoundTrips) {
   ASSERT_TRUE(WriteAheadLog::DecodePayload(
       std::string_view(record2).substr(8), &decoded2));
   EXPECT_FALSE(decoded2.op.retune_shrink);
+}
+
+TEST(WalCodecTest, RetuneCountThatWrapsIsMalformed) {
+  // An empty retune with its count patched to 2^29: 8 * count wraps to 0 in
+  // 32 bits, which matches the empty remainder. The decoder must reject it
+  // before reserving 2^29 buckets and looping 2^29 times.
+  std::string payload =
+      WriteAheadLog::EncodeRecord(UpdateOp::Retune({}, true), 5).substr(8);
+  ASSERT_EQ(payload.size(), 14u);  // u64 seq | u8 kind | u8 shrink | u32
+  const uint32_t count = 0x20000000u;
+  for (int i = 0; i < 4; ++i) {
+    payload[10 + i] = static_cast<char>((count >> (8 * i)) & 0xFF);
+  }
+  WriteAheadLog::Record decoded;
+  std::string error;
+  EXPECT_FALSE(WriteAheadLog::DecodePayload(payload, &decoded, &error));
+  EXPECT_NE(error.find("malformed retune record"), std::string::npos)
+      << error;
 }
 
 }  // namespace
