@@ -216,23 +216,6 @@ void BM_EvaluateOnDataGraph(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluateOnDataGraph);
 
-void BM_EvaluateOnDataGraphFrozen(benchmark::State& state) {
-  const bench::Dataset& dataset = SharedXmark();
-  DataGraph copy = dataset.graph;
-  AkIndex a0 = AkIndex::Build(&copy, 0);  // cheap carrier for the data CSR
-  FrozenView view(a0.index());
-  FrozenScratch scratch;
-  std::string error;
-  auto q = PathExpression::Parse("open_auction.bidder.personref",
-                                 copy.labels(), &error);
-  for (auto _ : state) {
-    EvalStats stats;
-    auto result = view.EvaluateOnData(*q, &stats, &scratch);
-    benchmark::DoNotOptimize(result.size());
-  }
-}
-BENCHMARK(BM_EvaluateOnDataGraphFrozen);
-
 // Satellite: NodesWithLabel via the label inverted index (O(matching))
 // versus the O(N) full scan it replaced. "item" matches ~1.6% of an XMark
 // document's nodes.

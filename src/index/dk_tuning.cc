@@ -21,7 +21,7 @@ struct PromoteFrame {
   int k_target = 0;
   bool entered = false;
   size_t next_parent = 0;
-  std::vector<IndexNodeId> parents = {};  // snapshot, taken at first visit
+  std::vector<IndexNodeId> parents = {};  // the parents left to promote
 };
 
 }  // namespace
@@ -31,16 +31,20 @@ void DkIndex::Promote(IndexNodeId v, int k_target) {
   // parents to k_target - 1 — but parent chains can be as long as the graph
   // (a path graph promoted to k ~ N), so the recursion is run on an explicit
   // stack. A frame does, in order: (entry) give up if v already meets the
-  // target, else snapshot the parent list — recursive promotions may split
-  // parents, and every split part receives the promoted similarity, so
-  // parts discovered later are already at the required level; (descend)
-  // promote each snapshotted parent in order, skipping self-loops;
-  // (post-order) split extent(v) by the members' now-promoted parent index
-  // nodes — SplitByParentSignature's full-parent-signature grouping is the
-  // paper's sequential V ∩ Succ(W) / V − Succ(W) splitting — and stamp
-  // every part with k_target. The post-order step deliberately has no
-  // re-check of k(v): inner targets strictly decrease, so no descendant
-  // promotion can have raised v to its target in the meantime.
+  // target, else snapshot the parent list; (descend) promote each
+  // snapshotted parent in order, skipping self-loops; (re-check) promote
+  // every CURRENT parent still below k_target - 1, then re-check again —
+  // a deeper frame at a lower target can split a parent that v shares with
+  // it (a common ancestor), and the parts it splits off are new parents of
+  // v that keep that lower target; (post-order) split extent(v) by the
+  // members' now-promoted parent index nodes — SplitByParentSignature's
+  // full-parent-signature grouping is the paper's sequential V ∩ Succ(W) /
+  // V − Succ(W) splitting — and stamp every part with k_target. The
+  // post-order step deliberately has no re-check of k(v): inner targets
+  // strictly decrease, so no descendant promotion can have raised v to its
+  // target in the meantime. The re-checks end: a promotion only raises k,
+  // and only splits nodes below its target, of which there are finitely
+  // many.
   std::vector<PromoteFrame> stack;
   stack.push_back({v, k_target});
   while (!stack.empty()) {
@@ -62,6 +66,14 @@ void DkIndex::Promote(IndexNodeId v, int k_target) {
       break;
     }
     if (descended) continue;  // f may be a dangling reference now
+    if (f.k_target >= 1) {
+      f.parents.clear();
+      f.next_parent = 0;
+      for (IndexNodeId w : index_.parents(f.v)) {
+        if (w != f.v && index_.k(w) < f.k_target - 1) f.parents.push_back(w);
+      }
+      if (!f.parents.empty()) continue;
+    }
     std::vector<IndexNodeId> parts = index_.SplitByParentSignature(f.v);
     if (parts.size() > 1) index_.RecomputeEdgesLocal(parts);
     for (IndexNodeId part : parts) index_.set_k(part, f.k_target);

@@ -11,8 +11,8 @@ namespace dki {
 
 // A query automaton compiled once, at parse time, into the flat move tables
 // the frozen read path (query/frozen_view.h) traverses: the forward tables
-// drive the index BFS and EvaluateOnData, the reverse tables (the automaton
-// Automaton::Reverse would build) validate uncertain candidates bottom-up.
+// drive the index BFS, the reverse tables (the automaton Automaton::Reverse
+// would build) validate uncertain candidates bottom-up.
 //
 // Columns are per-query label classes, the compression RE2's DFA applies to
 // bytes: one class per label the automaton names, numbered in ascending

@@ -42,9 +42,9 @@ struct EvalStats {
 class Counter;
 
 // Cached counter references for one evaluation subsystem: "eval.data" and
-// "eval.index" here, "eval.frozen.index" and "eval.frozen.data" in
-// query/frozen_view.cc. Resolved once, then every evaluation pays only the
-// relaxed atomic adds of Record().
+// "eval.index" here, "eval.frozen.index" in query/frozen_view.cc. Resolved
+// once, then every evaluation pays only the relaxed atomic adds of
+// Record().
 struct EvalCounters {
   explicit EvalCounters(const std::string& prefix);
 

@@ -64,35 +64,17 @@ FrozenView::FrozenView(const IndexGraph& index,
   const int64_t n = g.NumNodes();
   const int64_t m = index.NumIndexNodes();
 
-  // Data graph: labels + both adjacency directions as CSR.
+  // Data graph: labels + parent rows as CSR (validation's reverse walk).
   data_label_.resize(static_cast<size_t>(n));
-  data_child_off_.resize(static_cast<size_t>(n) + 1);
   data_parent_off_.resize(static_cast<size_t>(n) + 1);
-  data_child_.reserve(static_cast<size_t>(g.NumEdges()));
   data_parent_.reserve(static_cast<size_t>(g.NumEdges()));
-  data_child_off_[0] = 0;
   data_parent_off_[0] = 0;
   for (NodeId v = 0; v < n; ++v) {
     data_label_[static_cast<size_t>(v)] = g.label(v);
-    const auto& c = g.children(v);
-    data_child_.insert(data_child_.end(), c.begin(), c.end());
-    data_child_off_[static_cast<size_t>(v) + 1] =
-        CheckedInt32(data_child_.size());
     const auto& p = g.parents(v);
     data_parent_.insert(data_parent_.end(), p.begin(), p.end());
     data_parent_off_[static_cast<size_t>(v) + 1] =
         CheckedInt32(data_parent_.size());
-  }
-
-  // Label inverted indexes, flattened from the graphs' bucket form.
-  data_bylabel_off_.resize(static_cast<size_t>(num_labels_) + 1);
-  data_bylabel_.reserve(static_cast<size_t>(n));
-  data_bylabel_off_[0] = 0;
-  for (LabelId l = 0; l < num_labels_; ++l) {
-    const auto& bucket = g.NodesWithLabel(l);
-    data_bylabel_.insert(data_bylabel_.end(), bucket.begin(), bucket.end());
-    data_bylabel_off_[static_cast<size_t>(l) + 1] =
-        CheckedInt32(data_bylabel_.size());
   }
 
   // Index graph: labels, k, both adjacency directions, extents CSR.
@@ -121,6 +103,7 @@ FrozenView::FrozenView(const IndexGraph& index,
     extent_off_[static_cast<size_t>(i) + 1] = CheckedInt32(extent_.size());
   }
 
+  // Label -> index nodes, flattened from the index's bucket form.
   index_bylabel_off_.resize(static_cast<size_t>(num_labels_) + 1);
   index_bylabel_.reserve(static_cast<size_t>(m));
   index_bylabel_off_[0] = 0;
@@ -133,10 +116,8 @@ FrozenView::FrozenView(const IndexGraph& index,
 }
 
 int64_t FrozenView::ApproxBytes() const {
-  return VectorBytes(data_label_) + VectorBytes(data_child_off_) +
-         VectorBytes(data_child_) + VectorBytes(data_parent_off_) +
-         VectorBytes(data_parent_) + VectorBytes(data_bylabel_off_) +
-         VectorBytes(data_bylabel_) + VectorBytes(index_label_) +
+  return VectorBytes(data_label_) + VectorBytes(data_parent_off_) +
+         VectorBytes(data_parent_) + VectorBytes(index_label_) +
          VectorBytes(index_k_) + VectorBytes(index_child_off_) +
          VectorBytes(index_child_) + VectorBytes(index_parent_off_) +
          VectorBytes(index_parent_) + VectorBytes(extent_off_) +
@@ -342,64 +323,6 @@ std::vector<NodeId> FrozenView::Evaluate(const PathExpression& query,
           .count();
   BackendLatency(plan.backend).Record(backend_ns);
   static EvalCounters& counters = *new EvalCounters("eval.frozen.index");
-  counters.Record(local);
-  if (stats != nullptr) stats->Accumulate(local);
-  return result;
-}
-
-std::vector<NodeId> FrozenView::EvaluateOnData(const PathExpression& query,
-                                               EvalStats* stats,
-                                               FrozenScratch* scratch) const {
-  FrozenScratch* s = scratch != nullptr ? scratch : &ThreadScratch();
-  const CompiledQuery& compiled = query.compiled();
-  const CompiledQuery::Tables fwd = compiled.forward();
-  EvalStats local;
-
-  s->BeginDataTraversal(num_data_nodes(), fwd.num_states());
-  GrowTo(&s->result_gen_, static_cast<size_t>(num_data_nodes()));
-  s->matched_data_.clear();
-  compiled.ForEachStartLabel(num_labels_, [&](LabelId lab, int32_t cls) {
-    const int32_t ne = data_bylabel_off_[static_cast<size_t>(lab) + 1];
-    for (int32_t e = data_bylabel_off_[static_cast<size_t>(lab)]; e != ne;
-         ++e) {
-      const NodeId node = data_bylabel_[static_cast<size_t>(e)];
-      for (const int32_t* q = fwd.starts_begin(cls); q != fwd.starts_end(cls);
-           ++q) {
-        if (s->InsertDataVisit(node, *q)) s->cur_.push_back({node, *q});
-      }
-    }
-  });
-  while (!s->cur_.empty()) {
-    for (const FrozenScratch::Frontier& f : s->cur_) {
-      ++local.data_nodes_visited;
-      if (fwd.accepts(f.state)) {
-        const size_t i = static_cast<size_t>(f.node);
-        if (s->result_gen_[i] != s->data_gen_) {
-          s->result_gen_[i] = s->data_gen_;
-          s->matched_data_.push_back(f.node);
-        }
-      }
-      const auto [cb, ce] = ChildRow(f.node);
-      for (const int32_t* e = cb; e != ce; ++e) {
-        const NodeId c = *e;
-        const int32_t cls =
-            compiled.ClassOf(data_label_[static_cast<size_t>(c)]);
-        const int32_t* me = fwd.moves_end(f.state, cls);
-        for (const int32_t* q = fwd.moves_begin(f.state, cls); q != me; ++q) {
-          if (s->InsertDataVisit(c, *q)) s->next_.push_back({c, *q});
-        }
-      }
-    }
-    std::swap(s->cur_, s->next_);
-    s->next_.clear();
-  }
-
-  std::vector<NodeId> result(s->matched_data_.begin(),
-                             s->matched_data_.end());
-  // The reference emits in id order.
-  RadixSortNodeIds(&result, num_data_nodes(), &s->sort_buffer_);
-  local.result_size = static_cast<int64_t>(result.size());
-  static EvalCounters& counters = *new EvalCounters("eval.frozen.data");
   counters.Record(local);
   if (stats != nullptr) stats->Accumulate(local);
   return result;

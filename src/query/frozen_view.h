@@ -45,15 +45,18 @@ struct FrozenMemoryStats {
 // The frozen read path: an immutable flat-memory snapshot of one
 // (data graph, index graph) pair, built once per published state and shared
 // by any number of reader threads. Evaluation against it is
-// result-bit-identical to the reference evaluators (query/evaluator.h)
-// (and stats-bit-identical too with the prefilter off — see
-// query/backend.h), running on cache-friendly arrays instead of the
-// mutation-friendly representation:
+// result-bit-identical to EvaluateOnIndex (query/evaluator.h) (and
+// stats-bit-identical too with the prefilter off — see query/backend.h),
+// running on cache-friendly arrays instead of the mutation-friendly
+// representation. The view holds only what Evaluate and the checkpointer
+// read:
 //
-//   * children/parents of both graphs as CSR (offset + edge arrays);
-//   * extents as one CSR over the data nodes;
-//   * a label -> nodes inverted index on both graphs, so automaton start
-//     states are seeded by label bucket instead of an O(|V|) full scan;
+//   * the index graph: labels, k, children (the BFS) and parents (the
+//     prefilter's ancestor walk) as CSR, plus a label -> index nodes
+//     inverted index seeding the BFS by label bucket;
+//   * extents as one CSR over the data nodes (the Theorem-1 split);
+//   * the data graph's labels and parent rows, which validation walks
+//     bottom-up — no child rows and no data label buckets;
 //   * the query's own label-class move tables, compiled once at parse time
 //     (PathExpression::compiled), so the BFS inner loop is pure array
 //     indexing — no hashing, no per-move allocation, no per-call compile;
@@ -64,7 +67,8 @@ struct FrozenMemoryStats {
 // graphs may mutate (or die) freely afterwards. `epoch()` records the index
 // epoch at freeze time for result-cache keying. A published IndexSnapshot
 // keeps no other copy of the index: the checkpointer reads its label, k and
-// extent arrays (index_label / index_k / extent).
+// extent arrays (index_label / index_k / extent). The data-graph ground
+// truth is EvaluateOnDataGraph over the mutable graph.
 class FrozenView {
  public:
   // Freezes `index` and its data graph. O(|V| + |E|) flat copies. Every
@@ -100,19 +104,13 @@ class FrozenView {
   int64_t ApproxBytes() const;
   FrozenMemoryStats memory_stats() const { return {ApproxBytes()}; }
 
-  // How many data nodes carry `label` in this view (0 for labels outside
+  // How many index nodes carry `label` in this view (0 for labels outside
   // the frozen universe, including kUnknownLabel). O(1), backed by the
-  // label->nodes inverted index. ShardedQueryServer's scatter phase uses
-  // this to prune shards whose label population cannot seed a query's
-  // automaton start states.
-  int64_t DataNodesWithLabel(LabelId label) const {
-    if (label < 0 || label >= num_labels_) return 0;
-    return data_bylabel_off_[static_cast<size_t>(label) + 1] -
-           data_bylabel_off_[static_cast<size_t>(label)];
-  }
-
-  // Same over the index graph: how many index nodes carry `label`. The
-  // planner's population estimates are built from this.
+  // label -> index nodes inverted index. The planner's population estimates
+  // are built from this, and ShardedQueryServer's scatter phase prunes
+  // shards where no label that can seed a query's start states has a node:
+  // every index node has a non-empty extent of its own label, so this is
+  // positive exactly when some data node carries `label`.
   int64_t IndexNodesWithLabel(LabelId label) const {
     if (label < 0 || label >= num_labels_) return 0;
     return index_bylabel_off_[static_cast<size_t>(label) + 1] -
@@ -142,13 +140,6 @@ class FrozenView {
                                bool validate = true,
                                FrozenScratch* scratch = nullptr) const;
 
-  // Ground-truth evaluation on the frozen data graph, equivalent to
-  // EvaluateOnDataGraph: the NFA product-BFS over the data graph, never
-  // prefiltered. Scratch as in Evaluate.
-  std::vector<NodeId> EvaluateOnData(const PathExpression& query,
-                                     EvalStats* stats = nullptr,
-                                     FrozenScratch* scratch = nullptr) const;
-
  private:
   friend class FrozenScratch;
 
@@ -168,10 +159,7 @@ class FrozenView {
   void ComputePrefilterSeeds(FrozenScratch* s, LabelId anchor,
                              int max_word_length) const;
 
-  // Row spans of the data child/parent CSRs and the extent CSR.
-  std::pair<const int32_t*, const int32_t*> ChildRow(int32_t node) const {
-    return Row(data_child_off_, data_child_, node);
-  }
+  // Row spans of the data parent CSR and the extent CSR.
   std::pair<const int32_t*, const int32_t*> ParentRow(int32_t node) const {
     return Row(data_parent_off_, data_parent_, node);
   }
@@ -190,15 +178,12 @@ class FrozenView {
   int32_t num_labels_ = 0;
   bool prefilter_ = true;
 
-  // Data graph, flattened. Offsets are int32, checked at construction
-  // (edge counts can pass 2^31 before node ids do).
+  // Data graph, flattened for validation's reverse walk. Offsets are
+  // int32, checked at construction (edge counts can pass 2^31 before node
+  // ids do).
   std::vector<LabelId> data_label_;
-  std::vector<int32_t> data_child_off_;   // size N+1
-  std::vector<NodeId> data_child_;
   std::vector<int32_t> data_parent_off_;  // size N+1
   std::vector<NodeId> data_parent_;
-  std::vector<int32_t> data_bylabel_off_;  // size L+1
-  std::vector<NodeId> data_bylabel_;       // node ids, ascending per bucket
 
   // Index graph, flattened. Parent adjacency exists for the prefilter's
   // ancestor walk.
@@ -241,9 +226,8 @@ class FrozenScratch {
   // an automaton with `num_states` states and clears the frontiers. O(1)
   // amortized via generations.
   void BeginIndexTraversal(int64_t num_index_nodes, int num_states);
-  // Same for the data-side arrays (validation and EvaluateOnData), for an
-  // automaton with `num_states` states (result_gen_ is grown by
-  // EvaluateOnData, its only reader).
+  // Same for the data-side arrays validation walks, for a reverse
+  // automaton with `num_states` states.
   void BeginDataTraversal(int64_t num_data_nodes, int num_states);
 
   bool InsertIndexVisit(int32_t node, int32_t state);
@@ -263,13 +247,11 @@ class FrozenScratch {
   std::vector<uint64_t> accept_gen_;
   std::vector<int32_t> matched_;  // index nodes, discovery order
 
-  // Data-side traversal state.
+  // Data-side traversal state (validation).
   int data_words_ = 0;
   uint64_t data_gen_ = 0;
   std::vector<uint64_t> data_masks_;
   std::vector<uint64_t> data_mask_gen_;
-  std::vector<uint64_t> result_gen_;  // EvaluateOnData in-result stamps
-  std::vector<int32_t> matched_data_;
 
   // Flat two-vector frontiers (shared by both traversals; a validation
   // never interleaves with the index BFS that spawned it).

@@ -98,12 +98,6 @@ std::shared_ptr<const IndexSnapshot> QueryServer::snapshot() const {
   return snapshot_;
 }
 
-std::string QueryServer::CacheKey(const std::string& query_text) const {
-  std::string key = CanonicalizeQuery(query_text);
-  if (!options_.validate) key += "#raw";  // a different result space
-  return key;
-}
-
 std::optional<std::vector<NodeId>> QueryServer::Evaluate(
     const std::string& query_text, EvalStats* stats,
     std::string* error) const {
@@ -124,7 +118,7 @@ std::optional<std::vector<NodeId>> QueryServer::Serve(
   // so a hit is the answer to this very query and needs no parse. Without a
   // held snapshot the probe uses the published epoch alone, so a hit takes
   // neither snapshot_mu_ nor the snapshot's refcount.
-  const std::string key = CacheKey(query_text);
+  const std::string key = CanonicalizeQuery(query_text);
   const uint64_t epoch =
       held != nullptr ? held->frozen().epoch()
                       : published_epoch_.load(std::memory_order_acquire);
@@ -154,7 +148,7 @@ std::optional<std::vector<NodeId>> QueryServer::Serve(
   }
   auto query = std::make_shared<const PathExpression>(std::move(*parsed));
   const FrozenView& view = held->frozen();
-  result = view.Evaluate(*query, stats, options_.validate);
+  result = view.Evaluate(*query, stats);
   cache_.Put(key, view.epoch(), result);
   RecordMiss(std::move(query));
   return result;

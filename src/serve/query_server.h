@@ -133,8 +133,10 @@ class QueryServer {
     size_t max_batch = 64;
     // Byte budget of the shared result cache.
     int64_t cache_byte_budget = 8 * 1024 * 1024;
-    // Validate uncertain extents (exact answers) vs raw safe answers.
-    bool validate = true;
+    // Always true: uncertain extents are validated, so every answer is
+    // exact. Kept read-only for callers that still record it in their
+    // provenance.
+    static constexpr bool validate = true;
     // Always 0: queries are answered on their caller's thread, with no batch
     // pool. Kept read-only for callers that still record it in their
     // provenance.
@@ -266,8 +268,6 @@ class QueryServer {
                                            const std::string& query_text,
                                            EvalStats* stats,
                                            std::string* error) const;
-  // The result-cache key of `query_text` on this server.
-  std::string CacheKey(const std::string& query_text) const;
   void WriterLoop();
   void CheckpointerLoop();
   // Copies the master's graph (unless only retunes ran since the last

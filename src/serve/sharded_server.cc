@@ -190,7 +190,7 @@ std::vector<int> ShardedQueryServer::SurvivingShards(
     const FrozenView& view = snaps[static_cast<size_t>(s)]->frozen();
     bool can_seed = false;
     for (LabelId l = 0; l < view.num_labels() && !can_seed; ++l) {
-      can_seed = view.DataNodesWithLabel(l) > 0 && fwd.CanStartWith(l);
+      can_seed = view.IndexNodesWithLabel(l) > 0 && fwd.CanStartWith(l);
     }
     if (can_seed) targets.push_back(s);
   }
@@ -413,6 +413,10 @@ ShardedQueryServer::Stats ShardedQueryServer::stats() const {
     st.aggregate.batches += ps.batches;
     st.aggregate.publishes += ps.publishes;
     st.aggregate.checkpoints += ps.checkpoints;
+    st.aggregate.auto_retunes += ps.auto_retunes;
+    st.aggregate.tuner_recorded_misses += ps.tuner_recorded_misses;
+    st.aggregate.tuner_dropped_misses += ps.tuner_dropped_misses;
+    st.aggregate.tuner_last_index_nodes += ps.tuner_last_index_nodes;
     st.per_shard.push_back(ps);
   }
   st.queries = queries_.load(std::memory_order_relaxed);

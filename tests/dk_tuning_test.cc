@@ -7,6 +7,7 @@
 #include "index/ak_index.h"
 #include "index/dk_index.h"
 #include "query/evaluator.h"
+#include "query/workload.h"
 #include "tests/test_util.h"
 
 namespace dki {
@@ -202,6 +203,54 @@ TEST(DkTuningTest, PromoteRestoresSoundnessAfterUpdates) {
   EXPECT_TRUE(dk.index().ValidatePartition(&error)) << error;
   EXPECT_TRUE(dk.index().ValidateEdges(&error)) << error;
   EXPECT_TRUE(dk.index().ValidateDkConstraint(&error)) << error;
+}
+
+// Regression: a Promote frame split v by the parents it snapshotted on
+// entry, but a deeper frame at a lower target could split one of those
+// parents (an ancestor v shares with another parent) in the meantime, and
+// the parts split off kept the lower k — so v was stamped k_target over a
+// parent below k_target - 1, and Theorem 1 certified wrong answers. Streams
+// of edge toggles and subgraph inserts between promotions make such shared
+// ancestors common; after every PromoteBatch the index must satisfy the
+// D(k) constraint and answer a mined workload exactly.
+TEST(DkTuningTest, PromoteBatchKeepsDkConstraintOverUpdateStreams) {
+  Rng rng(3);
+  int promotions = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    DataGraph g = testing_util::RandomGraph(110, 5, 25, &rng);
+    DkIndex dk = DkIndex::Build(&g, RandomReqs(g, &rng, 3, 3));
+    for (int step = 0; step < 24; ++step) {
+      const int64_t kind = rng.UniformInt(0, 5);
+      if (kind <= 2) {
+        NodeId u = static_cast<NodeId>(rng.UniformInt(1, g.NumNodes() - 1));
+        NodeId v = static_cast<NodeId>(rng.UniformInt(1, g.NumNodes() - 1));
+        if (g.HasEdge(u, v)) {
+          dk.RemoveEdge(u, v);
+        } else {
+          dk.AddEdge(u, v);
+        }
+        continue;
+      }
+      if (kind == 3) {
+        dk.AddSubgraph(testing_util::RandomGraph(8, 5, 2, &rng));
+        continue;
+      }
+      dk.PromoteBatch(RandomReqs(g, &rng, 2, 4));
+      ++promotions;
+      std::string error;
+      ASSERT_TRUE(dk.index().ValidateDkConstraint(&error))
+          << "trial " << trial << " step " << step << ": " << error;
+      WorkloadOptions options;
+      options.num_queries = 20;
+      for (const std::string& text :
+           GenerateWorkload(g, options, &rng).queries) {
+        const PathExpression q = testing_util::MustParse(text, g.labels());
+        ASSERT_EQ(EvaluateOnIndex(dk.index(), q), EvaluateOnDataGraph(g, q))
+            << "trial " << trial << " step " << step << " query " << text;
+      }
+    }
+  }
+  EXPECT_GT(promotions, 400);
 }
 
 TEST(DkTuningTest, PromoteOnCyclicIndexTerminates) {

@@ -486,6 +486,58 @@ TEST(ShardedServeTest, RetuneFansOutAndFiltersUnknownLabels) {
   EXPECT_EQ(server.stats().aggregate.ops_applied, 2);
 }
 
+// Stats::aggregate is the field-wise sum of per_shard, the tuner's fields
+// included: each shard records its own misses and retunes itself.
+TEST(ShardedServeTest, AggregateStatsSumEveryShardField) {
+  Rng rng(42011);
+  std::vector<std::pair<NodeId, NodeId>> ranges;
+  DataGraph original = MakeShardableGraph(4, 10, 2, &rng, &ranges);
+  ShardedQueryServer::Options opts;
+  opts.num_shards = 2;
+  opts.server.cache_byte_budget = 1;  // stores nothing: every query misses
+  opts.server.tuning.period_ms = 2;
+  opts.server.tuning.min_misses = 8;
+  ShardedQueryServer server(original, {}, opts);
+  // Wildcard starts prune no shard, so every shard sees every miss.
+  const std::vector<std::string> texts = {"_.a.b", "_.b.c", "_.c.d",
+                                          "_.d.e"};
+  auto every_shard_retuned = [&] {
+    for (const QueryServer::Stats& ps : server.stats().per_shard) {
+      if (ps.auto_retunes == 0) return false;
+    }
+    return true;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!every_shard_retuned()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    for (const std::string& text : texts) {
+      ASSERT_TRUE(server.Evaluate(text).has_value()) << text;
+    }
+  }
+  server.Stop();
+
+  const ShardedQueryServer::Stats st = server.stats();
+  ASSERT_EQ(st.per_shard.size(), 2u);
+  using S = QueryServer::Stats;
+  int index = 0;  // the field's position in the list, for failures
+  for (int64_t S::*field :
+       {&S::ops_accepted, &S::ops_rejected, &S::ops_rejected_full,
+        &S::ops_rejected_closed, &S::ops_applied, &S::ops_invalid,
+        &S::ops_logged, &S::ops_coalesced, &S::batches, &S::publishes,
+        &S::checkpoints, &S::auto_retunes, &S::tuner_recorded_misses,
+        &S::tuner_dropped_misses, &S::tuner_last_index_nodes}) {
+    int64_t sum = 0;
+    for (const S& ps : st.per_shard) sum += ps.*field;
+    EXPECT_EQ(st.aggregate.*field, sum) << "field #" << index;
+    ++index;
+  }
+  const S& agg = st.aggregate;
+  EXPECT_GE(agg.auto_retunes, 2);
+  EXPECT_GT(agg.tuner_recorded_misses, 0);
+  EXPECT_GT(agg.tuner_last_index_nodes, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Label-based shard pruning.
 // ---------------------------------------------------------------------------
