@@ -1,10 +1,13 @@
 // Ablation bench (DESIGN.md §5): construction cost and index size across
-// the index family — A(k) for k = 0..5, the 1-index via both engines
-// (splitter queue vs iterated refinement), and D(k) with workload-mined
-// requirements (reporting the broadcast's share). Also sweeps the demoting
-// process to show Theorem 2 quotienting is much cheaper than rebuilding,
-// and the parallel-engine thread sweep (1/2/4/8 lanes) for EXPERIMENTS.md's
+// the index family, all through the one round loop (BuildDkPartition):
+// A(k) for k = 0..5, the 1-index, and D(k) with workload-mined
+// requirements. Also times the demoting process against a full rebuild,
+// and sweeps the parallel engine over 1/2/4/8 lanes for EXPERIMENTS.md's
 // construction-scaling table.
+//
+// Doubles as an exactness guard: it exits nonzero when a lane count's
+// partition differs from the 1-lane partition, or when the demoted index
+// differs from the rebuilt one.
 
 #include <cstdio>
 #include <string>
@@ -21,6 +24,37 @@
 namespace dki {
 namespace bench {
 namespace {
+
+// Set by any exactness check that fails; main's exit status.
+bool g_mismatch = false;
+
+void ExpectSame(bool same, const char* what) {
+  if (same) return;
+  std::fprintf(stderr, "MISMATCH: %s\n", what);
+  g_mismatch = true;
+}
+
+// What the exactness checks compare: the index node of every data node, the
+// k of every index node, and the edge count. Every engine numbers blocks in
+// first-appearance order, so equal indexes have equal shapes.
+struct IndexShape {
+  std::vector<IndexNodeId> index_of;
+  std::vector<int> k;
+  int64_t num_edges = 0;
+  bool operator==(const IndexShape&) const = default;
+};
+
+IndexShape ShapeOf(const IndexGraph& index) {
+  IndexShape shape;
+  for (NodeId n = 0; n < index.graph().NumNodes(); ++n) {
+    shape.index_of.push_back(index.index_of(n));
+  }
+  for (IndexNodeId i = 0; i < index.NumIndexNodes(); ++i) {
+    shape.k.push_back(index.k(i));
+  }
+  shape.num_edges = index.NumIndexEdges();
+  return shape;
+}
 
 void RunConstruction(Dataset dataset) {
   PrintDatasetBanner(dataset);
@@ -40,19 +74,8 @@ void RunConstruction(Dataset dataset) {
   {
     DataGraph copy = dataset.graph;
     WallTimer timer;
-    IndexGraph one =
-        OneIndex::Build(&copy, OneIndex::Algorithm::kSplitterQueue);
-    std::printf("%-22s %12lld %12lld %12.1f\n", "1-index(splitter)",
-                static_cast<long long>(one.NumIndexNodes()),
-                static_cast<long long>(one.NumIndexEdges()),
-                timer.ElapsedMillis());
-  }
-  {
-    DataGraph copy = dataset.graph;
-    WallTimer timer;
-    IndexGraph one =
-        OneIndex::Build(&copy, OneIndex::Algorithm::kIteratedRefinement);
-    std::printf("%-22s %12lld %12lld %12.1f\n", "1-index(fixpoint)",
+    IndexGraph one = OneIndex::Build(&copy);
+    std::printf("%-22s %12lld %12lld %12.1f\n", "1-index",
                 static_cast<long long>(one.NumIndexNodes()),
                 static_cast<long long>(one.NumIndexEdges()),
                 timer.ElapsedMillis());
@@ -85,15 +108,20 @@ void RunConstruction(Dataset dataset) {
         "D(k) demote(k/2)",
         static_cast<long long>(dk.index().NumIndexNodes()), "-", demote_ms,
         rebuild_ms, demote_ms > 0 ? rebuild_ms / demote_ms : 0.0);
+    ExpectSame(ShapeOf(dk.index()) == ShapeOf(fresh.index()),
+               "D(k) demote(k/2) differs from the rebuild");
   }
   std::printf("\n");
 }
 
 // Construction-scaling sweep for the parallel refinement engine
 // (src/index/parallel_refine.h): the same builds at 1/2/4/8 lanes,
-// reporting speedup over the sequential engine. Numbers are only
-// meaningful on a machine with that many cores — the sweep prints the
-// hardware concurrency so EXPERIMENTS.md rows are interpretable.
+// reporting speedup over the sequential engine, and checking each lane
+// count's index against the 1-lane one. OneIndex::Build always runs the
+// sequential loop, so the 1-index row calls the loop with a pool directly.
+// Numbers are only meaningful on a machine with that many cores; the sweep
+// prints the hardware concurrency so EXPERIMENTS.md rows are
+// interpretable.
 void RunThreadSweep(Dataset dataset) {
   PrintDatasetBanner(dataset);
   std::printf("hardware threads: %d\n", ThreadPool::HardwareConcurrency());
@@ -101,12 +129,19 @@ void RunThreadSweep(Dataset dataset) {
               "index_nodes", "time_ms", "speedup");
 
   const int kThreads[] = {1, 2, 4, 8};
+  auto print_row = [](const char* name, int threads, int64_t nodes,
+                      double ms, double base_ms) {
+    std::printf("%-22s %8d %12lld %12.1f %8.2fx\n", name, threads,
+                static_cast<long long>(nodes), ms,
+                ms > 0 ? base_ms / ms : 0.0);
+  };
 
   std::vector<PathExpression> workload =
       MakeWorkload(dataset.graph, 100, 20030609);
   LabelRequirements reqs =
       MineWorkloadRequirements(workload, dataset.graph.labels());
 
+  IndexShape dk_base;
   double dk_base_ms = 0.0;
   for (int threads : kThreads) {
     DataGraph copy = dataset.graph;
@@ -114,13 +149,17 @@ void RunThreadSweep(Dataset dataset) {
     DkIndex dk = DkIndex::Build(&copy, reqs,
                                 BuildOptions{.num_threads = threads});
     double ms = timer.ElapsedMillis();
-    if (threads == 1) dk_base_ms = ms;
-    std::printf("%-22s %8d %12lld %12.1f %8.2fx\n", "D(k)(mined reqs)",
-                threads,
-                static_cast<long long>(dk.index().NumIndexNodes()), ms,
-                ms > 0 ? dk_base_ms / ms : 0.0);
+    if (threads == 1) {
+      dk_base_ms = ms;
+      dk_base = ShapeOf(dk.index());
+    }
+    print_row("D(k)(mined reqs)", threads, dk.index().NumIndexNodes(), ms,
+              dk_base_ms);
+    ExpectSame(ShapeOf(dk.index()) == dk_base,
+               "D(k) differs from the 1-lane index");
   }
 
+  IndexShape ak_base;
   double ak_base_ms = 0.0;
   for (int threads : kThreads) {
     DataGraph copy = dataset.graph;
@@ -128,25 +167,32 @@ void RunThreadSweep(Dataset dataset) {
     AkIndex ak =
         AkIndex::Build(&copy, 4, BuildOptions{.num_threads = threads});
     double ms = timer.ElapsedMillis();
-    if (threads == 1) ak_base_ms = ms;
-    std::printf("%-22s %8d %12lld %12.1f %8.2fx\n", "A(4)", threads,
-                static_cast<long long>(ak.index().NumIndexNodes()), ms,
-                ms > 0 ? ak_base_ms / ms : 0.0);
+    if (threads == 1) {
+      ak_base_ms = ms;
+      ak_base = ShapeOf(ak.index());
+    }
+    print_row("A(4)", threads, ak.index().NumIndexNodes(), ms, ak_base_ms);
+    ExpectSame(ShapeOf(ak.index()) == ak_base,
+               "A(4) differs from the 1-lane index");
   }
 
+  const std::vector<int> infinite(
+      static_cast<size_t>(dataset.graph.labels().size()),
+      IndexGraph::kInfiniteSimilarity);
+  Partition one_base;
   double one_base_ms = 0.0;
   for (int threads : kThreads) {
-    DataGraph copy = dataset.graph;
+    std::vector<int> block_k;
     WallTimer timer;
-    IndexGraph one =
-        OneIndex::Build(&copy, OneIndex::Algorithm::kIteratedRefinement,
-                        BuildOptions{.num_threads = threads});
+    ThreadPool pool(threads);  // a 1-lane pool runs the sequential engine
+    Partition one = BuildDkPartition(dataset.graph, infinite, &block_k, &pool);
     double ms = timer.ElapsedMillis();
-    if (threads == 1) one_base_ms = ms;
-    std::printf("%-22s %8d %12lld %12.1f %8.2fx\n", "1-index(fixpoint)",
-                threads,
-                static_cast<long long>(one.NumIndexNodes()), ms,
-                ms > 0 ? one_base_ms / ms : 0.0);
+    if (threads == 1) {
+      one_base_ms = ms;
+      one_base = one;
+    }
+    print_row("1-index", threads, one.num_blocks, ms, one_base_ms);
+    ExpectSame(one == one_base, "1-index differs from the 1-lane partition");
   }
   std::printf("\n");
 }
@@ -161,5 +207,5 @@ int main() {
   dki::bench::RunConstruction(dki::bench::MakeNasa(scale * 6.0));
   dki::bench::RunThreadSweep(dki::bench::MakeXmark(scale * 6.0));
   dki::bench::RunThreadSweep(dki::bench::MakeNasa(scale * 6.0));
-  return 0;
+  return dki::bench::g_mismatch ? 1 : 0;
 }

@@ -1,5 +1,5 @@
 // google-benchmark microbenchmarks for the library's hot primitives:
-// partition refinement rounds, the splitter-queue 1-index, path-expression
+// partition refinement rounds and the A(k) round loop, path-expression
 // compilation, index/product evaluation, reverse-NFA validation, and
 // Algorithm 4's label-path probe.
 
@@ -18,8 +18,6 @@
 #include "index/ak_index.h"
 #include "index/dk_index.h"
 #include "index/fb_index.h"
-#include "index/one_index.h"
-#include "index/paige_tarjan.h"
 #include "index/partition.h"
 #include "query/evaluator.h"
 #include "query/frozen_view.h"
@@ -61,21 +59,15 @@ BENCHMARK(BM_RefineOnce);
 
 void BM_KBisimulation(benchmark::State& state) {
   const DataGraph& g = SharedXmark().graph;
+  const std::vector<int> req(static_cast<size_t>(g.labels().size()),
+                             static_cast<int>(state.range(0)));
+  std::vector<int> block_k;
   for (auto _ : state) {
-    Partition p = ComputeKBisimulation(g, static_cast<int>(state.range(0)));
+    Partition p = BuildDkPartition(g, req, &block_k);
     benchmark::DoNotOptimize(p.num_blocks);
   }
 }
 BENCHMARK(BM_KBisimulation)->Arg(1)->Arg(2)->Arg(4);
-
-void BM_CoarsestStablePartition(benchmark::State& state) {
-  const DataGraph& g = SharedXmark().graph;
-  for (auto _ : state) {
-    Partition p = CoarsestStablePartition(g);
-    benchmark::DoNotOptimize(p.num_blocks);
-  }
-}
-BENCHMARK(BM_CoarsestStablePartition);
 
 void BM_BroadcastRequirements(benchmark::State& state) {
   const DataGraph& g = SharedXmark().graph;

@@ -8,8 +8,7 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "index/parallel_refine.h"
-#include "index/partition.h"
+#include "index/dk_index.h"
 
 namespace dki {
 
@@ -19,15 +18,10 @@ AkIndex::AkIndex(DataGraph* graph, int k, IndexGraph index)
 AkIndex AkIndex::Build(DataGraph* graph, int k, const BuildOptions& options) {
   DKI_CHECK(graph != nullptr);
   DKI_CHECK_GE(k, 0);
-  int num_threads = options.ResolvedNumThreads();
-  Partition p;
-  if (num_threads > 1) {
-    ThreadPool pool(num_threads);
-    p = ParallelComputeKBisimulation(*graph, k, pool);
-  } else {
-    p = ComputeKBisimulation(*graph, k);
-  }
-  std::vector<int> block_k(static_cast<size_t>(p.num_blocks), k);
+  const std::vector<int> req(static_cast<size_t>(graph->labels().size()), k);
+  std::vector<int> block_k;
+  ThreadPool pool(options.ResolvedNumThreads());  // 1 lane: sequential
+  Partition p = BuildDkPartition(*graph, req, &block_k, &pool);
   IndexGraph index =
       IndexGraph::FromPartition(graph, p.block_of, p.num_blocks, block_k);
   return AkIndex(graph, k, std::move(index));

@@ -19,9 +19,10 @@ namespace dki {
 // descendant extents against the data graph up to distance k-1.
 class AkIndex {
  public:
-  // Builds the A(k)-index over `*graph`. The graph is borrowed and mutable:
-  // AddEdgeBaseline() inserts edges into it. `options.num_threads` selects
-  // the refinement engine; both engines produce the identical index.
+  // Builds the A(k)-index over `*graph`: BuildDkPartition with requirement
+  // k on every label. The graph is borrowed and mutable: AddEdgeBaseline()
+  // inserts edges into it. `options.num_threads` selects the refinement
+  // engine; both engines produce the identical index.
   static AkIndex Build(DataGraph* graph, int k,
                        const BuildOptions& options = {});
 

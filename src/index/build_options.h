@@ -3,8 +3,8 @@
 
 namespace dki {
 
-// Knobs shared by every summary construction (OneIndex, AkIndex, DkIndex,
-// and Theorem-2 quotient rebuilds). Passed by value; cheap to copy.
+// Knobs of the A(k) and D(k) constructions (AkIndex::Build,
+// DkIndex::Build). Passed by value; cheap to copy.
 struct BuildOptions {
   // Lanes of parallelism for partition refinement (including the calling
   // thread).

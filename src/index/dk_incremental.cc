@@ -32,6 +32,13 @@
 // a child's captured round at its parents' + 1, so those nodes are closed
 // under the children the next round reads and the cone invariant holds.
 //
+// A trace ends at the first round that split nothing (BuildDkPartition's
+// fixpoint stop), and its last round stands for every later one, so round r
+// projects from rounds[min(r, last)]. This engine stops the same way, at its
+// own first round that splits nothing, and renumbers its final partition in
+// first-appearance order, so it hands IndexGraph::FromPartition exactly the
+// partition the full engine does.
+//
 // Fallbacks to the full engine: no trace (FromParts/recovery) or a dirty set
 // too large to profit. Both paths end identically: fresh trace captured,
 // dirty set cleared, epoch carried forward.
@@ -125,6 +132,7 @@ void DkIndex::IncrementalRebuild(const std::vector<int>& effective_req) {
   for (LabelId l : cur.block_label) {
     kmax = std::max(kmax, effective_req[static_cast<size_t>(l)]);
   }
+  const int last_traced = static_cast<int>(tr->rounds.size()) - 1;
   // Last round each label can project from (-1: interned since capture).
   std::vector<int> captured = tr->req_at_capture;
   captured.resize(effective_req.size(), -1);
@@ -166,10 +174,8 @@ void DkIndex::IncrementalRebuild(const std::vector<int>& effective_req) {
       for (NodeId child : graph_->children(c)) mark(child);
     }
 
-    const bool have_trace_round =
-        static_cast<size_t>(round) < tr->rounds.size();
     const Partition* trace_round =
-        have_trace_round ? &tr->rounds[static_cast<size_t>(round)] : nullptr;
+        &tr->rounds[static_cast<size_t>(std::min(round, last_traced))];
 
     Partition next;
     next.block_of.assign(static_cast<size_t>(n), -1);
@@ -177,10 +183,7 @@ void DkIndex::IncrementalRebuild(const std::vector<int>& effective_req) {
     // clean nodes group by the trace projection.
     std::vector<int32_t> remap_prev(static_cast<size_t>(cur.num_blocks), -1);
     std::vector<int32_t> remap_trace(
-        trace_round != nullptr
-            ? static_cast<size_t>(trace_round->num_blocks)
-            : 0,
-        -1);
+        static_cast<size_t>(trace_round->num_blocks), -1);
     // One clean member per trace block (the signature representative), and
     // the clean trace blocks found inside each current block — consulted
     // when an affected node might merge back.
@@ -263,9 +266,11 @@ void DkIndex::IncrementalRebuild(const std::vector<int>& effective_req) {
       if (changed[static_cast<size_t>(x)]) changed_list.push_back(x);
     }
 
+    if (next.num_blocks == cur.num_blocks) break;  // fixpoint
     cur = std::move(next);
     next_trace->rounds.push_back(cur);
   }
+  RenumberByFirstAppearance(&cur);
 
   DKI_METRIC_COUNTER("index.dk.incremental_rebuild.projected_nodes")
       .Increment(projected);

@@ -80,16 +80,21 @@ std::vector<std::vector<LabelId>> ComputeLabelParents(const GraphT& g,
   return parents;
 }
 
-// Algorithm 2's refinement loop, generic over the graph type so that
-// Theorem 2's quotient re-construction (treat I'_G as a data graph) reuses
-// it. Round r splits exactly the blocks whose label has effective
-// requirement >= r. Fills `block_k` with the achieved local similarity
-// (= effective requirement of the block's label). When `trace_rounds` is
-// given, every round's partition (including round 0, the label split) is
-// recorded into it — the raw material of a RefinementTrace. With a `pool`,
-// round r's signatures are computed in parallel (it reads only round r-1's
-// partition), and ParallelRefineOnce produces the bit-identical partition,
-// block numbering included, so recording works identically for both engines.
+// Algorithm 2's refinement loop: the one backward-refinement round loop of
+// the library. Round r splits exactly the blocks whose label has effective
+// requirement >= r. The A(k)-index is this loop with requirement k on every
+// label and the 1-index with IndexGraph::kInfiniteSimilarity on every label;
+// neither needs the broadcast. The loop stops at the first round that splits
+// no block. That stop is exact: every later round would see the same
+// partition and a subset of the active blocks, so it would split nothing
+// either. Fills `block_k` with the achieved local similarity (= effective
+// requirement of the block's label). The partition is numbered in
+// first-appearance order. When `trace_rounds` is given, every round's
+// partition up to the stop (round 0, the label split, included) is recorded
+// into it: the raw material of a RefinementTrace, whose last round stands for
+// every later one. With a `pool`, round r's signatures are computed in
+// parallel (they read only round r-1's partition); ParallelRefineOnce
+// produces the identical partition, block numbering included.
 template <typename GraphT>
 Partition BuildDkPartition(const GraphT& g,
                            const std::vector<int>& effective_req,
@@ -101,11 +106,7 @@ Partition BuildDkPartition(const GraphT& g,
     trace_rounds->clear();
     trace_rounds->push_back(p);
   }
-  int kmax = 0;
-  for (LabelId l : p.block_label) {
-    kmax = std::max(kmax, effective_req[static_cast<size_t>(l)]);
-  }
-  for (int round = 1; round <= kmax; ++round) {
+  for (int round = 1;; ++round) {
     std::vector<bool> refine(static_cast<size_t>(p.num_blocks));
     bool any = false;
     for (int32_t b = 0; b < p.num_blocks; ++b) {
@@ -115,8 +116,10 @@ Partition BuildDkPartition(const GraphT& g,
       any |= refine[static_cast<size_t>(b)];
     }
     if (!any) break;
-    p = pool != nullptr ? ParallelRefineOnce(g, p, refine, *pool)
-                        : RefineOnce(g, p, refine);
+    Partition next = pool != nullptr ? ParallelRefineOnce(g, p, refine, *pool)
+                                     : RefineOnce(g, p, refine);
+    if (next.num_blocks == p.num_blocks) break;  // fixpoint
+    p = std::move(next);
     if (trace_rounds != nullptr) trace_rounds->push_back(p);
   }
   block_k->clear();
@@ -142,10 +145,12 @@ class DkIndex {
  public:
   // How Demote / AddSubgraph re-partition. kIncremental projects unchanged
   // nodes through the retained RefinementTrace and re-refines only the
-  // dirty nodes' forward cone (falling back to a full build when the trace
-  // cannot cover the request); kFullRebuild always re-partitions the data
-  // graph from scratch. Both produce the identical index — kFullRebuild
-  // exists as the reference comparator for tests and bench/maintenance.
+  // dirty nodes' forward cone and the rounds beyond the trace (falling back
+  // to a full build only when there is no trace or more than a quarter of
+  // the nodes are dirty); kFullRebuild always re-partitions the data graph
+  // from scratch. Both produce the identical index, block numbering
+  // included; kFullRebuild exists as the reference comparator for tests and
+  // bench/maintenance.
   enum class MaintenanceMode { kIncremental, kFullRebuild };
   // Builds the D(k)-index over `*graph` for the given query-load
   // requirements. The graph is borrowed and mutable (updates insert into it).

@@ -1,26 +1,14 @@
 #include "index/one_index.h"
 
-#include "common/thread_pool.h"
-#include "index/paige_tarjan.h"
-#include "index/parallel_refine.h"
-#include "index/partition.h"
+#include "index/dk_index.h"
 
 namespace dki {
 
-IndexGraph OneIndex::Build(const DataGraph* graph, Algorithm algorithm,
-                           const BuildOptions& options) {
-  Partition p;
-  if (algorithm == Algorithm::kSplitterQueue) {
-    p = CoarsestStablePartition(*graph);
-  } else if (int num_threads = options.ResolvedNumThreads();
-             num_threads > 1) {
-    ThreadPool pool(num_threads);
-    p = ParallelComputeFullBisimulation(*graph, pool);
-  } else {
-    p = ComputeFullBisimulation(*graph);
-  }
-  std::vector<int> block_k(static_cast<size_t>(p.num_blocks),
-                           IndexGraph::kInfiniteSimilarity);
+IndexGraph OneIndex::Build(const DataGraph* graph) {
+  const std::vector<int> req(static_cast<size_t>(graph->labels().size()),
+                             IndexGraph::kInfiniteSimilarity);
+  std::vector<int> block_k;
+  Partition p = BuildDkPartition(*graph, req, &block_k);
   return IndexGraph::FromPartition(graph, p.block_of, p.num_blocks, block_k);
 }
 

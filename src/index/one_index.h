@@ -2,7 +2,6 @@
 #define DKINDEX_INDEX_ONE_INDEX_H_
 
 #include "graph/data_graph.h"
-#include "index/build_options.h"
 #include "index/index_graph.h"
 
 namespace dki {
@@ -12,19 +11,11 @@ namespace dki {
 // accuracy baseline and as the D(k) special case with k = infinity.
 class OneIndex {
  public:
-  enum class Algorithm {
-    kIteratedRefinement,  // refine-to-fixpoint, O(k* m)
-    kSplitterQueue,       // Paige-Tarjan style splitter worklist
-  };
-
-  // Builds the 1-index over `graph` (borrowed; must outlive the result).
-  // `options.num_threads` parallelizes the kIteratedRefinement engine; the
-  // splitter queue is inherently sequential (its worklist order is the
-  // algorithm) and ignores the knob. All engine/thread combinations
-  // produce the same partition (splitter queue up to renumbering).
-  static IndexGraph Build(const DataGraph* graph,
-                          Algorithm algorithm = Algorithm::kSplitterQueue,
-                          const BuildOptions& options = {});
+  // Builds the 1-index over `graph` (borrowed; must outlive the result):
+  // BuildDkPartition with IndexGraph::kInfiniteSimilarity on every label,
+  // refined to its fixpoint on the sequential engine. The parallel engine
+  // did not pay here (bench/construction's 1-index lane sweep).
+  static IndexGraph Build(const DataGraph* graph);
 };
 
 }  // namespace dki

@@ -115,39 +115,6 @@ Partition ParallelRefineOnce(const GraphT& g, const Partition& prev,
   return next;
 }
 
-// Parallel counterpart of ComputeKBisimulation (the A(k) engine).
-template <typename GraphT>
-Partition ParallelComputeKBisimulation(const GraphT& g, int k,
-                                       ThreadPool& pool) {
-  Partition p = LabelSplit(g);
-  for (int round = 0; round < k; ++round) {
-    std::vector<bool> all(static_cast<size_t>(p.num_blocks), true);
-    Partition next = ParallelRefineOnce(g, p, all, pool);
-    bool stable = next.num_blocks == p.num_blocks;
-    p = std::move(next);
-    if (stable) break;  // fixpoint reached early; further rounds are no-ops
-  }
-  return p;
-}
-
-// Parallel counterpart of ComputeFullBisimulation (the 1-index
-// refine-to-fixpoint engine).
-template <typename GraphT>
-Partition ParallelComputeFullBisimulation(const GraphT& g, ThreadPool& pool,
-                                          int* rounds = nullptr) {
-  Partition p = LabelSplit(g);
-  int r = 0;
-  while (true) {
-    std::vector<bool> all(static_cast<size_t>(p.num_blocks), true);
-    Partition next = ParallelRefineOnce(g, p, all, pool);
-    if (next.num_blocks == p.num_blocks) break;
-    p = std::move(next);
-    ++r;
-  }
-  if (rounds != nullptr) *rounds = r;
-  return p;
-}
-
 }  // namespace dki
 
 #endif  // DKINDEX_INDEX_PARALLEL_REFINE_H_

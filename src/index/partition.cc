@@ -2,22 +2,21 @@
 
 namespace dki {
 
-bool SamePartition(const Partition& a, const Partition& b) {
-  if (a.block_of.size() != b.block_of.size()) return false;
-  if (a.num_blocks != b.num_blocks) return false;
-  // Two partitions over the same universe are equal iff the block-id mapping
-  // is a bijection on pairs.
-  std::unordered_map<int32_t, int32_t> a_to_b;
-  std::unordered_map<int32_t, int32_t> b_to_a;
-  for (size_t n = 0; n < a.block_of.size(); ++n) {
-    int32_t ba = a.block_of[n];
-    int32_t bb = b.block_of[n];
-    auto [ia, inserted_a] = a_to_b.emplace(ba, bb);
-    if (!inserted_a && ia->second != bb) return false;
-    auto [ib, inserted_b] = b_to_a.emplace(bb, ba);
-    if (!inserted_b && ib->second != ba) return false;
+void RenumberByFirstAppearance(Partition* p) {
+  std::vector<int32_t> id_of(static_cast<size_t>(p->num_blocks), -1);
+  std::vector<LabelId> block_label(static_cast<size_t>(p->num_blocks));
+  int32_t next = 0;
+  for (int32_t& b : p->block_of) {
+    int32_t& id = id_of[static_cast<size_t>(b)];
+    if (id == -1) {
+      id = next++;
+      block_label[static_cast<size_t>(id)] =
+          p->block_label[static_cast<size_t>(b)];
+    }
+    b = id;
   }
-  return true;
+  DKI_CHECK_EQ(next, p->num_blocks);  // every block has a member
+  p->block_label = std::move(block_label);
 }
 
 }  // namespace dki

@@ -8,7 +8,6 @@
 
 #include "common/logging.h"
 #include "graph/data_graph.h"
-#include "index/index_graph.h"
 
 namespace dki {
 
@@ -19,27 +18,13 @@ struct Partition {
   int32_t num_blocks = 0;
   std::vector<LabelId> block_label;
 
+  bool operator==(const Partition&) const = default;
+
   std::vector<int64_t> BlockSizes() const {
     std::vector<int64_t> sizes(static_cast<size_t>(num_blocks), 0);
     for (int32_t b : block_of) ++sizes[static_cast<size_t>(b)];
     return sizes;
   }
-};
-
-// Adapter exposing an IndexGraph through the graph concept the refinement
-// templates expect (NumNodes / label / parents). This is how Theorem 2's
-// "treat I'_G as a data graph" re-construction reuses the same engine.
-class IndexGraphView {
- public:
-  explicit IndexGraphView(const IndexGraph* index) : index_(index) {}
-  int64_t NumNodes() const { return index_->NumIndexNodes(); }
-  LabelId label(int32_t n) const { return index_->label(n); }
-  const std::vector<IndexNodeId>& parents(int32_t n) const {
-    return index_->parents(n);
-  }
-
- private:
-  const IndexGraph* index_;
 };
 
 namespace internal {
@@ -132,41 +117,11 @@ Partition RefineOnce(const GraphT& g, const Partition& prev,
   return next;
 }
 
-// Refines every block `k` times: the k-bisimulation partition used by the
-// A(k)-index. O(k * m).
-template <typename GraphT>
-Partition ComputeKBisimulation(const GraphT& g, int k) {
-  Partition p = LabelSplit(g);
-  for (int round = 0; round < k; ++round) {
-    std::vector<bool> all(static_cast<size_t>(p.num_blocks), true);
-    Partition next = RefineOnce(g, p, all);
-    bool stable = next.num_blocks == p.num_blocks;
-    p = std::move(next);
-    if (stable) break;  // fixpoint reached early; further rounds are no-ops
-  }
-  return p;
-}
-
-// Iterates refinement to the fixpoint: the full bisimulation partition of
-// the 1-index. Sets `rounds` (if non-null) to the number of refinement
-// rounds performed, i.e. the smallest k with P_k == bisimulation.
-template <typename GraphT>
-Partition ComputeFullBisimulation(const GraphT& g, int* rounds = nullptr) {
-  Partition p = LabelSplit(g);
-  int r = 0;
-  while (true) {
-    std::vector<bool> all(static_cast<size_t>(p.num_blocks), true);
-    Partition next = RefineOnce(g, p, all);
-    if (next.num_blocks == p.num_blocks) break;
-    p = std::move(next);
-    ++r;
-  }
-  if (rounds != nullptr) *rounds = r;
-  return p;
-}
-
-// True if `a` and `b` are the same partition up to block renumbering.
-bool SamePartition(const Partition& a, const Partition& b);
+// Renumbers `p`'s blocks in first-appearance order over the node scan, the
+// numbering LabelSplit and RefineOnce produce. Engines that allocate ids in
+// another order call this before IndexGraph::FromPartition, so that equal
+// partitions are equal as values. O(nodes).
+void RenumberByFirstAppearance(Partition* p);
 
 }  // namespace dki
 

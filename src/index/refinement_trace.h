@@ -44,7 +44,9 @@ struct RefinementTrace {
   // Effective per-label requirements the trace was refined under. Labels
   // interned after capture have no entry (all their nodes are new).
   std::vector<int> req_at_capture;
-  // rounds[r]: partition after round r, r in [0, kmax at capture].
+  // rounds[r]: partition after round r, from round 0 up to the last round
+  // that split a block (or kmax at capture, if that came first). The last
+  // entry stands for every later round: refinement had reached its fixpoint.
   std::vector<Partition> rounds;
 };
 

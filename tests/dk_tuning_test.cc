@@ -13,19 +13,7 @@
 namespace dki {
 namespace {
 
-// Asserts two indexes over the same data graph are the same partition with
-// the same local similarities.
-void ExpectSameIndex(const IndexGraph& a, const IndexGraph& b) {
-  ASSERT_EQ(a.graph().NumNodes(), b.graph().NumNodes());
-  EXPECT_EQ(a.NumIndexNodes(), b.NumIndexNodes());
-  std::unordered_map<IndexNodeId, IndexNodeId> map;
-  for (NodeId n = 0; n < a.graph().NumNodes(); ++n) {
-    auto [it, inserted] = map.emplace(a.index_of(n), b.index_of(n));
-    ASSERT_EQ(it->second, b.index_of(n)) << "partition differs at node " << n;
-    ASSERT_EQ(a.k(a.index_of(n)), b.k(b.index_of(n)))
-        << "local similarity differs at node " << n;
-  }
-}
+using testing_util::ExpectSameIndex;
 
 LabelRequirements RandomReqs(const DataGraph& g, Rng* rng, int count,
                              int max_k) {

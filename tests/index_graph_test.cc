@@ -75,7 +75,7 @@ TEST(IndexGraphTest, SplitOffMovesMembersAndMapping) {
 TEST(IndexGraphTest, RecomputeEdgesLocalMatchesFullRecompute) {
   Rng rng(99);
   DataGraph g = testing_util::RandomGraph(120, 4, 25, &rng);
-  Partition p = ComputeKBisimulation(g, 2);
+  Partition p = testing_util::UniformPartition(g, 2);
   std::vector<int> ks(static_cast<size_t>(p.num_blocks), 2);
   IndexGraph index =
       IndexGraph::FromPartition(&g, p.block_of, p.num_blocks, ks);

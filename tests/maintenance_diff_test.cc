@@ -19,31 +19,13 @@
 #include "query/workload.h"
 #include "serve/apply.h"
 #include "serve/query_server.h"
+#include "tests/splitter_oracle.h"
 #include "tests/test_util.h"
 
 namespace dki {
 namespace {
 
-// Same-partition-same-k assertion (the dk_tuning_test helper): block
-// NUMBERING may differ between the two engines — pass A/B of the
-// incremental path allocates ids in projection order, the full path in
-// signature-scan order — but the grouping and every k must agree.
-void ExpectSameIndex(const IndexGraph& a, const IndexGraph& b) {
-  ASSERT_EQ(a.graph().NumNodes(), b.graph().NumNodes());
-  ASSERT_EQ(a.NumIndexNodes(), b.NumIndexNodes());
-  std::vector<IndexNodeId> map(static_cast<size_t>(a.NumIndexNodes()),
-                               kInvalidNode);
-  for (NodeId n = 0; n < a.graph().NumNodes(); ++n) {
-    IndexNodeId ia = a.index_of(n);
-    if (map[static_cast<size_t>(ia)] == kInvalidNode) {
-      map[static_cast<size_t>(ia)] = b.index_of(n);
-    }
-    ASSERT_EQ(map[static_cast<size_t>(ia)], b.index_of(n))
-        << "partition differs at node " << n;
-    ASSERT_EQ(a.k(ia), b.k(b.index_of(n)))
-        << "local similarity differs at node " << n;
-  }
-}
+using testing_util::ExpectSameIndex;
 
 LabelRequirements RandomReqs(const DataGraph& g, Rng* rng, int count,
                              int max_k) {
@@ -145,9 +127,12 @@ void ExpectSameAnswers(const DkIndex& a, const DkIndex& b, Rng* rng,
   }
 }
 
-TEST(MaintenanceDiffTest, RandomStreamsMatchFullRebuildBitForBit) {
-  Rng rng(811);
-  for (int trial = 0; trial < 6; ++trial) {
+// Runs `trials` random update/tuning streams through an incremental and a
+// full-rebuild replica and checks after every op that the two indexes are
+// equal node by node and took the same epoch trajectory.
+void ExpectRandomStreamsMatch(uint64_t seed, int trials) {
+  Rng rng(seed);
+  for (int trial = 0; trial < trials; ++trial) {
     DataGraph g_inc = testing_util::RandomGraph(110, 5, 25, &rng);
     DataGraph g_full = g_inc;
     LabelRequirements initial = RandomReqs(g_inc, &rng, 3, 3);
@@ -161,7 +146,8 @@ TEST(MaintenanceDiffTest, RandomStreamsMatchFullRebuildBitForBit) {
     for (int step = 0; step < 30; ++step) {
       std::string op = ApplyRandomOp(&inc, &full, &rng);
       ASSERT_NO_FATAL_FAILURE(ExpectSameIndex(inc.index(), full.index()))
-          << "trial " << trial << " step " << step << " op " << op;
+          << "seed " << seed << " trial " << trial << " step " << step
+          << " op " << op;
       // Identical op sequences take identical epoch trajectories, and
       // epochs never move backwards (the result cache's safety invariant).
       ASSERT_EQ(inc.epoch(), full.epoch()) << op;
@@ -173,6 +159,79 @@ TEST(MaintenanceDiffTest, RandomStreamsMatchFullRebuildBitForBit) {
       ASSERT_TRUE(inc.index().ValidateDkConstraint(&error)) << error;
     }
     ExpectSameAnswers(inc, full, &rng, 6);
+  }
+}
+
+TEST(MaintenanceDiffTest, RandomStreamsMatchFullRebuildBitForBit) {
+  ExpectRandomStreamsMatch(811, 6);
+}
+
+// Algorithm 6 splits in index-node order, so PromoteBatch keeps two
+// replicas equal only if every rebuild numbers their blocks alike. These
+// streams drove the replicas apart right after a PromoteBatch while the
+// incremental engine numbered blocks in projection order: seed 99 at trial
+// 39 (92 vs 93 index nodes), seed 811 at trial 224 (epochs 203 vs 199) and
+// seed 8111 at trial 45 (epochs 153 vs 151).
+TEST(MaintenanceDiffTest, PromoteBatchKeepsReplicasEqual) {
+  ASSERT_NO_FATAL_FAILURE(ExpectRandomStreamsMatch(99, 40));
+  ASSERT_NO_FATAL_FAILURE(ExpectRandomStreamsMatch(811, 225));
+  ASSERT_NO_FATAL_FAILURE(ExpectRandomStreamsMatch(8111, 46));
+}
+
+// The smallest k at which A(k) is the 1-index: the fixpoint depth.
+int FixpointDepth(const DataGraph& g) {
+  const Partition one = testing_util::CoarsestStablePartition(g);
+  int depth = 0;
+  while (testing_util::UniformPartition(g, depth) != one) ++depth;
+  return depth;
+}
+
+// The fixpoint stop. Build and a grow retune to k = NumNodes() record at
+// most fixpoint-depth + 1 trace rounds (round 0 included), not one per
+// requirement level; the incremental replica still equals the full one and
+// a fresh Build, and answers equal the data graph's. Inputs: a deep chain
+// ROOT -> a -> ... -> a, and a random graph with a 2-cycle added.
+TEST(MaintenanceDiffTest, RetuneToNodeCountStopsAtTheFixpoint) {
+  Rng rng(2003);
+  std::vector<DataGraph> graphs(1);
+  for (NodeId prev = graphs[0].root(); graphs[0].NumNodes() < 120;) {
+    const NodeId next = graphs[0].AddNode("a");
+    graphs[0].AddEdge(prev, next);
+    prev = next;
+  }
+  graphs.push_back(testing_util::RandomGraph(120, 4, 40, &rng));
+  const NodeId tail = static_cast<NodeId>(graphs[1].NumNodes() - 1);
+  graphs[1].AddEdge(tail, graphs[1].parents(tail)[0]);
+
+  for (const DataGraph& g : graphs) {
+    const NodeId last = static_cast<NodeId>(g.NumNodes() - 1);
+    const size_t max_rounds = static_cast<size_t>(FixpointDepth(g)) + 1;
+    const LabelRequirements reqs = {
+        {g.label(last), static_cast<int>(g.NumNodes())}};
+    DataGraph g_built = g;
+    const DkIndex built = DkIndex::Build(&g_built, reqs);
+    EXPECT_LE(built.trace()->rounds.size(), max_rounds);
+
+    DataGraph g_inc = g;
+    DataGraph g_full = g;
+    DkIndex inc = DkIndex::Build(&g_inc, {});
+    DkIndex full = DkIndex::Build(&g_full, {});
+    full.set_maintenance_mode(DkIndex::MaintenanceMode::kFullRebuild);
+    const UpdateOp grow = UpdateOp::Retune(reqs, /*shrink=*/false);
+    ASSERT_TRUE(ApplyUpdateOp(&inc, grow));
+    ASSERT_TRUE(ApplyUpdateOp(&full, grow));
+    EXPECT_LE(inc.trace()->rounds.size(), max_rounds);
+    EXPECT_LE(full.trace()->rounds.size(), max_rounds);
+    ASSERT_NO_FATAL_FAILURE(ExpectSameIndex(inc.index(), full.index()));
+    ASSERT_NO_FATAL_FAILURE(ExpectSameIndex(inc.index(), built.index()));
+    for (int q = 0; q < 20; ++q) {
+      const std::string text = testing_util::RandomChainQuery(
+          g_inc, static_cast<int>(rng.UniformInt(1, 6)), &rng);
+      const PathExpression expr = testing_util::MustParse(text, g.labels());
+      EXPECT_EQ(EvaluateOnIndex(inc.index(), expr),
+                EvaluateOnDataGraph(g_inc, expr))
+          << text;
+    }
   }
 }
 

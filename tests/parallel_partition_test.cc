@@ -1,7 +1,8 @@
-// Sequential-vs-parallel engine equivalence. The parallel engine promises
-// more than equality up to renumbering: its chunk-ordered reduction
-// reproduces the sequential first-appearance numbering exactly, so these
-// tests assert bitwise-identical partitions across thread and chunk counts.
+// Sequential-vs-parallel engine equivalence. The parallel engine's
+// chunk-ordered reduction reproduces the sequential first-appearance
+// numbering exactly, so these tests compare partitions with == across
+// thread and chunk counts, through RefineOnce and through the one round
+// loop, BuildDkPartition.
 
 #include "index/parallel_refine.h"
 
@@ -18,19 +19,12 @@
 #include "index/ak_index.h"
 #include "index/dk_index.h"
 #include "index/one_index.h"
-#include "index/paige_tarjan.h"
 #include "index/partition.h"
+#include "tests/splitter_oracle.h"
 #include "tests/test_util.h"
 
 namespace dki {
 namespace {
-
-void ExpectIdenticalPartition(const Partition& a, const Partition& b) {
-  EXPECT_EQ(a.num_blocks, b.num_blocks);
-  EXPECT_EQ(a.block_of, b.block_of);
-  EXPECT_EQ(a.block_label, b.block_label);
-  EXPECT_TRUE(SamePartition(a, b));
-}
 
 // Thread counts to sweep; deliberately includes more lanes than this
 // container has cores and a 1-lane pool (the inline path).
@@ -45,7 +39,7 @@ TEST(ParallelPartitionTest, RefineOnceMatchesSequentialOnRandomGraphs) {
     Partition seq = RefineOnce(g, p, all);
     for (int threads : kThreadCounts) {
       ThreadPool pool(threads);
-      ExpectIdenticalPartition(seq, ParallelRefineOnce(g, p, all, pool));
+      EXPECT_EQ(seq, ParallelRefineOnce(g, p, all, pool));
     }
   }
 }
@@ -53,24 +47,23 @@ TEST(ParallelPartitionTest, RefineOnceMatchesSequentialOnRandomGraphs) {
 TEST(ParallelPartitionTest, RefineOnceRespectsRefineMask) {
   Rng rng(7);
   DataGraph g = testing_util::RandomGraph(500, 5, 120, &rng);
-  Partition p = ComputeKBisimulation(g, 1);
+  Partition p = testing_util::UniformPartition(g, 1);
   // Refine only every other block; untouched blocks must survive verbatim.
   std::vector<bool> mask(static_cast<size_t>(p.num_blocks), false);
   for (size_t b = 0; b < mask.size(); b += 2) mask[b] = true;
   Partition seq = RefineOnce(g, p, mask);
   ThreadPool pool(4);
-  ExpectIdenticalPartition(seq, ParallelRefineOnce(g, p, mask, pool));
+  EXPECT_EQ(seq, ParallelRefineOnce(g, p, mask, pool));
 }
 
 TEST(ParallelPartitionTest, KBisimulationMatchesAcrossThreadCounts) {
   Rng rng(99);
   DataGraph g = testing_util::RandomGraph(400, 8, 100, &rng);
   for (int k : {0, 1, 2, 3, 5}) {
-    Partition seq = ComputeKBisimulation(g, k);
+    Partition seq = testing_util::UniformPartition(g, k);
     for (int threads : kThreadCounts) {
       ThreadPool pool(threads);
-      ExpectIdenticalPartition(seq,
-                               ParallelComputeKBisimulation(g, k, pool));
+      EXPECT_EQ(seq, testing_util::UniformPartition(g, k, &pool));
     }
   }
 }
@@ -78,16 +71,11 @@ TEST(ParallelPartitionTest, KBisimulationMatchesAcrossThreadCounts) {
 TEST(ParallelPartitionTest, FullBisimulationMatchesSequentialAndSplitter) {
   Rng rng(1234);
   DataGraph g = testing_util::RandomGraph(600, 6, 150, &rng);
-  int seq_rounds = 0;
-  Partition seq = ComputeFullBisimulation(g, &seq_rounds);
+  const int kInf = IndexGraph::kInfiniteSimilarity;
+  Partition seq = testing_util::UniformPartition(g, kInf);
   ThreadPool pool(4);
-  int par_rounds = 0;
-  Partition par = ParallelComputeFullBisimulation(g, pool, &par_rounds);
-  ExpectIdenticalPartition(seq, par);
-  EXPECT_EQ(seq_rounds, par_rounds);
-  // The splitter-queue engine numbers blocks differently but must agree as
-  // a partition.
-  EXPECT_TRUE(SamePartition(seq, CoarsestStablePartition(g)));
+  EXPECT_EQ(seq, testing_util::UniformPartition(g, kInf, &pool));
+  EXPECT_EQ(seq, testing_util::CoarsestStablePartition(g));
 }
 
 TEST(ParallelPartitionTest, DkPartitionMatchesOnXmarkSeed) {
@@ -105,8 +93,7 @@ TEST(ParallelPartitionTest, DkPartitionMatchesOnXmarkSeed) {
   for (int threads : {2, 4}) {
     ThreadPool pool(threads);
     std::vector<int> par_k;
-    Partition par = BuildDkPartition(g, req, &par_k, &pool);
-    ExpectIdenticalPartition(seq, par);
+    EXPECT_EQ(seq, BuildDkPartition(g, req, &par_k, &pool));
     EXPECT_EQ(seq_k, par_k);
   }
 }
@@ -124,7 +111,7 @@ TEST(ParallelPartitionTest, DkPartitionMatchesOnNasaSeed) {
   Partition seq = BuildDkPartition(g, req, &seq_k);
   ThreadPool pool(4);
   std::vector<int> par_k;
-  ExpectIdenticalPartition(seq, BuildDkPartition(g, req, &par_k, &pool));
+  EXPECT_EQ(seq, BuildDkPartition(g, req, &par_k, &pool));
   EXPECT_EQ(seq_k, par_k);
 }
 
@@ -163,18 +150,18 @@ TEST(ParallelPartitionTest, AkIndexBuildIdenticalWithThreads) {
   }
 }
 
-TEST(ParallelPartitionTest, OneIndexBuildIdenticalWithThreads) {
+TEST(ParallelPartitionTest, OneIndexLoopIdenticalWithThreads) {
+  // OneIndex::Build runs the sequential loop; the loop with a pool hands
+  // FromPartition the identical 1-index partition.
   Rng rng(777);
   DataGraph g = testing_util::RandomGraph(700, 5, 180, &rng);
-  IndexGraph seq =
-      OneIndex::Build(&g, OneIndex::Algorithm::kIteratedRefinement,
-                      BuildOptions{.num_threads = 1});
-  IndexGraph par =
-      OneIndex::Build(&g, OneIndex::Algorithm::kIteratedRefinement,
-                      BuildOptions{.num_threads = 4});
-  ASSERT_EQ(seq.NumIndexNodes(), par.NumIndexNodes());
+  IndexGraph seq = OneIndex::Build(&g);
+  ThreadPool pool(4);
+  Partition par =
+      testing_util::UniformPartition(g, IndexGraph::kInfiniteSimilarity, &pool);
+  ASSERT_EQ(seq.NumIndexNodes(), par.num_blocks);
   for (NodeId n = 0; n < g.NumNodes(); ++n) {
-    ASSERT_EQ(seq.index_of(n), par.index_of(n)) << n;
+    ASSERT_EQ(seq.index_of(n), par.block_of[static_cast<size_t>(n)]) << n;
   }
 }
 

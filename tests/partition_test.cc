@@ -7,6 +7,7 @@
 
 #include "common/random.h"
 #include "graph/graph_algos.h"
+#include "tests/splitter_oracle.h"
 #include "tests/test_util.h"
 
 namespace dki {
@@ -86,7 +87,7 @@ TEST(PartitionTest, LabelSplitGroupsByLabel) {
 TEST(PartitionTest, KBisimulationMatchesReferenceOnMovieGraph) {
   DataGraph g = testing_util::BuildMovieGraph();
   for (int k = 0; k <= 4; ++k) {
-    Partition p = ComputeKBisimulation(g, k);
+    Partition p = testing_util::UniformPartition(g, k);
     ExpectPartitionMatchesRelation(g, p, ReferenceKBisim(g, k));
   }
 }
@@ -96,7 +97,7 @@ TEST(PartitionTest, KBisimulationMatchesReferenceOnRandomGraphs) {
   for (int trial = 0; trial < 10; ++trial) {
     DataGraph g = testing_util::RandomGraph(30, 4, 8, &rng);
     for (int k = 0; k <= 3; ++k) {
-      Partition p = ComputeKBisimulation(g, k);
+      Partition p = testing_util::UniformPartition(g, k);
       ExpectPartitionMatchesRelation(g, p, ReferenceKBisim(g, k));
     }
   }
@@ -107,7 +108,7 @@ TEST(PartitionTest, RefinementIsMonotone) {
   DataGraph g = testing_util::RandomGraph(100, 5, 20, &rng);
   Partition prev = LabelSplit(g);
   for (int k = 1; k <= 5; ++k) {
-    Partition next = ComputeKBisimulation(g, k);
+    Partition next = testing_util::UniformPartition(g, k);
     EXPECT_GE(next.num_blocks, prev.num_blocks);
     // next refines prev: same next-block implies same prev-block.
     std::unordered_map<int32_t, int32_t> mapping;
@@ -144,21 +145,43 @@ TEST(PartitionTest, SelectiveRefinementLeavesOtherBlocksAlone) {
 TEST(PartitionTest, FullBisimulationIsFixpoint) {
   Rng rng(11);
   DataGraph g = testing_util::RandomGraph(80, 4, 15, &rng);
-  int rounds = 0;
-  Partition p = ComputeFullBisimulation(g, &rounds);
-  EXPECT_GT(rounds, 0);
+  Partition p =
+      testing_util::UniformPartition(g, IndexGraph::kInfiniteSimilarity);
+  EXPECT_GT(p.num_blocks, LabelSplit(g).num_blocks);
+  // One more round splits nothing and, both being numbered in
+  // first-appearance order, reproduces the partition as a value.
   std::vector<bool> all(static_cast<size_t>(p.num_blocks), true);
-  Partition again = RefineOnce(g, p, all);
-  EXPECT_EQ(again.num_blocks, p.num_blocks);
-  EXPECT_TRUE(SamePartition(p, again));
+  EXPECT_EQ(RefineOnce(g, p, all), p);
 }
 
-TEST(PartitionTest, SamePartitionDetectsRenumbering) {
-  Partition a{{0, 0, 1, 2}, 3, {}};
-  Partition b{{2, 2, 0, 1}, 3, {}};
-  Partition c{{0, 1, 1, 2}, 3, {}};
-  EXPECT_TRUE(SamePartition(a, b));
-  EXPECT_FALSE(SamePartition(a, c));
+TEST(PartitionTest, RenumberByFirstAppearanceKeepsGroupsAndLabels) {
+  Partition p{{2, 2, 0, 1, 0}, 3, {7, 8, 9}};
+  RenumberByFirstAppearance(&p);
+  EXPECT_EQ(p, (Partition{{0, 0, 1, 2, 1}, 3, {9, 7, 8}}));
+  RenumberByFirstAppearance(&p);  // already in order: unchanged
+  EXPECT_EQ(p, (Partition{{0, 0, 1, 2, 1}, 3, {9, 7, 8}}));
+}
+
+// A(k) through the one round loop: k = 0..5 match Definition 2 straight,
+// and once k reaches the fixpoint depth A(k) is the 1-index, which the
+// test-only splitter oracle computes independently.
+TEST(PartitionTest, UniformLoopMatchesDefinitionAndSplitterOracle) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 6; ++trial) {
+    DataGraph g = testing_util::RandomGraph(40, 3 + trial % 3, 12, &rng);
+    const Partition one = testing_util::CoarsestStablePartition(g);
+    EXPECT_EQ(testing_util::UniformPartition(
+                  g, IndexGraph::kInfiniteSimilarity),
+              one);
+    for (int k = 0; k <= 5; ++k) {
+      Partition p = testing_util::UniformPartition(g, k);
+      ExpectPartitionMatchesRelation(g, p, ReferenceKBisim(g, k));
+      if (p.num_blocks == one.num_blocks) {
+        EXPECT_EQ(p, one) << "k " << k;
+      }
+    }
+    EXPECT_EQ(testing_util::UniformPartition(g, g.NumNodes()), one);
+  }
 }
 
 TEST(PartitionTest, KBisimilarNodesHaveSameShortIncomingPaths) {
@@ -167,7 +190,7 @@ TEST(PartitionTest, KBisimilarNodesHaveSameShortIncomingPaths) {
   Rng rng(77);
   DataGraph g = testing_util::RandomGraph(50, 3, 12, &rng);
   const int k = 3;
-  Partition p = ComputeKBisimulation(g, k);
+  Partition p = testing_util::UniformPartition(g, k);
   // A path of `len` labels has len-1 edges; the property covers <= k edges.
   for (int len = 1; len <= k + 1; ++len) {
     std::unordered_map<int32_t, std::set<std::vector<LabelId>>> per_block;

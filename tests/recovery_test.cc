@@ -957,20 +957,7 @@ TEST(DurableServerRaceTest, ReadersWriterAndCheckpointerRace) {
 // The adaptive tuner's retunes are ordinary kRetune records.
 // ---------------------------------------------------------------------------
 
-// Same partition and local similarities, node by node (block numbering may
-// differ).
-void ExpectSameIndex(const IndexGraph& a, const IndexGraph& b) {
-  ASSERT_EQ(a.graph().NumNodes(), b.graph().NumNodes());
-  ASSERT_EQ(a.NumIndexNodes(), b.NumIndexNodes());
-  std::vector<IndexNodeId> map(static_cast<size_t>(a.NumIndexNodes()),
-                               kInvalidNode);
-  for (NodeId n = 0; n < a.graph().NumNodes(); ++n) {
-    IndexNodeId& mapped = map[static_cast<size_t>(a.index_of(n))];
-    if (mapped == kInvalidNode) mapped = b.index_of(n);
-    ASSERT_EQ(mapped, b.index_of(n)) << "partition differs at node " << n;
-    ASSERT_EQ(a.k(a.index_of(n)), b.k(b.index_of(n))) << "node " << n;
-  }
-}
+using testing_util::ExpectSameIndex;
 
 TEST(CrashStateTest, AutoRetunesReplayFromTheLog) {
   const DataGraph original = testing_util::BuildMovieGraph();

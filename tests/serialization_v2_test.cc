@@ -72,15 +72,7 @@ void ExpectSameGraph(const DataGraph& got, const DataGraph& want) {
   }
 }
 
-void ExpectSameIndex(const IndexGraph& got, const IndexGraph& want) {
-  ASSERT_EQ(got.NumIndexNodes(), want.NumIndexNodes());
-  for (IndexNodeId i = 0; i < want.NumIndexNodes(); ++i) {
-    ASSERT_EQ(got.label(i), want.label(i)) << "index node " << i;
-    ASSERT_EQ(got.k(i), want.k(i)) << "index node " << i;
-    ASSERT_EQ(got.extent(i), want.extent(i)) << "index node " << i;
-    ASSERT_EQ(got.children(i), want.children(i)) << "index node " << i;
-  }
-}
+using testing_util::ExpectSameIndex;
 
 std::string V2Payload(const DkIndex& dk, const DataGraph& g) {
   std::string payload;

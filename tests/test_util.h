@@ -1,6 +1,8 @@
 #ifndef DKINDEX_TESTS_TEST_UTIL_H_
 #define DKINDEX_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <filesystem>
 #include <string>
 #include <string_view>
@@ -11,6 +13,8 @@
 #include "common/random.h"
 #include "graph/data_graph.h"
 #include "graph/graph_builder.h"
+#include "index/dk_index.h"
+#include "index/index_graph.h"
 #include "pathexpr/path_expression.h"
 
 namespace dki {
@@ -138,6 +142,35 @@ inline std::string RandomChainQuery(const DataGraph& g, int len, Rng* rng) {
     out.append(*it);
   }
   return out;
+}
+
+// The A(k) partition of `g` through the library's one round loop: k on
+// every label (IndexGraph::kInfiniteSimilarity gives the 1-index).
+inline Partition UniformPartition(const DataGraph& g, int k,
+                                  ThreadPool* pool = nullptr) {
+  const std::vector<int> req(static_cast<size_t>(g.labels().size()), k);
+  std::vector<int> block_k;
+  return BuildDkPartition(g, req, &block_k, pool);
+}
+
+// Exact equality of two index graphs over equal data graphs, node by node:
+// the same index node for every data node, and the same label, k, extent
+// and adjacency for every index node. Every engine numbers its blocks in
+// first-appearance order, so equal partitions compare equal here without
+// any remapping.
+inline void ExpectSameIndex(const IndexGraph& a, const IndexGraph& b) {
+  ASSERT_EQ(a.graph().NumNodes(), b.graph().NumNodes());
+  ASSERT_EQ(a.NumIndexNodes(), b.NumIndexNodes());
+  for (NodeId n = 0; n < a.graph().NumNodes(); ++n) {
+    ASSERT_EQ(a.index_of(n), b.index_of(n)) << "data node " << n;
+  }
+  for (IndexNodeId i = 0; i < a.NumIndexNodes(); ++i) {
+    ASSERT_EQ(a.label(i), b.label(i)) << "index node " << i;
+    ASSERT_EQ(a.k(i), b.k(i)) << "index node " << i;
+    ASSERT_EQ(a.extent(i), b.extent(i)) << "index node " << i;
+    ASSERT_EQ(a.children(i), b.children(i)) << "index node " << i;
+    ASSERT_EQ(a.parents(i), b.parents(i)) << "index node " << i;
+  }
 }
 
 inline PathExpression MustParse(const std::string& text,
