@@ -4,6 +4,7 @@
 #include <iostream>
 #include <vector>
 
+#include "bench/algorithm6.h"
 #include "common/metrics.h"
 #include "common/timer.h"
 #include "index/ak_index.h"
@@ -334,7 +335,7 @@ void RunPromoteRecovery(Dataset dataset) {
   rows.push_back(MakeRow("updated", dk.index(), workload));
 
   WallTimer timer;
-  dk.PromoteBatch(reqs);
+  PromoteBatch(dk.mutable_index(), reqs);
   double promote_ms = timer.ElapsedMillis();
   rows.push_back(MakeRow("promoted", dk.index(), workload));
 

@@ -27,7 +27,8 @@ void RunUpdateEfficiency(Dataset xmark, Dataset nasa);
 void RunEvalAfterUpdating(Dataset dataset, const std::string& figure_name);
 
 // The promoting experiment the paper defers to its full version: D(k) cost
-// before updates, after updates, and after the promoting process.
+// before updates, after updates, and after the promoting process
+// (Algorithm 6, bench/algorithm6.h).
 void RunPromoteRecovery(Dataset dataset);
 
 }  // namespace bench

@@ -14,8 +14,6 @@
 // incremental engine does not cover scale with it — the O(N) snapshot
 // graph copy + freeze at every publish, and the grow retune, which
 // recomputes every node of a raised label in the rounds beyond the trace.
-// `promote_label_count` counts Algorithm 6 calls during the stream; every
-// retune is a Demote, so it must read 0 (CI checks it).
 //
 // The binary is also the exactness guard used by CI: after each stream it
 // evaluates the mined workload on the final snapshot and hashes results +
@@ -70,7 +68,6 @@ struct ModeResult {
   int64_t projected_nodes = 0;
   int64_t recomputed_nodes = 0;
   int64_t full_calls = 0;
-  int64_t promote_label_count = 0;
   int64_t index_nodes = 0;
   uint64_t result_hash = 0;
 };
@@ -188,8 +185,6 @@ ModeResult RunStream(const bench::Dataset& dataset,
       m.GetCounter("index.dk.incremental_rebuild.recomputed_nodes").value();
   out.full_calls =
       m.GetHistogram("index.dk.full_rebuild.latency").snapshot().count;
-  out.promote_label_count =
-      m.GetHistogram("index.dk.promote_label.latency").snapshot().count;
   return out;
 }
 
@@ -214,7 +209,6 @@ bench::Json ModeJson(const ModeResult& r) {
   j.Set("projected_nodes", bench::Json::Int(r.projected_nodes));
   j.Set("recomputed_nodes", bench::Json::Int(r.recomputed_nodes));
   j.Set("full_calls", bench::Json::Int(r.full_calls));
-  j.Set("promote_label_count", bench::Json::Int(r.promote_label_count));
   j.Set("index_nodes", bench::Json::Int(r.index_nodes));
   j.Set("result_hash", bench::Json::Str(std::to_string(r.result_hash)));
   return j;

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/algorithm6.h"
 #include "bench/bench_common.h"
 #include "index/ak_index.h"
 #include "index/dk_index.h"
@@ -53,7 +54,7 @@ void RunSweep(Dataset dataset) {
       dk.AddEdge(u, v);
       dkp.AddEdge(u, v);
     }
-    dkp.PromoteBatch(reqs);  // the periodic promoting process
+    PromoteBatch(dkp.mutable_index(), reqs);  // periodic Algorithm 6
 
     // Workloads regenerated against the updated graphs (identical recipe +
     // seed everywhere, so the four columns see the same queries).

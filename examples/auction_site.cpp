@@ -1,7 +1,8 @@
 // Auction-site scenario (the XMark workload from the paper's evaluation):
 // generate a site document, mine requirements from a realistic query load,
 // and watch the D(k)-index adapt — through data updates (new IDREF edges)
-// and a query-load shift handled by promoting/demoting.
+// and a query-load shift handled by retunes (DkIndex::Demote), raising k
+// for the new load and then dropping the old one.
 //
 //   $ ./build/examples/auction_site
 
@@ -16,6 +17,7 @@
 #include "index/dk_index.h"
 #include "query/evaluator.h"
 #include "query/load_analyzer.h"
+#include "serve/apply.h"
 
 namespace {
 
@@ -96,8 +98,10 @@ int main() {
   auto deep = Parse(deep_texts, g.labels());
   dki::LabelRequirements deep_reqs = dki::MineRequirements(deep, g.labels());
   timer.Restart();
-  dk.PromoteBatch(deep_reqs);
-  std::printf("promoted for the deeper load in %.2f ms; size now %lld\n",
+  // A grow retune raises k for the deep labels and keeps the rest: one
+  // Demote to the current requirements merged per label with the new ones.
+  dki::ApplyUpdateOp(&dk, dki::UpdateOp::Retune(deep_reqs, /*shrink=*/false));
+  std::printf("raised k for the deeper load in %.2f ms; size now %lld\n",
               timer.ElapsedMillis(),
               static_cast<long long>(dk.index().NumIndexNodes()));
   dki::EvalStats stats;

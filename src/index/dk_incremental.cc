@@ -64,6 +64,16 @@ constexpr double kMaxDirtyFraction = 0.25;
 
 }  // namespace
 
+void DkIndex::Demote(const LabelRequirements& new_reqs) {
+  ScopedLatency latency(&DKI_METRIC_HISTOGRAM("index.dk.demote.latency"));
+  // Re-partition under the new requirements. On the common path (unchanged
+  // graph, requirements within the trace) this is a pure merge: every node
+  // projects through the refinement trace in O(1), no signature hashing.
+  // The result is exactly DkIndex::Build(graph, new_reqs).
+  effective_req_ = EffectiveRequirements(*graph_, new_reqs);
+  Rebuild(effective_req_);
+}
+
 void DkIndex::Rebuild(const std::vector<int>& effective_req) {
   // One histogram across both engines: the maintenance cost a Demote /
   // AddSubgraph pays before the writer can republish, minus the snapshot

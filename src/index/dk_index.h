@@ -135,12 +135,15 @@ Partition BuildDkPartition(const GraphT& g,
 // (Algorithms 1+2) and maintained incrementally:
 //   * AddEdge        — Algorithms 4+5 (edge addition; lowers similarities,
 //                      never re-partitions against the data graph);
+//   * RemoveEdge     — edge removal, built on Algorithms 4+5;
 //   * AddSubgraph    — Algorithm 3 (file insertion via Theorem 2);
-//   * Promote        — Algorithm 6 (upgrade local similarities after query
-//                      load shifts);
-//   * Demote         — periodic shrinking: re-partitions the data graph
-//                      under the lowered requirements, incrementally when
-//                      the retained RefinementTrace allows it.
+//   * Demote         — every retune, raising or lowering: re-partitions the
+//                      data graph under the new requirements, incrementally
+//                      when the retained RefinementTrace allows it.
+// The paper's promoting process (Algorithm 6) is not a DkIndex operation:
+// Demote already yields Build's index for raised requirements, and
+// bench/algorithm6.h keeps Algorithm 6 as the promoting experiment's
+// comparator.
 class DkIndex {
  public:
   // How Demote / AddSubgraph re-partition. kIncremental projects unchanged
@@ -170,7 +173,7 @@ class DkIndex {
 
   // Update epoch of the underlying index (see IndexGraph::epoch): bumped by
   // every mutating operation routed through this class — AddEdge,
-  // RemoveEdge, AddSubgraph, Promote*/Demote — and kept monotonic across
+  // RemoveEdge, AddSubgraph, Demote — and kept monotonic across
   // the whole-index rebuilds those trigger. Cached query results are keyed
   // by it (query/result_cache.h).
   uint64_t epoch() const { return index_.epoch(); }
@@ -228,9 +231,9 @@ class DkIndex {
   // (RemovalLocalSimilarity): k(v) survives at level l as long as every
   // label path that arrived through the removed edge still arrives through
   // v's surviving parents, and drops (followed by the Algorithm 5 demotion
-  // wave) only below the first level where a path is genuinely lost. Lost
-  // similarity is recoverable later through the promoting process. Returns
-  // false if the edge did not exist.
+  // wave) only below the first level where a path is genuinely lost. A
+  // later retune (Demote) recovers lost similarity. Returns false if the
+  // edge did not exist.
   bool RemoveEdge(NodeId u, NodeId v);
 
   // RemoveEdge's analogue of Algorithm 4 (exposed for tests): the maximal
@@ -258,20 +261,7 @@ class DkIndex {
   // maps to the root).
   std::vector<NodeId> AddSubgraph(const DataGraph& h);
 
-  // --- Section 5.3 / 5.4: promoting and demoting --------------------------
-
-  // Algorithm 6: raises node `v`'s local similarity to `k_target` by
-  // recursively promoting its parents to k_target - 1 and splitting
-  // extent(v) by the promoted parents. No-op if k(v) >= k_target.
-  void Promote(IndexNodeId v, int k_target);
-
-  // Promotes every index node with label `label` to `k_target`, processing
-  // split-off parts as well. Updates the stored label requirement.
-  void PromoteLabel(LabelId label, int k_target);
-
-  // Batch promotion; the paper's heuristic processes higher target
-  // similarities first so ancestor promotions are shared.
-  void PromoteBatch(const LabelRequirements& targets);
+  // --- Section 5.4 and incremental maintenance (dk_incremental.cc) ------
 
   // The demoting process: re-broadcasts `new_reqs` on the current label
   // adjacency and re-partitions the data graph under them — the exact state
@@ -280,10 +270,11 @@ class DkIndex {
   // block genuinely earns k = effective requirement of its label; no
   // conservative min-member-k is needed). Computed through the
   // RefinementTrace on the common path; equivalent to the full rebuild by
-  // the projection property.
+  // the projection property. Requirements above the current ones raise k
+  // the same way, so to raise k for some labels only, pass the targets
+  // merged per label with effective_requirements() (a grow retune,
+  // serve/apply.h).
   void Demote(const LabelRequirements& new_reqs);
-
-  // --- incremental maintenance (dk_incremental.cc) ------------------------
 
   MaintenanceMode maintenance_mode() const { return maintenance_mode_; }
   void set_maintenance_mode(MaintenanceMode mode) { maintenance_mode_ = mode; }

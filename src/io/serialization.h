@@ -68,8 +68,8 @@ bool LoadIndexV2(std::string_view data, size_t* pos, const DataGraph* graph,
                  IndexGraph* index, std::string* error);
 
 // DkIndex persistence stores graph + index + the effective per-label
-// requirements so promoting/demoting semantics survive the round trip. The
-// parts are unbundled because the serving layer's checkpointer
+// requirements, which grow retunes and AddSubgraph read. The parts are
+// unbundled because the serving layer's checkpointer
 // (serve/checkpoint.cc) streams immutable IndexSnapshot state, which holds
 // a graph copy and a FrozenView but no DkIndex: `index` must partition
 // `graph`, and `reqs` has one entry per label id. The loaded graph is

@@ -190,17 +190,17 @@ TEST(EdgeCaseTest, WorkloadOnTinyGraphs) {
   }
 }
 
-TEST(EdgeCaseTest, PromoteToInfinityEqualsOneIndexRefinement) {
-  // Promoting far beyond the graph's diameter refines every promoted label
-  // to its full-bisimulation classes (never finer than the 1-index allows
-  // for that label's nodes).
+TEST(EdgeCaseTest, RetuneToInfinityEqualsOneIndexRefinement) {
+  // Retuning a label far beyond the graph's diameter refines it to its
+  // full-bisimulation classes (never finer than the 1-index allows for that
+  // label's nodes).
   Rng rng(739);
   DataGraph g = testing_util::RandomGraph(60, 3, 10, &rng);
   DkIndex dk = DkIndex::Build(&g, {});
   LabelId target = 2;
-  dk.PromoteLabel(target, 30);
+  dk.Demote({{target, 30}});
   IndexGraph one = OneIndex::Build(&g);
-  // Every promoted extent sits inside a single 1-index class.
+  // Every retuned extent sits inside a single 1-index class.
   for (IndexNodeId i = 0; i < dk.index().NumIndexNodes(); ++i) {
     if (dk.index().label(i) != target) continue;
     std::set<IndexNodeId> classes;

@@ -16,6 +16,7 @@
 #include "query/evaluator.h"
 #include "query/load_analyzer.h"
 #include "query/workload.h"
+#include "serve/apply.h"
 #include "tests/test_util.h"
 #include "xml/xml_to_graph.h"
 #include "xml/xml_writer.h"
@@ -114,8 +115,9 @@ TEST(IntegrationTest, XmarkUpdateStormAndPromotion) {
     validation_visits += stats.data_nodes_visited;
   }
 
-  // Promotion restores the no-validation property for the workload.
-  dk.PromoteBatch(reqs);
+  // A grow retune (Demote to the merged requirements) restores the
+  // no-validation property for the workload.
+  ASSERT_TRUE(ApplyUpdateOp(&dk, UpdateOp::Retune(reqs, /*shrink=*/false)));
   for (const std::string& text : workload.queries) {
     PathExpression q = testing_util::MustParse(text, g.labels());
     EvalStats stats;

@@ -10,6 +10,7 @@
 
 #include "common/random.h"
 #include "query/evaluator.h"
+#include "serve/apply.h"
 #include "tests/test_util.h"
 
 namespace dki {
@@ -278,8 +279,8 @@ TEST_F(LoadTrackerTest, TrafficChangedBetweenSumsMovedLabels) {
   EXPECT_EQ(tracker.TrafficChangedBetween({}, a), 100);
 }
 
-// Mined requirements drive DkIndex::PromoteBatch / Demote, the retune the
-// server's tuner submits.
+// Mined requirements drive the grow retune (DkIndex::Demote to the merged
+// requirements) the server's tuner submits.
 TEST(LoadTrackerRetuneTest, MinedPromotionsMakeDeepQueriesCertain) {
   Rng rng(401);
   DataGraph g = testing_util::RandomGraph(120, 4, 20, &rng);
@@ -310,7 +311,7 @@ TEST(LoadTrackerRetuneTest, MinedPromotionsMakeDeepQueriesCertain) {
   EXPECT_LT(dk.effective_requirement(end), 3);
 
   // Applying it makes the deep query sound without validation.
-  dk.PromoteBatch(mined);
+  ASSERT_TRUE(ApplyUpdateOp(&dk, UpdateOp::Retune(mined, /*shrink=*/false)));
   EvalStats stats;
   EXPECT_EQ(EvaluateOnIndex(dk.index(), q, &stats),
             EvaluateOnDataGraph(g, q));

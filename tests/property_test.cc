@@ -17,6 +17,7 @@
 #include "query/evaluator.h"
 #include "query/load_analyzer.h"
 #include "query/workload.h"
+#include "serve/apply.h"
 #include "tests/test_util.h"
 
 namespace dki {
@@ -123,7 +124,7 @@ TEST_P(IndexFamilyProperty, UpdateStormKeepsDkExact) {
   }
 }
 
-TEST_P(IndexFamilyProperty, MixedUpdatePromoteDemoteCycle) {
+TEST_P(IndexFamilyProperty, MixedUpdateGrowShrinkRetuneCycle) {
   std::vector<std::string> queries = SampleQueries(6, 4);
   LabelRequirements reqs =
       MineRequirementsFromText(queries, g_.labels(), nullptr);
@@ -135,7 +136,8 @@ TEST_P(IndexFamilyProperty, MixedUpdatePromoteDemoteCycle) {
       NodeId v = static_cast<NodeId>(rng_.UniformInt(1, g_.NumNodes() - 1));
       dk.AddEdge(u, v);
     }
-    dk.PromoteBatch(reqs);
+    ASSERT_TRUE(ApplyUpdateOp(&dk, UpdateOp::Retune(reqs, /*shrink=*/false)))
+        << "round " << round;
     if (round == 1) dk.Demote(reqs);
     std::string error;
     ASSERT_TRUE(dk.index().ValidatePartition(&error))

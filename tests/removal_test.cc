@@ -10,6 +10,7 @@
 #include "index/dk_index.h"
 #include "query/evaluator.h"
 #include "query/load_analyzer.h"
+#include "serve/apply.h"
 #include "tests/test_util.h"
 
 namespace dki {
@@ -148,7 +149,7 @@ TEST(RemoveEdgeTest, RemovingUnknownEdgeIsNoOp) {
   EXPECT_EQ(dk.index().NumIndexNodes(), size);
 }
 
-TEST(RemoveEdgeTest, SimilarityRecoverableByPromotion) {
+TEST(RemoveEdgeTest, SimilarityRecoverableByRetune) {
   DataGraph g = testing_util::BuildMovieGraph();
   LabelId title = g.labels().Find("title");
   LabelRequirements reqs;
@@ -170,7 +171,8 @@ TEST(RemoveEdgeTest, SimilarityRecoverableByPromotion) {
   ASSERT_TRUE(dk.RemoveEdge(ref_actor, shared_movie));
   EXPECT_EQ(dk.index().k(dk.index().index_of(shared_movie)), 0);
 
-  dk.PromoteLabel(title, 2);
+  ASSERT_TRUE(
+      ApplyUpdateOp(&dk, UpdateOp::Retune({{title, 2}}, /*shrink=*/false)));
   PathExpression q =
       testing_util::MustParse("director.movie.title", g.labels());
   EvalStats stats;

@@ -18,6 +18,7 @@
 #include "pathexpr/tokenizer.h"
 #include "query/evaluator.h"
 #include "query/load_analyzer.h"
+#include "serve/apply.h"
 #include "tests/test_util.h"
 
 namespace dki {
@@ -260,9 +261,9 @@ TEST(ResultCacheTest, EveryMutationKindBumpsEpoch) {
   expect_invalidated();
   epoch = dk.epoch();
 
-  // Promote back.
+  // Grow retune back.
   cache.Put("probe", dk.epoch(), {});
-  dk.PromoteBatch(reqs);
+  ASSERT_TRUE(ApplyUpdateOp(&dk, UpdateOp::Retune(reqs, /*shrink=*/false)));
   EXPECT_GT(dk.epoch(), epoch);
   expect_invalidated();
 }
